@@ -69,29 +69,6 @@ func BenchmarkTable1JQuery11(b *testing.B) { benchTable1(b, workload.JQ11) }
 func BenchmarkTable1JQuery12(b *testing.B) { benchTable1(b, workload.JQ12) }
 func BenchmarkTable1JQuery13(b *testing.B) { benchTable1(b, workload.JQ13) }
 
-// benchTable1Engine pins one Table 1 row to an explicit execution engine.
-// The Bytecode/Tree pair below measures the engine delta EXPERIMENTS.md
-// reports; their work metrics must be identical — only ns/op may move.
-func benchTable1Engine(b *testing.B, v workload.JQueryVersion, eng determinacy.Engine) {
-	var row experiment.Table1Row
-	for i := 0; i < b.N; i++ {
-		row = experiment.RunTable1Version(v, experiment.Config{Engine: eng})
-	}
-	if row.Err != nil {
-		b.Fatal(row.Err)
-	}
-	b.ReportMetric(float64(row.Spec.Propagations), "spec-work")
-	b.ReportMetric(float64(row.DetDOM.Propagations), "detdom-work")
-}
-
-func BenchmarkTable1JQuery10Bytecode(b *testing.B) {
-	benchTable1Engine(b, workload.JQ10, determinacy.EngineBytecode)
-}
-
-func BenchmarkTable1JQuery10Tree(b *testing.B) {
-	benchTable1Engine(b, workload.JQ10, determinacy.EngineTree)
-}
-
 // BenchmarkTable1JQuery10Traced runs the same row with a request-scoped
 // trace attached — the exact tracer the serving stack threads through
 // every traced request — so the delta against BenchmarkTable1JQuery10 is

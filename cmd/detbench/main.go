@@ -23,7 +23,6 @@ import (
 	"determinacy/internal/factcache"
 	"determinacy/internal/obs"
 	"determinacy/internal/version"
-	"determinacy/internal/vm"
 )
 
 func main() {
@@ -35,7 +34,6 @@ func main() {
 		seed        = flag.Uint64("seed", 0, "PRNG seed for the dynamic runs")
 		workers     = flag.Int("workers", 0, "concurrent analysis jobs (0 = GOMAXPROCS, 1 = serial); output is byte-identical for every setting")
 		metricsJSON = flag.String("metrics-json", "", `also write experiment metrics as JSON to this file ("-" = stdout); EXPERIMENTS.md numbers regenerate from this dump`)
-		engine      = flag.String("engine", "bytecode", "execution engine for the dynamic runs: bytecode or tree (identical output, different speed)")
 		timeout     = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); on expiry remaining cells are skipped and the exit code is 7")
 		factDir     = flag.String("factcache", "", "directory for the on-disk fact DB; a warm second invocation serves memoized dynamic runs with byte-identical tables")
 		showVer     = flag.Bool("version", false, "print version and exit")
@@ -69,15 +67,11 @@ func main() {
 	if *timeout < 0 {
 		badFlag("-timeout must be non-negative, got %v", *timeout)
 	}
-	eng, engErr := vm.ParseEngine(*engine)
-	if engErr != nil {
-		badFlag("%v", engErr)
-	}
 	var m *obs.Metrics
 	if *metricsJSON != "" {
 		m = obs.NewMetrics()
 	}
-	cfg := experiment.Config{Budget: *budget, Seed: *seed, Workers: *workers, Metrics: m, Engine: eng}
+	cfg := experiment.Config{Budget: *budget, Seed: *seed, Workers: *workers, Metrics: m}
 	if *factDir != "" {
 		fc, err := factcache.Open(*factDir)
 		if err != nil {

@@ -25,7 +25,6 @@ import (
 	"determinacy/internal/cliexit"
 	"determinacy/internal/diffcheck"
 	"determinacy/internal/version"
-	"determinacy/internal/vm"
 )
 
 func main() {
@@ -37,7 +36,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "concurrent programs (0 = GOMAXPROCS)")
 		jsonOut     = flag.Bool("json", false, "write the report as JSON to stdout")
 		noReduce    = flag.Bool("no-reduce", false, "skip delta-debugging failing programs")
-		engine      = flag.String("engine", "bytecode", "primary execution engine: bytecode or tree (the oracle always cross-checks the other)")
 		timeout     = flag.Duration("timeout", 0, "hard wall-clock cap for the campaign (0 = none); unchecked seeds are reported as skipped")
 		factDir     = flag.String("factcache", "", "also run the memoization oracle against the fact DB in this directory: every program runs cold and warm and must be byte-identical")
 		showVer     = flag.Bool("version", false, "print version and exit")
@@ -67,19 +65,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "detfuzz: -timeout must be non-negative")
 		os.Exit(cliexit.Usage)
 	}
-	eng, engErr := vm.ParseEngine(*engine)
-	if engErr != nil {
-		fmt.Fprintln(os.Stderr, "detfuzz: "+engErr.Error())
-		os.Exit(cliexit.Usage)
-	}
-
 	cfg := diffcheck.Config{
 		Seeds:        *seeds,
 		Resolutions:  *resolutions,
 		BaseSeed:     *base,
 		Workers:      *workers,
 		Reduce:       !*noReduce,
-		Engine:       eng,
 		FactCacheDir: *factDir,
 	}
 	if *timeout > 0 {

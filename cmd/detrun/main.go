@@ -41,7 +41,6 @@ func main() {
 		traceOut = flag.String("trace", "", `write a pipeline trace to this file ("-" = stdout)`)
 		traceFmt = flag.String("trace-format", "jsonl", "trace format: jsonl or chrome (trace_event JSON for Perfetto)")
 		metrics  = flag.String("metrics", "", `write Prometheus-style metrics to this file ("-" = stdout)`)
-		engine   = flag.String("engine", "bytecode", "execution engine: bytecode or tree (identical output, different speed)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the analysis (0 = none); a timed-out run still prints its sound partial facts")
 		factDir  = flag.String("factcache", "", "directory for the on-disk fact DB; warm re-runs of an unchanged program serve byte-identical memoized facts")
 		showVer  = flag.Bool("version", false, "print version and exit")
@@ -79,10 +78,6 @@ func main() {
 	if *timeout < 0 {
 		badFlag("-timeout must be non-negative, got %v", *timeout)
 	}
-	eng, err := determinacy.ParseEngine(*engine)
-	if err != nil {
-		badFlag("%v", err)
-	}
 	src, rerr := os.ReadFile(flag.Arg(0))
 	if rerr != nil {
 		fatal(rerr)
@@ -104,7 +99,6 @@ func main() {
 		RunHandlers:      *handlers,
 		MaxFlushes:       *flushes,
 		Out:              os.Stdout,
-		Engine:           eng,
 	}
 	if *jsonOut {
 		// Keep stdout clean for the fact dump.
@@ -173,7 +167,10 @@ func main() {
 		opts.Deadline = time.Now().Add(*timeout)
 	}
 
-	var res *determinacy.Result
+	var (
+		res *determinacy.Result
+		err error
+	)
 	if *runs > 1 {
 		seeds := make([]uint64, *runs)
 		for i := range seeds {

@@ -65,7 +65,6 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "if set, serve /debug/statusz, /debug/tracez, /metrics and net/http/pprof on this (private) address")
 		flightN   = flag.Int("flight", 0, "flight-recorder capacity in requests (0 = default 512)")
 		traceCap  = flag.Int("trace-events", 0, "retained trace events per request (0 = default 4096)")
-		engine    = flag.String("engine", "bytecode", "execution engine for analysis requests: bytecode or tree (identical responses, different speed)")
 		noTrace   = flag.Bool("no-trace", false, "disable per-request tracing (requests run on the zero-alloc nil-tracer path)")
 		factDir   = flag.String("factcache", "", "directory for the on-disk fact DB (L2 under the compile cache); warm re-submissions of an unchanged program serve memoized facts")
 		schedPol  = flag.String("scheduler", "fifo", "admission scheduler: fifo (first come first served), wfq (weighted-fair across tenants), or priority (strict interactive > batch > background classes)")
@@ -114,10 +113,6 @@ func main() {
 	}
 	if *timeout > *maxTO {
 		badFlag("-timeout %v exceeds -max-timeout %v", *timeout, *maxTO)
-	}
-	eng, engErr := determinacy.ParseEngine(*engine)
-	if engErr != nil {
-		badFlag("%v", engErr)
 	}
 	if *heartbeat < 0 {
 		badFlag("-stream-heartbeat must be non-negative, got %v", *heartbeat)
@@ -172,7 +167,6 @@ func main() {
 		FlightEntries:    *flightN,
 		TraceEventCap:    *traceCap,
 		DisableTracing:   *noTrace,
-		Engine:           eng,
 		FactCache:        fc,
 		SchedPolicy:      policy,
 		Tenants:          tenantTable,

@@ -37,7 +37,6 @@ func main() {
 		metrics    = flag.String("metrics", "", `write Prometheus-style metrics to this file ("-" = stdout)`)
 		runs       = flag.Int("runs", 1, "merge facts from this many dynamic runs with consecutive seeds (§7) before specializing")
 		workers    = flag.Int("workers", 0, "concurrent dynamic runs when -runs > 1 (0 = GOMAXPROCS, 1 = serial); the merged facts are identical for every setting")
-		engine     = flag.String("engine", "bytecode", "execution engine: bytecode or tree (identical output, different speed)")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the dynamic analysis (0 = none); a timed-out run still specializes with its sound partial facts and exits 7")
 		factDir    = flag.String("factcache", "", "directory for the on-disk fact DB; re-specializing an unchanged program reuses memoized dynamic-analysis facts")
 		showVer    = flag.Bool("version", false, "print version and exit")
@@ -78,10 +77,6 @@ func main() {
 	if *timeout < 0 {
 		badFlag("-timeout must be non-negative, got %v", *timeout)
 	}
-	eng, engErr := determinacy.ParseEngine(*engine)
-	if engErr != nil {
-		badFlag("%v", engErr)
-	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fatal(err)
@@ -114,7 +109,6 @@ func main() {
 			MaxFlushes:       1000,
 			Out:              io.Discard,
 			Workers:          *workers,
-			Engine:           eng,
 		}
 		if *factDir != "" {
 			fc, err := determinacy.OpenFactCache(*factDir)

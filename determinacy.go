@@ -47,25 +47,19 @@ import (
 	"determinacy/internal/vm"
 )
 
-// Engine selects the execution engine for both the instrumented analysis
-// and the concrete interpreter. The engines are semantically
-// indistinguishable — identical facts, statistics, output and step counts
-// — and differ only in dispatch cost.
+// Engine named an execution engine.
+//
+// Deprecated: ignored; there is one engine.
 type Engine = vm.Engine
 
+// Engine names.
+//
+// Deprecated: ignored; there is one engine.
 const (
-	// EngineDefault resolves to the bytecode engine.
-	EngineDefault = vm.EngineDefault
-	// EngineTree selects the reference tree-walking engine.
-	EngineTree = vm.EngineTree
-	// EngineBytecode selects the compiled bytecode engine with inline
-	// caches (the default).
+	EngineDefault  = vm.EngineDefault
+	EngineTree     = vm.EngineTree
 	EngineBytecode = vm.EngineBytecode
 )
-
-// ParseEngine parses an engine name ("tree", "bytecode", or "" for the
-// default) as used by the CLI -engine flags.
-func ParseEngine(s string) (Engine, error) { return vm.ParseEngine(s) }
 
 // Observability aliases, so embedders configure tracing without importing
 // the internal package path directly.
@@ -156,14 +150,8 @@ type Options struct {
 	// (AnalyzeContext etc.) for cancellation.
 	Deadline time.Time
 
-	// Engine selects the execution engine (EngineBytecode when zero); both
-	// engines produce byte-identical results. See the README's Engines
-	// section.
+	// Deprecated: ignored; there is one engine.
 	Engine Engine
-
-	// Metrics, when non-nil, receives engine counters (vm_ic_hits,
-	// vm_ic_misses) in addition to whatever the embedder records in it.
-	Metrics *Metrics
 
 	// Ablations (see DESIGN.md): disable counterfactual execution,
 	// information-flow-style immediate tainting, µJS-faithful locals.
@@ -188,9 +176,7 @@ type Options struct {
 	// compile cache: a re-submitted (source, options) pair is served from
 	// cached facts without re-executing, byte-identical to a fresh run.
 	// Partial, degraded, errored, or eval-containing runs never populate
-	// it. The engine is not part of the cache key (both engines are
-	// byte-identical by contract), so warm hits serve across engines. See
-	// the README's Caching section and internal/factcache.
+	// it. See the README's Caching section and internal/factcache.
 	FactCache *FactCache
 }
 
@@ -330,8 +316,8 @@ func degrade(res *Result, a *core.Analysis, runErr error, reason DegradeReason) 
 
 // FactCache is the public handle on an on-disk function-level fact
 // database (internal/factcache) — the L2 cache under the compile cache.
-// One FactCache is safe to share across concurrent analyses and across
-// engines; see Options.FactCache for the memoization contract.
+// One FactCache is safe to share across concurrent analyses; see
+// Options.FactCache for the memoization contract.
 type FactCache struct{ c *factcache.Cache }
 
 // OpenFactCache creates or opens the fact database rooted at dir.
@@ -468,8 +454,6 @@ func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts
 		Tracer:                 tr,
 		Ctx:                    ctx,
 		Deadline:               opts.Deadline,
-		Engine:                 opts.Engine,
-		Metrics:                opts.Metrics,
 	}
 	if memo != nil {
 		coreOpts.OnEnterFunc = memo.rec.OnEnter
@@ -500,9 +484,6 @@ func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts
 	if binding != nil && opts.RunHandlers > 0 {
 		n, herr := runHandlersGuarded(binding, opts.RunHandlers, tr, a.CurrentPoint)
 		res.HandlersRan = n
-		// Handler-phase inline-cache traffic lands after Run's own publish;
-		// the watermark makes this a pure delta, never a double count.
-		a.PublishEngineMetrics()
 		if herr != nil {
 			if reason := degradeReason(herr); reason != DegradeNone {
 				memo.skip("partial")
@@ -700,7 +681,6 @@ func RunContext(ctx context.Context, src string, opts Options) (string, error) {
 	it := interp.New(mod, interp.Options{
 		Seed: opts.Seed, Now: opts.Now, Inputs: opts.Inputs, Out: out,
 		MaxSteps: opts.MaxSteps, Ctx: ctx, Deadline: opts.Deadline,
-		Engine: opts.Engine,
 	})
 	var binding *dom.Binding
 	if opts.WithDOM {

@@ -62,10 +62,6 @@ func TestFaultedRunsNeverPolluteFactDB(t *testing.T) {
 			// A distinct seed per combination gives each its own cache key,
 			// so one combination's state can never mask another's pollution.
 			seed := uint64(1000 + combo)
-			eng := determinacy.EngineBytecode
-			if combo%2 == 1 {
-				eng = determinacy.EngineTree
-			}
 			t.Run(fmt.Sprintf("%s-%s", site, action), func(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
@@ -76,7 +72,7 @@ func TestFaultedRunsNeverPolluteFactDB(t *testing.T) {
 					faultinject.Disarm()
 					t.Fatal(err)
 				}
-				opts := determinacy.Options{Seed: seed, MaxFlushes: 100000, Engine: eng, FactCache: fc}
+				opts := determinacy.Options{Seed: seed, MaxFlushes: 100000, FactCache: fc}
 				res, runErr := determinacy.AnalyzeContext(ctx, pollutionSrc, opts)
 				faultinject.Disarm()
 				if !plan.Fired() {
@@ -93,7 +89,7 @@ func TestFaultedRunsNeverPolluteFactDB(t *testing.T) {
 
 				// A clean cold run on the same key must now miss (nothing was
 				// cached), complete, and populate; a warm run through a fresh
-				// handle on the opposite engine must serve it byte-identically.
+				// handle must serve it byte-identically.
 				cold, err := determinacy.OpenFactCache(dir)
 				if err != nil {
 					t.Fatal(err)
@@ -116,13 +112,9 @@ func TestFaultedRunsNeverPolluteFactDB(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				other := determinacy.EngineTree
-				if eng == determinacy.EngineTree {
-					other = determinacy.EngineBytecode
-				}
 				var warmOut bytes.Buffer
 				warmOpts := opts
-				warmOpts.FactCache, warmOpts.Out, warmOpts.Engine = warm, &warmOut, other
+				warmOpts.FactCache, warmOpts.Out = warm, &warmOut
 				resW, err := determinacy.Analyze(pollutionSrc, warmOpts)
 				if err != nil {
 					t.Fatalf("warm run failed: %v", err)

@@ -22,7 +22,6 @@ import (
 	"determinacy/internal/ir"
 	"determinacy/internal/obs"
 	"determinacy/internal/parser"
-	"determinacy/internal/vm"
 )
 
 // DefaultMaxEntries bounds the cache when New is given a non-positive
@@ -177,12 +176,6 @@ func (c *Cache) CompileHit(file, src string) (prog *ast.Program, mod *ir.Module,
 			e.err = err
 			return
 		}
-		// Compile to bytecode under the same singleflight: clones share the
-		// master's blocks, so the code must be attached before any clone can
-		// execute concurrently. The compiled module serves both engines —
-		// tree-engine runs simply ignore the attached code — and is evicted
-		// (and thus invalidated) together with the lowered module.
-		vm.Ensure(mod)
 		e.prog, e.mod = prog, mod
 	})
 	if e.err != nil {

@@ -1,6 +1,7 @@
 // Package clitest builds the command-line binaries and exercises their flag
-// validation: nonsensical numeric flags must produce a usage error (exit
-// code 2) and a diagnostic on stderr, not a hang, panic, or silent clamp.
+// validation: nonsensical numeric flags and unknown flags must produce a
+// usage error (exit code 2) and a diagnostic on stderr, not a hang, panic,
+// or silent clamp.
 package clitest
 
 import (
@@ -53,6 +54,12 @@ func TestRejectNonsensicalFlags(t *testing.T) {
 		{"detspec", []string{"-timeout", "-1s", js}},
 		{"detbench", []string{"-table1", "-timeout", "-1s"}},
 		{"detfuzz", []string{"-timeout", "-1s"}},
+		// There is one execution engine, so -engine is an unknown flag.
+		{"detrun", []string{"-engine", "tree", js}},
+		{"detspec", []string{"-engine", "tree", js}},
+		{"detbench", []string{"-table1", "-engine", "tree"}},
+		{"detfuzz", []string{"-engine", "tree"}},
+		{"detserve", []string{"-engine", "tree"}},
 	}
 
 	bins := map[string]string{}

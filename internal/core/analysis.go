@@ -91,24 +91,14 @@ type Options struct {
 	// aborts the same way with guard.ErrDeadline.
 	Deadline time.Time
 
-	// Engine selects the execution engine: vm.EngineBytecode (the default)
-	// dispatches through blocks' compiled bytecode with inline caches;
-	// vm.EngineTree walks the IR node-by-node. Both produce byte-identical
-	// facts, statistics, and output.
+	// Deprecated: ignored; there is one engine.
 	Engine vm.Engine
-	// Metrics, when non-nil, receives engine counters (vm_ic_hits,
-	// vm_ic_misses). Publication is delta-based and idempotent (see
-	// PublishEngineMetrics): the counters advance by exactly the activity
-	// since the previous publication, so shared registries aggregate
-	// correctly across engines, repeated runs, and the handler phase.
-	Metrics *obs.Metrics
 
 	// OnEnterFunc, when set, observes every user-function activation as its
 	// frame is created: the callee, the packed determinacy signature of its
 	// inputs (see EntrySig), and the heap-flush epoch at entry. The fact
 	// cache uses it to key per-function fact chunks by input determinacy and
-	// to anchor them at flush-epoch join points. Both engines call it at the
-	// same activations in the same order.
+	// to anchor them at flush-epoch join points.
 	OnEnterFunc func(fn *ir.Function, sig uint64, epoch uint64)
 }
 
@@ -236,30 +226,9 @@ type Analysis struct {
 	// curIn is the instruction currently executing, tracked so the panic
 	// boundary can report where a crash happened.
 	curIn ir.Instr
-
-	// Bytecode-engine state (zero when Options.Engine is tree). info is the
-	// module's shared compilation metadata; evalFns extends it with this
-	// run's runtime-lowered eval functions. rootShape anchors the run-private
-	// hidden-class transition tree, and ics holds the per-site inline caches
-	// (static sites first, eval sites appended per run). icHits/icMisses are
-	// kept out of Stats — both engines must report identical statistics — and
-	// publish through Options.Metrics instead. bfPool recycles dead branch
-	// frames and their journal backing until the run ends.
-	useVM     bool
-	info      *vm.Info
-	evalFns   map[*ir.Function]*vm.FnInfo
-	rootShape *vm.Shape
-	ics       []propIC
-	icHits    int64
-	icMisses  int64
-	bfPool    []*branchFrame
-	// icPubHits/icPubMisses are the publication watermarks: how much of
-	// icHits/icMisses has already been added to Options.Metrics. Delta
-	// publication makes PublishEngineMetrics idempotent, so the counters
-	// never double-add when a run publishes at several points (end of the
-	// main script, after the handler phase, at a partial seal).
-	icPubHits   int64
-	icPubMisses int64
+	// bfPool recycles dead branch frames and their journal backing until
+	// the run ends.
+	bfPool []*branchFrame
 }
 
 // DFrame is one instrumented activation record.
@@ -285,49 +254,10 @@ type DFrame struct {
 	// occurrence-unstable entry; all facts recorded under it are
 	// indeterminate.
 	ctxUnstable bool
-	// fnInfo, under the bytecode engine, densely indexes the function's
-	// instruction IDs so occurrence tracking uses the flat cells slice
-	// instead of the maps above; IDs foreign to the index (runtime-lowered
-	// eval code observed through this frame) fall back to the maps.
-	fnInfo *vm.FnInfo
-	cells  []seqCell
-}
-
-// seqCell is one instruction's per-activation occurrence state under the
-// bytecode engine.
-type seqCell struct {
-	instr   int32 // occurrence counter for fact recording
-	site    int32 // occurrence counter as a call site
-	tainted bool  // occurrence numbering no longer stable
-}
-
-// initSeq attaches the frame's dense occurrence index when the bytecode
-// engine knows its function.
-func (a *Analysis) initSeq(f *DFrame) {
-	if !a.useVM {
-		return
-	}
-	if fi, ok := a.info.Fns[f.Fn]; ok {
-		f.fnInfo = fi
-	} else if fi, ok := a.evalFns[f.Fn]; ok {
-		f.fnInfo = fi
-	}
-}
-
-func (f *DFrame) ensureCells() {
-	if f.cells == nil {
-		f.cells = make([]seqCell, f.fnInfo.NumSlots())
-	}
 }
 
 // nextInstrSeq returns and advances id's occurrence index in f.
 func (f *DFrame) nextInstrSeq(id ir.ID) int {
-	if s := f.fnInfo.Slot(id); s >= 0 {
-		f.ensureCells()
-		n := f.cells[s].instr
-		f.cells[s].instr = n + 1
-		return int(n)
-	}
 	if f.instrSeq == nil {
 		f.instrSeq = make(map[ir.ID]int)
 	}
@@ -338,19 +268,11 @@ func (f *DFrame) nextInstrSeq(id ir.ID) int {
 
 // seqTaintedAt reports whether id's occurrence numbering is tainted in f.
 func (f *DFrame) seqTaintedAt(id ir.ID) bool {
-	if s := f.fnInfo.Slot(id); s >= 0 {
-		return f.cells != nil && f.cells[s].tainted
-	}
 	return f.taintedSeq[id]
 }
 
 // taintSeq marks id occurrence-unstable in f.
 func (f *DFrame) taintSeq(id ir.ID) {
-	if s := f.fnInfo.Slot(id); s >= 0 {
-		f.ensureCells()
-		f.cells[s].tainted = true
-		return
-	}
 	if f.taintedSeq == nil {
 		f.taintedSeq = make(map[ir.ID]bool)
 	}
@@ -381,12 +303,6 @@ func New(mod *ir.Module, store *facts.Store, opts Options) *Analysis {
 		evalCache: make(map[string]*ir.Function),
 		stats:     NewStats(),
 	}
-	if opts.Engine.Bytecode() {
-		a.useVM = true
-		a.info = vm.Ensure(mod)
-		a.rootShape = vm.NewRootShape()
-		a.ics = make([]propIC, a.info.NumICs)
-	}
 	a.setupRuntime()
 	return a
 }
@@ -402,39 +318,13 @@ func (a *Analysis) Options() Options { return a.opts }
 // back into a live run (internal/factcache).
 func (a *Analysis) HeapEpoch() uint64 { return a.heapEpoch }
 
-// PublishEngineMetrics adds the engine counters (vm_ic_hits, vm_ic_misses)
-// accumulated since the previous publication to Options.Metrics. The
-// counters live outside Stats so both engines report identical statistics;
-// delta accounting makes repeated calls safe: a run that publishes at the
-// end of Run, again after the DOM handler phase, and again at a partial
-// seal adds each cache probe exactly once, even when one registry is
-// shared across engines and many runs (the detbench -all configuration).
-// The first call materializes both series even at zero, so a tree-engine
-// run still pins them in metric dumps.
-func (a *Analysis) PublishEngineMetrics() {
-	if a.opts.Metrics == nil {
-		return
-	}
-	a.opts.Metrics.Counter("vm_ic_hits").Add(a.icHits - a.icPubHits)
-	a.opts.Metrics.Counter("vm_ic_misses").Add(a.icMisses - a.icPubMisses)
-	a.icPubHits, a.icPubMisses = a.icHits, a.icMisses
-}
-
 // ---------------------------------------------------------------------------
 // Allocation
 
 // NewObj allocates an instrumented object closed under the current epoch.
-// Under the bytecode engine, non-array objects start at the run's root shape
-// so property sites can cache them; arrays stay in dictionary mode (index
-// keys would explode the transition tree for no cache benefit — array
-// element reads go through GetProp, which has no cache sites).
 func (a *Analysis) NewObj(class string, proto *DObj) *DObj {
 	a.nalloc++
-	o := &DObj{Class: class, Proto: proto, ProtoDet: true, createdEpoch: a.heapEpoch, Alloc: a.nalloc}
-	if a.useVM && class != "Array" {
-		o.shape = a.rootShape
-	}
-	return o
+	return &DObj{Class: class, Proto: proto, ProtoDet: true, createdEpoch: a.heapEpoch, Alloc: a.nalloc}
 }
 
 // NewPlainObj allocates an object inheriting from Object.prototype.
@@ -596,7 +486,6 @@ func (a *Analysis) SealPartial() {
 		a.Facts.InvalidateSaturated()
 	}
 	a.stopped = stopped
-	a.PublishEngineMetrics()
 }
 
 // interruptEvery is the step interval between cooperative interrupt polls
@@ -1096,9 +985,6 @@ func (a *Analysis) undoJournal(bf *branchFrame) {
 		case wReg:
 			w.regs[w.reg] = w.oldVal
 		case wProp:
-			// Undo can resurrect phantoms and reshuffle key order, both of
-			// which break the shape invariant: dictionary mode from here on.
-			w.obj.shape = nil
 			if w.existed {
 				w.obj.props[w.name] = w.oldProp
 				w.obj.restoreKey(w.name, w.oldKeyIdx)
@@ -1176,11 +1062,7 @@ func (o *DObj) restoreKey(name string, idx int) {
 }
 
 // phantomProp installs an existence-uncertain property reading undefined?.
-// Phantom cells are incompatible with shapes (a cached own hit would return
-// undefined instead of walking the prototype chain), so the object drops to
-// dictionary mode.
 func (a *Analysis) phantomProp(o *DObj, name string) {
-	o.shape = nil
 	if o.props == nil {
 		o.props = make(map[string]dprop)
 	}
@@ -1194,7 +1076,6 @@ func (a *Analysis) rawDelete(o *DObj, name string) {
 	if _, ok := o.props[name]; !ok {
 		return
 	}
-	o.shape = nil
 	delete(o.props, name)
 	for i, k := range o.keys {
 		if k == name {
@@ -1266,12 +1147,6 @@ func (a *Analysis) seqStable(f *DFrame, id ir.ID) bool {
 
 // nextCallSeq returns the occurrence number for a call site within f.
 func (f *DFrame) nextCallSeq(site ir.ID) int {
-	if s := f.fnInfo.Slot(site); s >= 0 {
-		f.ensureCells()
-		n := f.cells[s].site
-		f.cells[s].site = n + 1
-		return int(n)
-	}
 	if f.siteSeq == nil {
 		f.siteSeq = make(map[ir.ID]int)
 	}

@@ -11,7 +11,6 @@ import (
 	"determinacy/internal/interp"
 	"determinacy/internal/ir"
 	"determinacy/internal/obs"
-	"determinacy/internal/vm"
 )
 
 // outKind enumerates statement completions. oCFAbort is internal: it unwinds
@@ -59,15 +58,9 @@ func (a *Analysis) InCounterfactual() bool { return a.cfDepth > 0 }
 // instead of crashing the caller.
 func (a *Analysis) Run() (v Value, err error) {
 	defer guard.Boundary(&err, "exec", a.CurrentPoint)
-	defer func() {
-		// The run is over: drop the recycled branch frames and their journal
-		// arenas, and publish the engine counters (kept out of Stats so both
-		// engines report identical statistics). Publication is delta-based,
-		// so handler-phase activity after Run returns is picked up by a later
-		// PublishEngineMetrics without re-adding anything counted here.
-		a.bfPool = nil
-		a.PublishEngineMetrics()
-	}()
+	// The run is over: drop the recycled branch frames and their journal
+	// arenas.
+	defer func() { a.bfPool = nil }()
 	top := a.Mod.Top()
 	f := &DFrame{
 		Fn:       top,
@@ -75,7 +68,6 @@ func (a *Analysis) Run() (v Value, err error) {
 		Regs:     make([]Value, top.NumRegs),
 		CallSite: -1,
 	}
-	a.initSeq(f)
 	a.frames = append(a.frames, f)
 	defer func() { a.frames = a.frames[:len(a.frames)-1] }()
 	// Poll once before executing anything (without counting an injector
@@ -122,11 +114,6 @@ var errCFAbort = errors.New("core: counterfactual aborted")
 // ---------------------------------------------------------------------------
 
 func (a *Analysis) execBlock(f *DFrame, b *ir.Block) outcome {
-	if a.useVM && b.Code != nil {
-		if code, ok := b.Code.(*vm.Code); ok {
-			return a.execBlockVM(f, code)
-		}
-	}
 	for _, in := range b.Instrs {
 		a.stats.Steps++
 		if a.stats.Steps > a.opts.MaxSteps {
@@ -1029,7 +1016,6 @@ func (a *Analysis) callValue(fnv Value, this Value, args []Value, site ir.ID) ou
 		}
 	}
 	nf := &DFrame{Fn: fn, Env: env, Regs: make([]Value, fn.NumRegs), CallSite: site, Ctx: ctx, ctxUnstable: ctxUnstable}
-	a.initSeq(nf)
 	if a.opts.OnEnterFunc != nil {
 		a.opts.OnEnterFunc(fn, EntrySig(this, args), a.heapEpoch)
 	}
@@ -1153,7 +1139,6 @@ func (a *Analysis) execEval(f *DFrame, in *ir.Call) outcome {
 	ctx := append(f.Ctx.Clone(), facts.ContextEntry{Site: in.ID, Seq: f.nextCallSeq(in.ID)})
 	ctxUnstable := f.ctxUnstable || !a.seqStable(f, in.ID)
 	nf := &DFrame{Fn: fn, Env: env, Regs: make([]Value, fn.NumRegs), CallSite: in.ID, Ctx: ctx, ctxUnstable: ctxUnstable}
-	a.initSeq(nf)
 	if len(a.frames) >= a.opts.MaxDepth {
 		if bf != nil {
 			a.popBranch(bf)
@@ -1196,26 +1181,9 @@ func (a *Analysis) lowerEvalFor(caller *ir.Function, src string) (*ir.Function, 
 	if fn, ok := a.evalCache[key]; ok {
 		return fn, okOut
 	}
-	nfuncs := len(a.Mod.Funcs)
 	fn, err := ir.LowerEval(a.Mod, src, caller)
 	if err != nil {
 		return nil, a.throwError("SyntaxError", err.Error(), true)
-	}
-	if a.useVM {
-		// Compile the eval function and any nested function literals it
-		// lowered, numbering their cache sites past the run's current table
-		// (the module-level counter is shared state; this run's clone owns
-		// these functions exclusively).
-		ics := len(a.ics)
-		if a.evalFns == nil {
-			a.evalFns = make(map[*ir.Function]*vm.FnInfo)
-		}
-		for _, efn := range a.Mod.Funcs[nfuncs:] {
-			a.evalFns[efn] = vm.CompileFunc(efn, &ics)
-		}
-		for len(a.ics) < ics {
-			a.ics = append(a.ics, propIC{})
-		}
 	}
 	a.evalCache[key] = fn
 	return fn, okOut

@@ -739,7 +739,6 @@ func (a *Analysis) setupTopLevelD(g *DObj) {
 		topEnv := an.newEnv(nil, an.Mod.Top())
 		env := an.newEnv(topEnv, fn)
 		nf := &DFrame{Fn: fn, Env: env, Regs: make([]Value, fn.NumRegs), CallSite: -1}
-		an.initSeq(nf)
 		if len(an.frames) > 0 {
 			parent := an.frames[len(an.frames)-1]
 			nf.Ctx = parent.Ctx

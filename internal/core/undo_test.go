@@ -9,7 +9,6 @@ import (
 	"determinacy/internal/facts"
 	"determinacy/internal/interp"
 	"determinacy/internal/ir"
-	"determinacy/internal/vm"
 	"determinacy/internal/workload"
 )
 
@@ -40,18 +39,11 @@ func TestCounterfactualUndoInvariant(t *testing.T) {
 			t.Fatalf("seed %d concrete: %v\n%s", seed, err, src)
 		}
 
-		// Alternate engines across seeds: undo exactness must hold — and
-		// hold identically — whether the counterfactual body executed on
-		// the tree walker or through the bytecode dispatch loop.
-		eng := vm.EngineBytecode
-		if seed%2 == 1 {
-			eng = vm.EngineTree
-		}
 		imod, err := ir.Compile("cf.js", src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := core.New(imod, facts.NewStore(), core.Options{Seed: 9, Inputs: inputs(), Engine: eng})
+		a := core.New(imod, facts.NewStore(), core.Options{Seed: 9, Inputs: inputs()})
 		if _, err := a.Run(); err != nil {
 			t.Fatalf("seed %d instrumented: %v\n%s", seed, err, src)
 		}

@@ -16,7 +16,6 @@ import (
 	"determinacy/internal/facts"
 	"determinacy/internal/interp"
 	"determinacy/internal/ir"
-	"determinacy/internal/vm"
 )
 
 // Kind aliases the concrete interpreter's value kinds; the two interpreters
@@ -121,16 +120,6 @@ type DObj struct {
 	props map[string]dprop
 	keys  []string
 
-	// shape is the object's hidden class under the bytecode engine, or nil
-	// for dictionary mode. Invariant: a shaped object's own keys are exactly
-	// the shape's key path in insertion order, with no phantom cells and no
-	// own accessors; every operation that could break this (delete,
-	// counterfactual undo, phantom installation, accessor definition) drops
-	// the object to dictionary mode. maybeAbsent and open/flushed cells are
-	// compatible with shapes: the inline caches recompute cell determinacy
-	// on every hit.
-	shape *vm.Shape
-
 	// createdEpoch dates the allocation; forcedOpen records rule ŜTO.
 	createdEpoch uint64
 	forcedOpen   bool
@@ -150,7 +139,6 @@ type DObj struct {
 
 // DefineGetter installs an accessor getter for name.
 func (o *DObj) DefineGetter(name string, fn func(a *Analysis, this Value, args []Value) (Value, error)) {
-	o.shape = nil
 	if o.Getters == nil {
 		o.Getters = make(map[string]func(a *Analysis, this Value, args []Value) (Value, error))
 	}
@@ -159,7 +147,6 @@ func (o *DObj) DefineGetter(name string, fn func(a *Analysis, this Value, args [
 
 // DefineSetter installs an accessor setter for name.
 func (o *DObj) DefineSetter(name string, fn func(a *Analysis, this Value, args []Value) (Value, error)) {
-	o.shape = nil
 	if o.Setters == nil {
 		o.Setters = make(map[string]func(a *Analysis, this Value, args []Value) (Value, error))
 	}
@@ -273,9 +260,6 @@ func (a *Analysis) setRawProp(o *DObj, name string, v Value) {
 	}
 	if _, exists := o.props[name]; !exists {
 		o.keys = append(o.keys, name)
-		if o.shape != nil {
-			o.shape = o.shape.Transition(name)
-		}
 	}
 	o.props[name] = dprop{val: v, epoch: a.heapEpoch}
 }
@@ -285,7 +269,6 @@ func (a *Analysis) deleteProp(o *DObj, name string) bool {
 	if _, ok := o.props[name]; !ok {
 		return false
 	}
-	o.shape = nil
 	a.journalProp(o, name)
 	delete(o.props, name)
 	for i, k := range o.keys {

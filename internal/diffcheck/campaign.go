@@ -7,7 +7,6 @@ import (
 
 	"determinacy/internal/batch"
 	"determinacy/internal/guard"
-	"determinacy/internal/vm"
 )
 
 // Config parameterizes a fuzz campaign.
@@ -28,16 +27,11 @@ type Config struct {
 	// rest are skipped (counted in Report.Skipped). nil means no
 	// cancellation.
 	Ctx context.Context
-	// Engine is the primary execution engine for the campaign's runs
-	// (bytecode when zero); the per-seed engine oracle always runs the
-	// opposite engine for comparison, so both are exercised either way.
-	Engine vm.Engine
 	// FactCacheDir, when non-empty, additionally runs the memoization
 	// oracle for every seed: each program is analyzed cold (populating
-	// the fact DB under this directory) and warm (served from it, on the
-	// opposite engine), and the two runs must be byte-identical — see
-	// KindMemoDiverge. The cold engine alternates with seed parity so
-	// both cold/warm engine orders are exercised.
+	// the fact DB under this directory) and warm (served from it through a
+	// fresh handle), and the two runs must be byte-identical — see
+	// KindMemoDiverge.
 	FactCacheDir string
 }
 
@@ -112,21 +106,11 @@ func runOn(pool *batch.Pool, cfg Config) Report {
 	}
 	outs, qs := batch.MapCtx(cfg.Ctx, pool, cfg.Seeds, func(i int) outcome {
 		seed := cfg.BaseSeed + uint64(i)
-		checked, f := CheckSeedEngine(seed, cfg.Resolutions, cfg.Engine)
+		checked, f := CheckSeed(seed, cfg.Resolutions)
 		o := outcome{checked: checked, fail: f}
 		if cfg.FactCacheDir != "" && o.fail == nil {
-			// Alternate the cold engine with seed parity so the oracle
-			// exercises both cold/warm engine pairings.
-			cold := cfg.Engine
-			if i%2 == 1 {
-				if cold.Bytecode() {
-					cold = vm.EngineTree
-				} else {
-					cold = vm.EngineBytecode
-				}
-			}
 			o.memoChecks = 2
-			o.fail = CheckMemoSeed(seed, cfg.FactCacheDir, cold)
+			o.fail = CheckMemoSeed(seed, cfg.FactCacheDir)
 		}
 		return o
 	})

@@ -25,7 +25,6 @@ import (
 	"determinacy/internal/interp"
 	"determinacy/internal/ir"
 	"determinacy/internal/soundcheck"
-	"determinacy/internal/vm"
 	"determinacy/internal/workload"
 )
 
@@ -43,10 +42,6 @@ const (
 	// KindDiverge: with identical seeds and inputs, the concrete and
 	// instrumented interpreters produced different output or final state.
 	KindDiverge Kind = "interp-core-divergence"
-	// KindEngineDiverge: the tree-walking and bytecode engines disagreed —
-	// on facts, statistics, or console output — for the same program,
-	// seed, and inputs. The engines must be indistinguishable.
-	KindEngineDiverge Kind = "engine-divergence"
 	// KindCrash: a run failed with an unexpected error.
 	KindCrash Kind = "crash"
 	// KindReject: the program did not compile. Generated programs must
@@ -151,14 +146,8 @@ func resolveInputs(base uint64, r int) map[string]interp.Value {
 // against it. It returns the number of determinate fact checks exercised
 // and the first violation found (nil when the program is clean).
 func CheckSeed(genSeed uint64, resolutions int) (int, *Failure) {
-	return CheckSeedEngine(genSeed, resolutions, vm.EngineDefault)
-}
-
-// CheckSeedEngine is CheckSeed with an explicit primary engine (the
-// engine oracle always runs the opposite one for comparison).
-func CheckSeedEngine(genSeed uint64, resolutions int, eng vm.Engine) (int, *Failure) {
 	src := workload.RandomProgram(GenConfigFor(genSeed))
-	checked, f := checkSource(src, resolutions, genSeed, oracleMaxSteps, oracleMaxFlushes, eng)
+	checked, f := checkSource(src, resolutions, genSeed, oracleMaxSteps, oracleMaxFlushes)
 	if f != nil {
 		f.GenSeed = genSeed
 	}
@@ -189,17 +178,11 @@ const (
 // different strings, and counterfactual execution can lower evals a
 // concrete run never reaches), exactly as AnalyzeRuns treats merged runs.
 func CheckSource(src string, resolutions int, base uint64) (int, *Failure) {
-	return checkSource(src, resolutions, base, oracleMaxSteps, oracleMaxFlushes, vm.EngineDefault)
+	return checkSource(src, resolutions, base, oracleMaxSteps, oracleMaxFlushes)
 }
 
-// checkSource runs the oracle with `eng` as the primary engine for the
-// fact-collecting run; the engine-divergence comparison always runs the
-// opposite engine, so both are exercised regardless of the choice.
-func checkSource(src string, resolutions int, base uint64, maxSteps, maxFlushes int, eng vm.Engine) (int, *Failure) {
-	other := vm.EngineTree
-	if !eng.Bytecode() {
-		other = vm.EngineBytecode
-	}
+// checkSource is CheckSource under explicit execution budgets.
+func checkSource(src string, resolutions int, base uint64, maxSteps, maxFlushes int) (int, *Failure) {
 	if resolutions < 1 {
 		resolutions = 1
 	}
@@ -217,7 +200,6 @@ func checkSource(src string, resolutions int, base uint64, maxSteps, maxFlushes 
 		Out:        &coreOut,
 		MaxSteps:   maxSteps,
 		MaxFlushes: maxFlushes,
-		Engine:     eng,
 	})
 	// A flush-limited run is truncated, so its final state is not comparable
 	// against a complete concrete replay: report it as a crash (the campaign
@@ -229,31 +211,6 @@ func checkSource(src string, resolutions int, base uint64, maxSteps, maxFlushes 
 	if len(store.Conflicts) > 0 {
 		return 0, &Failure{Kind: KindConflict, Resolution: -1,
 			Detail: fmt.Sprintf("conflicts within a single run: %v", store.Conflicts), Program: src}
-	}
-
-	// Engine oracle: repeat the instrumented run on the tree-walking
-	// engine with the identical seed and inputs. The two engines must be
-	// byte-for-byte indistinguishable — same facts, same statistics
-	// (including step counts), same console output.
-	modT, err := ir.Compile("fuzz.js", src)
-	if err != nil {
-		return 0, &Failure{Kind: KindReject, Resolution: -1, Detail: "recompile: " + err.Error(), Program: src}
-	}
-	var treeOut bytes.Buffer
-	storeT := facts.NewStore()
-	aT := core.New(modT, storeT, core.Options{
-		Seed:       resolutionSeed(base, 0),
-		Inputs:     resolveInputs(base, 0),
-		Out:        &treeOut,
-		MaxSteps:   maxSteps,
-		MaxFlushes: maxFlushes,
-		Engine:     other,
-	})
-	if _, err := aT.Run(); err != nil {
-		return 0, &Failure{Kind: KindCrash, Resolution: -1, Detail: "tree-engine run: " + err.Error(), Program: src}
-	}
-	if d := compareEngines(a, store, coreOut.String(), aT, storeT, treeOut.String()); d != "" {
-		return 0, &Failure{Kind: KindEngineDiverge, Resolution: -1, Detail: d, Program: src}
 	}
 
 	// §7: facts from instrumented runs on different inputs merge by union
@@ -268,7 +225,6 @@ func checkSource(src string, resolutions int, base uint64, maxSteps, maxFlushes 
 		Inputs:     resolveInputs(base, 1),
 		MaxSteps:   maxSteps,
 		MaxFlushes: maxFlushes,
-		Engine:     eng,
 	})
 	if _, err := a2.Run(); err != nil {
 		return 0, &Failure{Kind: KindCrash, Resolution: -1, Detail: "second instrumented run: " + err.Error(), Program: src}
@@ -290,21 +246,12 @@ func checkSource(src string, resolutions int, base uint64, maxSteps, maxFlushes 
 		if err != nil {
 			return checked, &Failure{Kind: KindReject, Resolution: r, Detail: "recompile: " + err.Error(), Program: src}
 		}
-		// Alternate concrete engines across replays, so both interpreter
-		// engines are cross-checked against the facts — and replay 0,
-		// running on the opposite engine, pins it against the primary
-		// instrumented run's output below.
-		ieng := eng
-		if r%2 == 0 {
-			ieng = other
-		}
 		var out bytes.Buffer
 		it := interp.New(modR, interp.Options{
 			Seed:     resolutionSeed(base, r),
 			Inputs:   resolveInputs(base, r),
 			Out:      &out,
 			MaxSteps: maxSteps,
-			Engine:   ieng,
 		})
 		ck := soundcheck.New(rstore)
 		ck.Attach(it)
@@ -339,36 +286,9 @@ func checkSource(src string, resolutions int, base uint64, maxSteps, maxFlushes 
 // reduction.
 func SameFailure(kind Kind, resolutions int, base uint64) func(string) bool {
 	return func(cand string) bool {
-		_, f := checkSource(cand, resolutions, base, reduceMaxSteps, reduceMaxFlushes, vm.EngineDefault)
+		_, f := checkSource(cand, resolutions, base, reduceMaxSteps, reduceMaxFlushes)
 		return f != nil && f.Kind == kind
 	}
-}
-
-// compareEngines asserts that two instrumented runs — identical except
-// for the engine — are indistinguishable: byte-identical console output,
-// equal statistics (step counts included), and equal fact stores with
-// matching hit counts. Returns "" on success.
-func compareEngines(a1 *core.Analysis, s1 *facts.Store, out1 string, a2 *core.Analysis, s2 *facts.Store, out2 string) string {
-	if out1 != out2 {
-		return fmt.Sprintf("console output differs:\nengine A: %q\nengine B: %q", out1, out2)
-	}
-	// fmt renders map keys sorted, so this comparison is deterministic.
-	if g1, g2 := fmt.Sprintf("%+v", a1.Stats()), fmt.Sprintf("%+v", a2.Stats()); g1 != g2 {
-		return fmt.Sprintf("statistics differ:\nengine A: %s\nengine B: %s", g1, g2)
-	}
-	f1, f2 := s1.Sorted(), s2.Sorted()
-	if len(f1) != len(f2) {
-		return fmt.Sprintf("fact counts differ: engine A %d vs engine B %d", len(f1), len(f2))
-	}
-	for i := range f1 {
-		x, y := f1[i], f2[i]
-		kx := fmt.Sprintf("%d|%s|%d det=%v hits=%d val=%v", x.Instr, x.Ctx.Key(), x.Seq, x.Det, x.Hits, x.Val)
-		ky := fmt.Sprintf("%d|%s|%d det=%v hits=%d val=%v", y.Instr, y.Ctx.Key(), y.Seq, y.Det, y.Hits, y.Val)
-		if kx != ky {
-			return fmt.Sprintf("fact %d differs:\nengine A: %s\nengine B: %s", i, kx, ky)
-		}
-	}
-	return ""
 }
 
 // conflictDetail renders both sides of every conflicting fact key, so a

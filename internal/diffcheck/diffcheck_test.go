@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"determinacy/internal/vm"
 	"determinacy/internal/workload"
 )
 
@@ -87,7 +86,7 @@ func TestCheckSourceRejectsAndCrashes(t *testing.T) {
 		t.Errorf("uncaught throw: got %v, want %s", f, KindCrash)
 	}
 	// The reduction budget turns non-terminating candidates into crashes.
-	if _, f := checkSource("while (true) { var x = 1; }", 1, 1, reduceMaxSteps, reduceMaxFlushes, vm.EngineDefault); f == nil || f.Kind != KindCrash {
+	if _, f := checkSource("while (true) { var x = 1; }", 1, 1, reduceMaxSteps, reduceMaxFlushes); f == nil || f.Kind != KindCrash {
 		t.Errorf("runaway loop under reduction budget: got %v, want %s", f, KindCrash)
 	}
 }

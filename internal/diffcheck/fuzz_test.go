@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"determinacy/internal/vm"
 	"determinacy/internal/workload"
 )
 
@@ -34,14 +33,7 @@ func seedCorpus(f *testing.F) {
 func FuzzSoundness(f *testing.F) {
 	seedCorpus(f)
 	f.Fuzz(func(t *testing.T, src string, base uint64) {
-		// Alternate the primary engine with the input seed; the engine
-		// oracle inside checkSource always runs the opposite one, so
-		// every input cross-checks tree against bytecode both ways.
-		eng := vm.EngineBytecode
-		if base%2 == 1 {
-			eng = vm.EngineTree
-		}
-		_, fail := checkSource(src, 3, base, reduceMaxSteps, reduceMaxFlushes, eng)
+		_, fail := checkSource(src, 3, base, reduceMaxSteps, reduceMaxFlushes)
 		if fail == nil {
 			return
 		}

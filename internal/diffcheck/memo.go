@@ -7,7 +7,6 @@ import (
 
 	"determinacy"
 	"determinacy/internal/factcache"
-	"determinacy/internal/vm"
 	"determinacy/internal/workload"
 )
 
@@ -15,8 +14,7 @@ import (
 // that populated the fact DB — on facts, statistics, console output, or
 // partial/degraded status — or the cache was populated by a run that must
 // never populate it (partial or errored). The memoization layer must be
-// semantically invisible: byte-identical results, cold or warm, on either
-// engine.
+// semantically invisible: byte-identical results, cold or warm.
 const KindMemoDiverge Kind = "memo-divergence"
 
 // memoTightMaxSteps forces the oracle's second leg into a budget-limited
@@ -27,30 +25,26 @@ const KindMemoDiverge Kind = "memo-divergence"
 const memoTightMaxSteps = 400
 
 // CheckMemoSeed runs the memoization oracle for one generated program
-// against the fact DB in dir: a cold analysis on `eng` populates the
-// cache, then a warm analysis through a fresh cache handle (simulating a
-// new process) on the OPPOSITE engine must produce byte-identical facts,
-// statistics, output, and partial status. A second leg repeats the pair
+// against the fact DB in dir: a cold analysis populates the cache, then a
+// warm analysis through a fresh cache handle (simulating a new process)
+// must produce byte-identical facts, statistics, output, and partial
+// status. A second leg repeats the pair
 // under a tight step budget so the run seals partial: the pair must
 // still agree and the partial run must never populate the DB.
-func CheckMemoSeed(genSeed uint64, dir string, eng vm.Engine) *Failure {
+func CheckMemoSeed(genSeed uint64, dir string) *Failure {
 	src := workload.RandomProgram(GenConfigFor(genSeed))
-	if f := checkMemoSource(src, genSeed, dir, eng); f != nil {
+	if f := checkMemoSource(src, genSeed, dir); f != nil {
 		f.GenSeed = genSeed
 		return f
 	}
 	return nil
 }
 
-func checkMemoSource(src string, base uint64, dir string, eng vm.Engine) *Failure {
-	other := vm.EngineTree
-	if !eng.Bytecode() {
-		other = vm.EngineBytecode
-	}
+func checkMemoSource(src string, base uint64, dir string) *Failure {
 	fail := func(detail string) *Failure {
 		return &Failure{Kind: KindMemoDiverge, Resolution: -1, Detail: detail, Program: src}
 	}
-	run := func(e vm.Engine, maxSteps int, fc *determinacy.FactCache) (*determinacy.Result, []byte, error) {
+	run := func(maxSteps int, fc *determinacy.FactCache) (*determinacy.Result, []byte, error) {
 		var out bytes.Buffer
 		res, err := determinacy.Analyze(src, determinacy.Options{
 			Seed:       resolutionSeed(base, 0),
@@ -58,7 +52,6 @@ func checkMemoSource(src string, base uint64, dir string, eng vm.Engine) *Failur
 			Out:        &out,
 			MaxSteps:   maxSteps,
 			MaxFlushes: oracleMaxFlushes,
-			Engine:     e,
 			FactCache:  fc,
 		})
 		return res, out.Bytes(), err
@@ -72,14 +65,14 @@ func checkMemoSource(src string, base uint64, dir string, eng vm.Engine) *Failur
 		if err != nil {
 			return &Failure{Kind: KindCrash, Resolution: -1, Detail: "open fact cache: " + err.Error(), Program: src}
 		}
-		resC, outC, errC := run(eng, leg.maxSteps, fcCold)
+		resC, outC, errC := run(leg.maxSteps, fcCold)
 		// A fresh handle for the warm leg simulates a new process: the hit
 		// must come off disk, not from the cold handle's in-memory LRU.
 		fcWarm, err := determinacy.OpenFactCache(dir)
 		if err != nil {
 			return &Failure{Kind: KindCrash, Resolution: -1, Detail: "open fact cache: " + err.Error(), Program: src}
 		}
-		resW, outW, errW := run(other, leg.maxSteps, fcWarm)
+		resW, outW, errW := run(leg.maxSteps, fcWarm)
 
 		if (errC == nil) != (errW == nil) || (errC != nil && errC.Error() != errW.Error()) {
 			return fail(fmt.Sprintf("%s leg: cold and warm errors differ:\ncold: %v\nwarm: %v", leg.name, errC, errW))
@@ -97,7 +90,7 @@ func checkMemoSource(src string, base uint64, dir string, eng vm.Engine) *Failur
 		}
 		coldR, warmR := memoRender(resC, outC), memoRender(resW, outW)
 		if coldR != warmR {
-			return fail(fmt.Sprintf("%s leg (cold %v, warm %v): runs differ at %s", leg.name, eng, other, firstDiff(coldR, warmR)))
+			return fail(fmt.Sprintf("%s leg: cold and warm runs differ at %s", leg.name, firstDiff(coldR, warmR)))
 		}
 		if resC.Partial {
 			if cold.Stores != 0 {
@@ -127,12 +120,12 @@ func checkMemoSource(src string, base uint64, dir string, eng vm.Engine) *Failur
 				return &Failure{Kind: KindCrash, Resolution: -1, Detail: "open remote-leg fact cache: " + err.Error(), Program: src}
 			}
 			fcRemote.Internal().WithRemote(exportRemote{src: fcSrc.Internal()})
-			resR, outR, errR := run(other, leg.maxSteps, fcRemote)
+			resR, outR, errR := run(leg.maxSteps, fcRemote)
 			if errR != nil {
 				return fail(fmt.Sprintf("remote-warm leg errored where cold succeeded: %v", errR))
 			}
 			if remoteR := memoRender(resR, outR); remoteR != coldR {
-				return fail(fmt.Sprintf("remote-warm leg (cold %v, remote %v): runs differ at %s", eng, other, firstDiff(coldR, remoteR)))
+				return fail(fmt.Sprintf("remote-warm leg: cold and remote runs differ at %s", firstDiff(coldR, remoteR)))
 			}
 			rst := fcRemote.Internal().Stats()
 			if rst.RemoteHits != 1 || rst.RemoteInvalid != 0 {

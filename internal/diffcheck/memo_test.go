@@ -4,8 +4,6 @@ import (
 	"os"
 	"strconv"
 	"testing"
-
-	"determinacy/internal/vm"
 )
 
 // memoCampaignSeeds returns how many seeds the memoization campaign
@@ -26,8 +24,8 @@ func memoCampaignSeeds(t *testing.T) int {
 }
 
 // TestMemoCampaign is the memoization oracle's seeded campaign: every
-// generated program runs cold and warm (fresh cache handle, opposite
-// engine) against one shared fact DB, plus a budget-limited partial leg,
+// generated program runs cold and warm (fresh cache handle) against one
+// shared fact DB, plus a budget-limited partial leg,
 // and must be byte-identical with zero KindMemoDiverge findings. Seeds
 // fan out across the campaign pool, so under -race this also hammers the
 // shared on-disk DB from many goroutines.
@@ -39,7 +37,6 @@ func TestMemoCampaign(t *testing.T) {
 		Resolutions:  1,
 		BaseSeed:     1,
 		FactCacheDir: dir,
-		Engine:       vm.EngineBytecode,
 	})
 	if want := 2 * seeds; rep.MemoChecks != want {
 		t.Errorf("memo checks = %d, want %d", rep.MemoChecks, want)
@@ -54,16 +51,11 @@ func TestMemoCampaign(t *testing.T) {
 }
 
 // TestMemoSeedDirect pins a handful of specific seeds through
-// CheckMemoSeed on both cold-engine orders, independent of the campaign
-// plumbing.
+// CheckMemoSeed, independent of the campaign plumbing.
 func TestMemoSeedDirect(t *testing.T) {
 	dir := t.TempDir()
 	for seed := uint64(100); seed < 106; seed++ {
-		eng := vm.EngineBytecode
-		if seed%2 == 1 {
-			eng = vm.EngineTree
-		}
-		if f := CheckMemoSeed(seed, dir, eng); f != nil {
+		if f := CheckMemoSeed(seed, dir); f != nil {
 			t.Fatalf("seed %d: %s\nprogram:\n%s", seed, f.String(), f.Program)
 		}
 	}

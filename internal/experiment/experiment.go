@@ -25,7 +25,6 @@ import (
 	"determinacy/internal/parser"
 	"determinacy/internal/pointsto"
 	"determinacy/internal/specialize"
-	"determinacy/internal/vm"
 	"determinacy/internal/workload"
 )
 
@@ -64,10 +63,6 @@ type Config struct {
 	// Deadline bounds each cell's dynamic run and solve by wall clock
 	// (zero = none).
 	Deadline time.Time
-	// Engine selects the instrumented execution engine (bytecode when
-	// zero). Both engines produce identical rows and statistics; the
-	// choice only moves wall-clock time.
-	Engine vm.Engine
 	// FactCache, when non-nil, memoizes completed dynamic runs in the
 	// on-disk fact database (L2 under the compile cache): repeated
 	// experiment sweeps over the same workloads serve facts, statistics and
@@ -201,8 +196,6 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*DynamicRun, error) {
 		Tracer:     cfg.Tracer,
 		Ctx:        cfg.Ctx,
 		Deadline:   cfg.Deadline,
-		Engine:     cfg.Engine,
-		Metrics:    cfg.Metrics,
 	}
 	if rec != nil {
 		coreOpts.OnEnterFunc = rec.OnEnter
@@ -216,9 +209,6 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*DynamicRun, error) {
 	if runErr == nil || errors.Is(runErr, core.ErrFlushLimit) {
 		n, herr := binding.RunHandlers(cfg.HandlerLimit)
 		out.HandlersRan = n
-		// Handler-phase engine counters publish as a delta on top of Run's
-		// own publish (see core.PublishEngineMetrics).
-		a.PublishEngineMetrics()
 		if runErr == nil {
 			runErr = herr
 		}

@@ -24,9 +24,7 @@
 // Eligibility is decided by callers (only they see partiality): partial,
 // degraded, errored, or eval-containing runs must NEVER populate the
 // cache — a cached entry asserts "this is exactly what a fresh run
-// produces", which a truncated run cannot. The engine is deliberately
-// absent from the key: both execution engines are byte-identical by
-// contract, so warm hits serve across engines.
+// produces", which a truncated run cannot.
 package factcache
 
 import (
@@ -53,9 +51,8 @@ const DefaultMemEntries = 64
 const MaxOutputBytes = 1 << 20
 
 // Sig is the canonical signature of every analysis option that shapes
-// facts, statistics or output. Sinks (Out, Tracer, Metrics), scheduling
-// (Workers, Deadline, Ctx) and the Engine (byte-identical by contract) are
-// deliberately absent.
+// facts, statistics or output. Sinks (Out, Tracer) and scheduling
+// (Workers, Deadline, Ctx) are deliberately absent.
 type Sig struct {
 	Seed                  uint64     `json:"seed"`
 	NowBits               uint64     `json:"now"`

@@ -92,13 +92,6 @@ func TestFaultCampaign(t *testing.T) {
 			defer faultinject.Disarm()
 
 			opts := determinacy.Options{Seed: seed, MaxFlushes: 100000}
-			// Half the campaign runs on each execution engine, so the
-			// robustness contract — structured errors, sound partials,
-			// no deadlocks — is proven for the bytecode dispatch loop
-			// and the tree walker alike.
-			if (h>>10)&1 == 1 {
-				opts.Engine = determinacy.EngineTree
-			}
 			switch mode {
 			case 1: // plain tree interpreter
 				_, err := determinacy.RunContext(ctx, campaignSrc, opts)

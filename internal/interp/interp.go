@@ -12,7 +12,6 @@ import (
 	"determinacy/internal/guard"
 	"determinacy/internal/guard/faultinject"
 	"determinacy/internal/ir"
-	"determinacy/internal/vm"
 )
 
 // ErrBudget is returned when execution exceeds the configured step budget.
@@ -42,10 +41,6 @@ type Options struct {
 	// Deadline, when nonzero, aborts the run with guard.ErrDeadline once
 	// the wall clock passes it.
 	Deadline time.Time
-	// Engine selects the execution engine: vm.EngineBytecode (the default)
-	// dispatches through blocks' compiled bytecode; vm.EngineTree walks the
-	// IR node-by-node. Both produce identical output and step counts.
-	Engine vm.Engine
 }
 
 // Interp executes an IR module under the concrete semantics.
@@ -84,8 +79,6 @@ type Interp struct {
 	stopped error
 	// curIn is the instruction currently executing, for panic diagnostics.
 	curIn ir.Instr
-	// useVM routes compiled blocks through the bytecode dispatch loop.
-	useVM bool
 }
 
 // Frame is one activation record.
@@ -112,10 +105,6 @@ func New(mod *ir.Module, opts Options) *Interp {
 		opts:      opts,
 		rng:       opts.Seed*2862933555777941757 + 3037000493,
 		evalCache: make(map[string]*ir.Function),
-	}
-	if opts.Engine.Bytecode() {
-		it.useVM = true
-		vm.Ensure(mod)
 	}
 	it.setupRuntime()
 	return it
@@ -317,11 +306,6 @@ func (it *Interp) CallFunction(fn Value, this Value, args []Value) (Value, error
 // Execution
 
 func (it *Interp) execBlock(f *Frame, b *ir.Block) outcome {
-	if it.useVM && b.Code != nil {
-		if code, ok := b.Code.(*vm.Code); ok {
-			return it.execBlockVM(f, code)
-		}
-	}
 	for _, in := range b.Instrs {
 		it.steps++
 		if it.steps > it.opts.MaxSteps {

@@ -76,12 +76,6 @@ func (b instrBase) IPos() lexer.Pos { return b.Pos }
 // Block is a sequence of instructions.
 type Block struct {
 	Instrs []Instr
-
-	// Code holds the block's compiled bytecode (*vm.Code), attached once by
-	// internal/vm and shared read-only by every module clone; nil means the
-	// block executes by tree walking. Typed as any to keep ir free of a vm
-	// dependency.
-	Code any
 }
 
 // ---------------------------------------------------------------------------
@@ -345,12 +339,6 @@ type Module struct {
 	// including instructions in runtime-lowered eval code.
 	NumInstrs int
 
-	// VMInfo holds the module's bytecode-compilation metadata (*vm.Info),
-	// set once by internal/vm under the same guard that compiles the shared
-	// blocks and copied to every clone. Typed as any to keep ir free of a vm
-	// dependency.
-	VMInfo any
-
 	// byID maps instruction IDs to instructions, for fact rendering.
 	byID map[ID]Instr
 	// fnOf maps instruction IDs to their enclosing function.
@@ -379,7 +367,6 @@ func (m *Module) Clone() *Module {
 		File:      m.File,
 		Source:    m.Source,
 		NumInstrs: m.NumInstrs,
-		VMInfo:    m.VMInfo,
 	}
 	if m.byID != nil {
 		out.byID = make(map[ID]Instr, len(m.byID))

@@ -489,11 +489,7 @@ func (s *Server) analyzeOptions(seed uint64, maxFlushes, maxSteps, handlers int,
 		MaxFlushes:       maxFlushes,
 		MaxSteps:         maxSteps,
 		Deadline:         deadline,
-		Engine:           s.cfg.Engine,
-		// Engine counters (vm_ic_hits/vm_ic_misses) aggregate across
-		// requests into the server registry scraped at /metrics.
-		Metrics:   s.metrics,
-		FactCache: s.cfg.FactCache,
+		FactCache:        s.cfg.FactCache,
 	}
 }
 

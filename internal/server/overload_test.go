@@ -367,8 +367,19 @@ func TestOverloadChaosCampaign(t *testing.T) {
 			}
 
 			// Recovery: the fault fired and is inert; the server must hold
-			// zero slots and serve cleanly.
+			// zero slots and serve cleanly. A handler writes its response
+			// before its deferred release runs, so a client can finish
+			// reading while the server still holds the slot: wait (bounded)
+			// for the releases to land before asserting.
 			faultinject.Disarm()
+			settleDeadline := time.Now().Add(5 * time.Second)
+			for time.Now().Before(settleDeadline) {
+				snap := s.sched.Snapshot()
+				if s.metrics.Gauge("server_inflight").Value() == 0 && snap.InFlight == 0 && snap.Queued == 0 {
+					break
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
 			if v := s.metrics.Gauge("server_inflight").Value(); v != 0 {
 				t.Fatalf("server_inflight = %v after round drained, want 0 (slot leak)", v)
 			}

@@ -78,9 +78,6 @@ type Config struct {
 	// with a nil Tracer (the zero-alloc path) and /debug/tracez has
 	// nothing to serve. Flight-recorder summaries are still kept.
 	DisableTracing bool
-	// Engine selects the execution engine for every analysis the server
-	// runs (bytecode when zero). Responses are byte-identical either way.
-	Engine determinacy.Engine
 	// FactCache, when set, memoizes completed single-run analyses in the
 	// on-disk fact DB (L2 under the compile cache's L1). Warm hits serve
 	// byte-identical responses; partial/degraded/errored runs never

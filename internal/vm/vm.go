@@ -1,170 +1,18 @@
-// Package vm compiles the structured IR into a compact register bytecode
-// executed by both interpreters' dispatch loops. The compiler runs once per
-// module (under the progcache's singleflight for shared modules), attaches a
-// *Code to every ir.Block, and records per-function metadata (*Info) that
-// the instrumented engine uses for dense occurrence tracking and inline
-// caches. Blocks without attached code fall back to tree walking, so a
-// partially compiled module is always executable. See DESIGN.md for the
-// bytecode layout and the inline-cache protocol.
+// Package vm holds the deprecated engine selector. The analysis and the
+// concrete interpreter both execute by walking the IR; Engine survives only
+// so code written against the old option keeps compiling.
 package vm
 
-import (
-	"fmt"
-
-	"determinacy/internal/ir"
-)
-
-// Engine selects the execution engine for a run.
+// Engine named an execution engine.
+//
+// Deprecated: ignored; there is one engine.
 type Engine string
 
-// Engines. The zero value selects bytecode: compiled dispatch is the
-// default; tree walking remains available as the reference semantics.
+// Engine names.
+//
+// Deprecated: ignored; there is one engine.
 const (
 	EngineDefault  Engine = ""
 	EngineTree     Engine = "tree"
 	EngineBytecode Engine = "bytecode"
 )
-
-// Bytecode reports whether the engine executes compiled blocks.
-func (e Engine) Bytecode() bool { return e != EngineTree }
-
-// String renders the effective engine name.
-func (e Engine) String() string {
-	if e == EngineDefault {
-		return string(EngineBytecode)
-	}
-	return string(e)
-}
-
-// ParseEngine validates a user-supplied engine name ("" = default).
-func ParseEngine(s string) (Engine, error) {
-	switch Engine(s) {
-	case EngineDefault, EngineTree, EngineBytecode:
-		return Engine(s), nil
-	}
-	return EngineDefault, fmt.Errorf("unknown engine %q (want tree or bytecode)", s)
-}
-
-// Op is a bytecode opcode.
-type Op uint8
-
-// Opcodes. Straight-line ops carry decoded operands in A/B/C so the
-// dispatch loops read registers without re-asserting instruction types;
-// control flow and rare ops delegate to the engines' tree handlers through
-// Ins.Src. OpLoadVarField and OpConstBin are superinstructions fusing the
-// dominant adjacent pairs (see DESIGN.md for selection data).
-const (
-	// OpOther delegates the instruction to the engine's tree handler.
-	OpOther Op = iota
-	OpConst
-	OpMove
-	OpLoadVar
-	OpStoreVar
-	OpLoadGlobal
-	OpStoreGlobal
-	OpGetField
-	OpGetProp
-	OpSetField
-	OpSetProp
-	OpBinOp
-	OpUnOp
-	OpIf
-	OpReturn
-	OpThrow
-	OpBreak
-	OpContinue
-	// OpLoadVarField fuses LoadVar+GetField (`x.f`): the loaded variable is
-	// immediately the property-read receiver.
-	OpLoadVarField
-	// OpConstBin fuses Const+BinOp where the constant is the right operand
-	// (`i < 10`, `n + 1`).
-	OpConstBin
-)
-
-// NoIC marks an instruction without an inline-cache site.
-const NoIC int32 = -1
-
-// Ins is one decoded bytecode instruction. Operand meaning by opcode:
-//
-//	OpConst:       A=dst (literal via Src)
-//	OpMove:        A=dst B=src
-//	OpLoadVar:     A=dst B=hops C=slot
-//	OpStoreVar:    A=src B=hops C=slot
-//	OpLoadGlobal:  A=dst C=1 if for-typeof; Name
-//	OpStoreGlobal: A=src; Name
-//	OpGetField:    A=dst B=obj; Name; Site
-//	OpGetProp:     A=dst B=obj C=prop
-//	OpSetField:    A=obj B=src; Name; Site
-//	OpSetProp:     A=obj B=prop C=src
-//	OpBinOp:       A=dst B=l C=r; Name=operator
-//	OpUnOp:        A=dst B=x; Name=operator
-//	OpIf:          A=cond (blocks via Src)
-//	OpReturn:      A=src register or -1
-//	OpThrow:       A=src
-//	OpLoadVarField: LoadVar A=dst B=hops C=slot, then GetField B2=dst
-//	                (receiver = A); Name; Site; Src2=the GetField
-//	OpConstBin:    Const A=dst, then BinOp B2=dst C2=l, r=A; Name; Src2
-//
-// Src always points at the originating IR instruction (the program point for
-// facts, tracing, and tree fallback); Src2 at the fused second instruction.
-type Ins struct {
-	Op        Op
-	A, B, C   int32
-	B2, C2    int32
-	Site      int32
-	Name      string
-	Src, Src2 ir.Instr
-}
-
-// Code is a compiled block.
-type Code struct {
-	Ins []Ins
-}
-
-// FnInfo is per-function compilation metadata: a dense index over the
-// function's instruction IDs, used by the instrumented engine to replace
-// per-frame occurrence maps with flat slices.
-type FnInfo struct {
-	minID, maxID ir.ID
-	slots        []int32 // id-minID -> dense index, -1 for foreign IDs
-	n            int
-}
-
-// Slot maps an instruction ID to its dense per-function index, or -1 when
-// the ID does not belong to this function (e.g. runtime-lowered eval code).
-func (fi *FnInfo) Slot(id ir.ID) int32 {
-	if fi == nil || id < fi.minID || id > fi.maxID {
-		return -1
-	}
-	return fi.slots[id-fi.minID]
-}
-
-// NumSlots is the number of dense indices (instructions of the function).
-func (fi *FnInfo) NumSlots() int { return fi.n }
-
-// Info is module-level compilation metadata, shared read-only by every
-// module clone.
-type Info struct {
-	// NumICs is the number of inline-cache sites allocated to static code;
-	// runtime-lowered eval code numbers its sites from here per run.
-	NumICs int
-	// Fns maps each compiled function to its metadata.
-	Fns map[*ir.Function]*FnInfo
-}
-
-// InfoOf returns the module's compilation metadata, or nil when the module
-// has not been compiled.
-func InfoOf(mod *ir.Module) *Info {
-	if info, ok := mod.VMInfo.(*Info); ok {
-		return info
-	}
-	return nil
-}
-
-// CodeOf returns a block's compiled code, or nil.
-func CodeOf(b *ir.Block) *Code {
-	if c, ok := b.Code.(*Code); ok {
-		return c
-	}
-	return nil
-}
