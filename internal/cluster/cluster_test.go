@@ -47,12 +47,12 @@ func topologyJSON(t Topology) ([]byte, error) {
 func testRouter(t *testing.T, self string, peers map[string]string, tweak func(*Config)) *Router {
 	t.Helper()
 	cfg := Config{
-		Topology:       mustTopology(t, self, peers),
-		Metrics:        obs.NewMetrics(),
-		ProbeInterval:  -1,
-		ForwardTimeout: 2 * time.Second,
-		CacheTimeout:   time.Second,
-		HedgeDelay:     -1,
+		Topology:        mustTopology(t, self, peers),
+		Metrics:         obs.NewMetrics(),
+		ProbeInterval:   -1,
+		ForwardTimeout:  2 * time.Second,
+		CacheTimeout:    time.Second,
+		HedgeDelay:      -1,
 		BreakerCooldown: 50 * time.Millisecond,
 	}
 	if tweak != nil {
@@ -72,9 +72,9 @@ func TestParseTopologyValidation(t *testing.T) {
 		`{}`,
 		`{"self":"a"}`,
 		`{"self":"a","peers":{}}`,
-		`{"self":"a","peers":{"b":"http://x:1"}}`,                      // self missing from peers
-		`{"self":"a","peers":{"a":"ftp://x:1"}}`,                       // bad scheme
-		`{"self":"a","peers":{"a":"http://"}}`,                         // no host
+		`{"self":"a","peers":{"b":"http://x:1"}}`,                       // self missing from peers
+		`{"self":"a","peers":{"a":"ftp://x:1"}}`,                        // bad scheme
+		`{"self":"a","peers":{"a":"http://"}}`,                          // no host
 		`{"self":"a","peers":{"a":"http://x:1","bad name":"http://y"}}`, // name charset
 		`{"self":"a","peers":{"a":"http://x:1"},"vnodes":-1}`,
 		`{"self":"a","peers":{"a":"http://x:1"},"extra":1}`, // unknown field

@@ -68,12 +68,6 @@ type Options struct {
 	// JavaScript closures make this unsound (see DESIGN.md), so the default
 	// performs an environment flush as well.
 	MuJSLocals bool
-	// AbortCFOnNativeWrite mimics the paper's implementation, which aborts
-	// counterfactual execution at any native call that is not known to be
-	// side-effect free. Our natives mutate the instrumented heap through
-	// journaled operations and are therefore undoable; the default only
-	// aborts on External natives (DOM and console-like effects).
-	AbortCFOnNativeWrite bool
 	// MaxFlushes stops the analysis after this many heap flushes (0 =
 	// unlimited). The paper uses 1000.
 	MaxFlushes int
@@ -221,7 +215,7 @@ type Analysis struct {
 	branches  []*branchFrame
 	cfDepth   int
 	evalCache map[string]*ir.Function
-	rng       uint64
+	rng       interp.Rand
 	stopped   error
 	// curIn is the instruction currently executing, tracked so the panic
 	// boundary can report where a crash happened.
@@ -229,6 +223,9 @@ type Analysis struct {
 	// bfPool recycles dead branch frames and their journal backing until
 	// the run ends.
 	bfPool []*branchFrame
+	// operands is the reusable buffer that natives' shared kernels read
+	// their converted arguments from (takeOperands).
+	operands []interp.Value
 }
 
 // DFrame is one instrumented activation record.
@@ -299,7 +296,7 @@ func New(mod *ir.Module, store *facts.Store, opts Options) *Analysis {
 		Facts:     store,
 		opts:      opts,
 		tracer:    opts.Tracer,
-		rng:       opts.Seed*2862933555777941757 + 3037000493,
+		rng:       interp.NewRand(opts.Seed),
 		evalCache: make(map[string]*ir.Function),
 		stats:     NewStats(),
 	}
@@ -377,8 +374,9 @@ func (a *Analysis) SetProp(o *DObj, name string, v Value) { a.setOwn(o, name, v)
 // GetProp reads an own property of o.
 func (a *Analysis) GetProp(o *DObj, name string) (Value, bool) { return a.getOwn(o, name) }
 
-// ToNumberPub exposes JavaScript ToNumber for embedders.
-func (a *Analysis) ToNumberPub(v Value) float64 { return a.toNumber(v) }
+// ToNumberPub exposes JavaScript ToNumber for embedders, with the
+// conversion's determinacy.
+func (a *Analysis) ToNumberPub(v Value) (float64, bool) { return a.toNumber(v) }
 
 // ToStringPub exposes JavaScript ToString for embedders, with the
 // conversion's determinacy.
@@ -415,12 +413,7 @@ func (a *Analysis) DisplayValue(v Value) string {
 
 // Random steps the deterministic PRNG (concrete value; always annotated
 // indeterminate by the Math.random model).
-func (a *Analysis) Random() float64 {
-	a.rng ^= a.rng >> 12
-	a.rng ^= a.rng << 25
-	a.rng ^= a.rng >> 27
-	return float64((a.rng*2685821657736338717)>>11) / float64(1<<53)
-}
+func (a *Analysis) Random() float64 { return a.rng.Float64() }
 
 // ---------------------------------------------------------------------------
 // Flushing

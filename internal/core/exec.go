@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"determinacy/internal/facts"
 	"determinacy/internal/guard"
@@ -162,7 +161,7 @@ func (a *Analysis) define(f *DFrame, in ir.Instr, r ir.Reg, v Value) {
 func (a *Analysis) execInstr(f *DFrame, in ir.Instr) outcome {
 	switch in := in.(type) {
 	case *ir.Const:
-		a.define(f, in, in.Dst, litValue(in.Val))
+		a.define(f, in, in.Dst, annotate(interp.LitValue(in.Val), true)) // constants are determinate (§2.1)
 	case *ir.Move:
 		a.define(f, in, in.Dst, f.Regs[in.Src])
 	case *ir.LoadVar:
@@ -281,7 +280,7 @@ func (a *Analysis) getProp(base Value, name string, nameDet bool) (Value, outcom
 		if name == "length" {
 			return NumberV(float64(len(base.S)), base.Det && nameDet), okOut
 		}
-		if idx, ok := arrayIndex(name); ok {
+		if idx, ok := interp.ArrayIndex(name); ok {
 			det := base.Det && nameDet
 			if idx < len(base.S) {
 				return StringV(string(base.S[idx]), det), okOut
@@ -385,52 +384,24 @@ func (a *Analysis) execDelete(base Value, name string, nameDet bool) (Value, out
 func (a *Analysis) binOp(op string, l, r Value) (Value, outcome) {
 	det := l.Det && r.Det
 	switch op {
-	case "+":
-		lp, lpd := a.toPrimitive(l)
-		rp, rpd := a.toPrimitive(r)
-		det = det && lpd && rpd
-		if lp.Kind == Object {
-			lp = StringV("[object Object]", lp.Det)
+	case "+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", ">>>", "<", ">", "<=", ">=":
+		if l.Kind != Object && r.Kind != Object {
+			// The common case needs no conversion; skipping operand
+			// keeps arithmetic as cheap as before the kernels were shared.
+			v, _ := interp.BinOp(op, prim(l), prim(r))
+			return annotate(v, det), okOut
 		}
-		if rp.Kind == Object {
-			rp = StringV("[object Object]", rp.Det)
-		}
-		if lp.Kind == String || rp.Kind == String {
-			ls, _ := a.toString(lp)
-			rs, _ := a.toString(rp)
-			return StringV(ls+rs, det), okOut
-		}
-		return NumberV(interp.ToNumber(prim(lp))+interp.ToNumber(prim(rp)), det), okOut
-	case "-":
-		return NumberV(a.toNumber(l)-a.toNumber(r), det), okOut
-	case "*":
-		return NumberV(a.toNumber(l)*a.toNumber(r), det), okOut
-	case "/":
-		return NumberV(a.toNumber(l)/a.toNumber(r), det), okOut
-	case "%":
-		return NumberV(math.Mod(a.toNumber(l), a.toNumber(r)), det), okOut
-	case "<", ">", "<=", ">=":
-		return a.compareOp(op, l, r, det), okOut
-	case "==":
-		return BoolV(a.looseEquals(l, r), det), okOut
-	case "!=":
-		return BoolV(!a.looseEquals(l, r), det), okOut
+		lp, ld := a.operand(l)
+		rp, rd := a.operand(r)
+		v, _ := interp.BinOp(op, lp, rp)
+		return annotate(v, det && ld && rd), okOut
+	case "==", "!=":
+		eq, convDet := a.looseEquals(l, r)
+		return BoolV(eq == (op == "=="), det && convDet), okOut
 	case "===":
 		return BoolV(strictEquals(l, r), det), okOut
 	case "!==":
 		return BoolV(!strictEquals(l, r), det), okOut
-	case "&":
-		return NumberV(float64(a.toInt32(l)&a.toInt32(r)), det), okOut
-	case "|":
-		return NumberV(float64(a.toInt32(l)|a.toInt32(r)), det), okOut
-	case "^":
-		return NumberV(float64(a.toInt32(l)^a.toInt32(r)), det), okOut
-	case "<<":
-		return NumberV(float64(a.toInt32(l)<<(a.toUint32(r)&31)), det), okOut
-	case ">>":
-		return NumberV(float64(a.toInt32(l)>>(a.toUint32(r)&31)), det), okOut
-	case ">>>":
-		return NumberV(float64(a.toUint32(l)>>(a.toUint32(r)&31)), det), okOut
 	case "||#":
 		return BoolV(a.toBool(l) || a.toBool(r), det), okOut
 	case "in":
@@ -466,68 +437,16 @@ func (a *Analysis) binOp(op string, l, r Value) (Value, outcome) {
 	}
 }
 
-func (a *Analysis) compareOp(op string, l, r Value, det bool) Value {
-	lp, lpd := a.toPrimitive(l)
-	rp, rpd := a.toPrimitive(r)
-	det = det && lpd && rpd
-	if lp.Kind == String && rp.Kind == String {
-		var b bool
-		switch op {
-		case "<":
-			b = lp.S < rp.S
-		case ">":
-			b = lp.S > rp.S
-		case "<=":
-			b = lp.S <= rp.S
-		default:
-			b = lp.S >= rp.S
-		}
-		return BoolV(b, det)
-	}
-	// Plain objects survive toPrimitive as objects and convert to NaN;
-	// they must not reach prim, which would drop the object pointer.
-	ln, rn := math.NaN(), math.NaN()
-	if lp.Kind != Object {
-		ln = interp.ToNumber(prim(lp))
-	}
-	if rp.Kind != Object {
-		rn = interp.ToNumber(prim(rp))
-	}
-	if math.IsNaN(ln) || math.IsNaN(rn) {
-		return BoolV(false, det)
-	}
-	var b bool
-	switch op {
-	case "<":
-		b = ln < rn
-	case ">":
-		b = ln > rn
-	case "<=":
-		b = ln <= rn
-	default:
-		b = ln >= rn
-	}
-	return BoolV(b, det)
-}
-
-func (a *Analysis) toInt32(v Value) int32   { return interp.ToInt32(interp.NumberVal(a.toNumber(v))) }
-func (a *Analysis) toUint32(v Value) uint32 { return interp.ToUint32(interp.NumberVal(a.toNumber(v))) }
-
 func (a *Analysis) unOp(op string, x Value) Value {
 	switch op {
 	case "!":
 		return BoolV(!a.toBool(x), x.Det)
-	case "-":
-		return NumberV(-a.toNumber(x), x.Det)
-	case "+":
-		return NumberV(a.toNumber(x), x.Det)
-	case "~":
-		return NumberV(float64(^a.toInt32(x)), x.Det)
 	case "typeof":
 		return StringV(a.typeOf(x), x.Det)
-	default:
-		return Value{Kind: Undefined}
 	}
+	// The numeric operators convert their operand first.
+	p, det := a.operand(x)
+	return annotate(interp.UnOp(op, p), det)
 }
 
 // ---------------------------------------------------------------------------
@@ -957,12 +876,10 @@ func (a *Analysis) callValue(fnv Value, this Value, args []Value, site ir.ID) ou
 	o := fnv.O
 
 	if o.Native != nil {
-		if a.cfDepth > 0 && (o.Native.External || a.opts.AbortCFOnNativeWrite) {
-			// §4: abort counterfactual execution at natives that are not
-			// known to be side-effect free.
-			if !a.isCFSafeNative(o.Native) {
-				return outcome{kind: oCFAbort}
-			}
+		if a.cfDepth > 0 && o.Native.External {
+			// §4: abort counterfactual execution at natives with effects
+			// outside the journaled instrumented heap.
+			return outcome{kind: oCFAbort}
 		}
 		v, err := o.Native.Fn(a, this, args)
 		if err != nil {
@@ -1044,16 +961,6 @@ func (a *Analysis) callValue(fnv Value, this Value, args []Value, site ir.ID) ou
 		ret.val = ret.val.Indet()
 	}
 	return ret
-}
-
-// isCFSafeNative reports whether a native may run during counterfactual
-// execution. All instrumented-heap natives are safe because their writes go
-// through the journal; External ones (DOM, I/O) are not.
-func (a *Analysis) isCFSafeNative(n *DNative) bool {
-	if a.opts.AbortCFOnNativeWrite {
-		return cfPureNatives[n.Name]
-	}
-	return !n.External
 }
 
 func paramSlot(fn *ir.Function, i int) int {

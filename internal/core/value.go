@@ -8,11 +8,9 @@
 package core
 
 import (
-	"math"
 	"strconv"
 	"strings"
 
-	"determinacy/internal/ast"
 	"determinacy/internal/facts"
 	"determinacy/internal/interp"
 	"determinacy/internal/ir"
@@ -79,8 +77,9 @@ func (v Value) IsCallable() bool {
 }
 
 // prim converts a primitive core value to the concrete representation so
-// that the conversion helpers of internal/interp can be reused. Object
-// values must not be passed.
+// that the conversion helpers of internal/interp can be reused. An object
+// value keeps only its kind, which is all ToBool reads; nothing else may
+// be handed one.
 func prim(v Value) interp.Value {
 	return interp.Value{Kind: v.Kind, B: v.B, N: v.N, S: v.S}
 }
@@ -243,7 +242,7 @@ func (a *Analysis) setOwn(o *DObj, name string, v Value) {
 			a.setArrayLength(o, v)
 			return
 		}
-		if idx, ok := arrayIndex(name); ok {
+		if idx, ok := interp.ArrayIndex(name); ok {
 			if cur := a.arrayLength(o); idx >= cur {
 				lv := NumberV(float64(idx+1), v.Det)
 				a.setRawProp(o, "length", lv)
@@ -288,28 +287,13 @@ func (a *Analysis) arrayLength(o *DObj) int {
 }
 
 func (a *Analysis) setArrayLength(o *DObj, v Value) {
-	n := int(a.toNumber(v))
+	f, det := a.toNumber(v)
+	n := int(f)
 	cur := a.arrayLength(o)
 	for i := n; i < cur; i++ {
 		a.deleteProp(o, strconv.Itoa(i))
 	}
-	a.setRawProp(o, "length", Value{Kind: Number, N: float64(n), Det: v.Det})
-}
-
-func arrayIndex(name string) (int, bool) {
-	if name == "" {
-		return 0, false
-	}
-	for _, c := range name {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-	}
-	n, err := strconv.Atoi(name)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+	a.setRawProp(o, "length", Value{Kind: Number, N: float64(n), Det: det})
 }
 
 // lookup walks the prototype chain. The result combines the found cell's
@@ -370,38 +354,16 @@ func (a *Analysis) has(o *DObj, name string) (bool, bool) {
 // the determinacy of its input; object-to-primitive conversions additionally
 // fold in the determinacy of the object contents they read.
 
-func (a *Analysis) toBool(v Value) bool {
-	if v.Kind == Object {
-		return true
-	}
-	return interp.ToBool(prim(v))
-}
+func (a *Analysis) toBool(v Value) bool { return interp.ToBool(prim(v)) }
 
-func (a *Analysis) toNumber(v Value) float64 {
-	if v.Kind == Object {
-		p, _ := a.toPrimitive(v)
-		if p.Kind == Object {
-			// Plain objects stay objects under toPrimitive; feeding them
-			// through prim would fabricate an interp object value with a
-			// nil pointer. ToNumber of "[object Object]" is NaN.
-			// (Found by detfuzz.)
-			return math.NaN()
-		}
-		return interp.ToNumber(prim(p))
-	}
-	return interp.ToNumber(prim(v))
+func (a *Analysis) toNumber(v Value) (float64, bool) {
+	p, det := a.operand(v)
+	return interp.ToNumber(p), det
 }
 
 func (a *Analysis) toString(v Value) (string, bool) {
-	if v.Kind == Object {
-		p, det := a.toPrimitive(v)
-		if p.Kind == Object {
-			return "[object Object]", det && v.Det
-		}
-		s, _ := a.toString(p)
-		return s, det && p.Det && v.Det
-	}
-	return interp.ToString(prim(v)), v.Det
+	p, det := a.operand(v)
+	return interp.ToString(p), det
 }
 
 // toPrimitive mirrors interp.toPrimitive over instrumented objects; the
@@ -418,22 +380,8 @@ func (a *Analysis) toPrimitive(v Value) (Value, bool) {
 		if p, ok := o.props["length"]; ok {
 			det = det && a.propDet(p)
 		}
-		n := a.arrayLength(o)
-		parts := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			el, ok := a.getOwn(o, strconv.Itoa(i))
-			if ok {
-				det = det && el.Det
-			}
-			if !ok || el.Kind == Undefined || el.Kind == Null {
-				parts = append(parts, "")
-				continue
-			}
-			s, sdet := a.toString(el)
-			det = det && sdet
-			parts = append(parts, s)
-		}
-		return StringV(strings.Join(parts, ","), det), det
+		s, det := a.join(o, ",", det)
+		return StringV(s, det), det
 	case "Function":
 		name := ""
 		if o.Fn != nil {
@@ -443,116 +391,89 @@ func (a *Analysis) toPrimitive(v Value) (Value, bool) {
 		}
 		return StringV("function "+name+"() { [native or user code] }", v.Det), v.Det
 	case "Error":
-		det := v.Det
-		name, msg := "Error", ""
+		name, msg, det, d := "Error", "", v.Det, true
 		if nv, found, _ := a.lookup(o, "name"); found {
-			det = det && nv.Det
-			s, sdet := a.toString(nv)
-			det = det && sdet
-			name = s
+			name, d = a.toString(nv)
+			det = det && d
 		}
 		if mv, found, _ := a.lookup(o, "message"); found {
-			det = det && mv.Det
-			s, sdet := a.toString(mv)
-			det = det && sdet
-			msg = s
+			msg, d = a.toString(mv)
+			det = det && d
 		}
-		if msg == "" {
-			return StringV(name, det), det
-		}
-		return StringV(name+": "+msg, det), det
+		return StringV(interp.ErrorString(name, msg), det), det
 	default:
 		return v, v.Det
 	}
 }
 
+// join renders array elements with sep, undefined and null as "", folding
+// every element's determinacy into det.
+func (a *Analysis) join(o *DObj, sep string, det bool) (string, bool) {
+	n := a.arrayLength(o)
+	parts := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		el, ok := a.getOwn(o, strconv.Itoa(i))
+		if ok {
+			det = det && el.Det
+		}
+		if !ok || el.Kind == Undefined || el.Kind == Null {
+			parts = append(parts, "")
+			continue
+		}
+		s, sdet := a.toString(el)
+		det = det && sdet
+		parts = append(parts, s)
+	}
+	return strings.Join(parts, sep), det
+}
+
 func (a *Analysis) typeOf(v Value) string {
-	switch v.Kind {
-	case Undefined:
-		return "undefined"
-	case Null:
-		return "object"
-	case Bool:
-		return "boolean"
-	case Number:
-		return "number"
-	case String:
-		return "string"
-	default:
+	if v.Kind == Object {
 		if v.IsCallable() {
 			return "function"
 		}
 		return "object"
 	}
+	return interp.TypeOf(prim(v))
 }
 
-// strictEquals compares values; the determinacy of the answer is the meet of
-// the operand annotations.
 func strictEquals(x, y Value) bool {
-	if x.Kind != y.Kind {
-		return false
+	if x.Kind == Object || y.Kind == Object {
+		return x.Kind == y.Kind && x.O == y.O
 	}
-	switch x.Kind {
-	case Undefined, Null:
-		return true
-	case Bool:
-		return x.B == y.B
-	case Number:
-		return x.N == y.N
-	case String:
-		return x.S == y.S
-	default:
-		return x.O == y.O
-	}
+	return interp.StrictEquals(prim(x), prim(y))
 }
 
-func (a *Analysis) looseEquals(x, y Value) bool {
-	if x.Kind == y.Kind {
-		return strictEquals(x, y)
-	}
+// looseEquals implements ==. An object compared with a boolean, number or
+// string converts to a primitive first; the flag is that conversion's
+// determinacy.
+func (a *Analysis) looseEquals(x, y Value) (bool, bool) {
 	switch {
-	case (x.Kind == Null && y.Kind == Undefined) || (x.Kind == Undefined && y.Kind == Null):
-		return true
-	case x.Kind == Number && y.Kind == String:
-		return x.N == a.toNumber(y)
-	case x.Kind == String && y.Kind == Number:
-		return a.toNumber(x) == y.N
-	case x.Kind == Bool:
-		return a.looseEquals(NumberV(a.toNumber(x), true), y)
-	case y.Kind == Bool:
-		return a.looseEquals(x, NumberV(a.toNumber(y), true))
-	case x.Kind == Object && (y.Kind == Number || y.Kind == String):
-		px, _ := a.toPrimitive(x)
-		return a.looseEquals(px, y)
-	case y.Kind == Object && (x.Kind == Number || x.Kind == String):
-		py, _ := a.toPrimitive(y)
-		return a.looseEquals(x, py)
+	case x.Kind == Object && y.Kind == Object:
+		return x.O == y.O, true
+	case x.Kind == Object && y.Kind > Null:
+		p, det := a.operand(x)
+		return interp.LooseEquals(p, prim(y)), det
+	case y.Kind == Object && x.Kind > Null:
+		p, det := a.operand(y)
+		return interp.LooseEquals(prim(x), p), det
+	case x.Kind == Object || y.Kind == Object:
+		return false, true // no object equals null or undefined
 	}
-	return false
+	return interp.LooseEquals(prim(x), prim(y)), true
 }
 
 // Snapshot converts a value to a fact snapshot.
 func Snapshot(v Value) facts.Snapshot {
-	switch v.Kind {
-	case Undefined:
-		return facts.Snapshot{Kind: facts.VUndefined}
-	case Null:
-		return facts.Snapshot{Kind: facts.VNull}
-	case Bool:
-		return facts.Snapshot{Kind: facts.VBool, Bool: v.B}
-	case Number:
-		return facts.Snapshot{Kind: facts.VNumber, Num: v.N}
-	case String:
-		return facts.Snapshot{Kind: facts.VString, Str: v.S}
-	default:
-		if v.O.Fn != nil {
-			return facts.Snapshot{Kind: facts.VFunction, FnIndex: v.O.Fn.Index, Alloc: v.O.Alloc}
-		}
-		if v.O.Native != nil {
-			return facts.Snapshot{Kind: facts.VFunction, Native: v.O.Native.Name, Alloc: v.O.Alloc}
-		}
-		return facts.Snapshot{Kind: facts.VObject, Alloc: v.O.Alloc}
+	switch {
+	case v.Kind != Object:
+		return interp.Snapshot(prim(v))
+	case v.O.Fn != nil:
+		return facts.Snapshot{Kind: facts.VFunction, FnIndex: v.O.Fn.Index, Alloc: v.O.Alloc}
+	case v.O.Native != nil:
+		return facts.Snapshot{Kind: facts.VFunction, Native: v.O.Native.Name, Alloc: v.O.Alloc}
 	}
+	return facts.Snapshot{Kind: facts.VObject, Alloc: v.O.Alloc}
 }
 
 // ToDisplay renders an instrumented value for console output. Annotations
@@ -599,37 +520,8 @@ func (a *Analysis) ToDisplay(v Value) string {
 }
 
 func (a *Analysis) shortDisplay(v Value) string {
-	if v.Kind == String {
-		return ast.QuoteString(v.S)
-	}
 	if v.Kind == Object {
-		switch v.O.Class {
-		case "Array":
-			return "[...]"
-		case "Function":
-			return "function"
-		default:
-			return "{...}"
-		}
+		return interp.ClassDisplay(v.O.Class)
 	}
-	s, _ := a.toString(v)
-	return s
-}
-
-// litValue converts an IR literal to a determinate value (constants are
-// determinate, §2.1).
-func litValue(l ir.Literal) Value {
-	switch l.Kind {
-	case ir.LitUndefined:
-		return UndefD
-	case ir.LitNull:
-		return NullD
-	case ir.LitBool:
-		return BoolV(l.Bool, true)
-	case ir.LitNumber:
-		return NumberV(l.Num, true)
-	case ir.LitString:
-		return StringV(l.Str, true)
-	}
-	return UndefD
+	return interp.ShortDisplay(prim(v))
 }

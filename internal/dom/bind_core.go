@@ -1,98 +1,99 @@
 package dom
 
-import (
-	"fmt"
-
-	"determinacy/internal/core"
-)
+import "determinacy/internal/core"
 
 // CoreBinding connects a Document to the instrumented interpreter, applying
 // the paper's DOM determinacy policy (§4), or the Spec+DetDOM assumption
 // (§5.1) when Deterministic is set.
 type CoreBinding struct {
-	Doc *Document
+	state
 	// Deterministic treats all DOM reads and operation results as
 	// determinate ("assuming that all properties of DOM objects are
 	// determinate, and that operations on the DOM return determinate
 	// values" — unsound in general, §5.1).
 	Deterministic bool
 
-	a         *core.Analysis
-	wrap      map[*Node]*core.DObj
-	elemProto *core.DObj
-	nextTimer int
-	cancelled map[int]bool
+	a    *core.Analysis
+	wrap map[*Node]*core.DObj
+	objs [onWindow + 1]*core.DObj
+	cur  coreArgs
 }
 
-// InstallCore exposes the document to an instrumented interpreter.
+// InstallCore exposes the document to an instrumented interpreter. External
+// operations abort counterfactual execution.
 func InstallCore(a *core.Analysis, doc *Document, deterministic bool) *CoreBinding {
-	b := &CoreBinding{Doc: doc, a: a, Deterministic: deterministic,
-		wrap: map[*Node]*core.DObj{}, cancelled: map[int]bool{}}
-	b.setupElemProto()
-
-	g := a.Global
-	a.SetGlobal("window", core.ObjV(g, true))
-
-	docObj := a.NewPlainObj()
-	docObj.Data = doc
-	b.defDocument(docObj)
-	a.SetGlobal("document", core.ObjV(docObj, true))
-
-	nav := a.NewPlainObj()
-	a.SetProp(nav, "userAgent", core.StringV(doc.UserAgent, b.det()))
-	a.SetProp(nav, "appName", core.StringV("Netscape", b.det()))
-	a.SetGlobal("navigator", core.ObjV(nav, true))
-
-	loc := a.NewPlainObj()
-	a.SetProp(loc, "href", core.StringV(doc.URL, b.det()))
-	a.SetProp(loc, "protocol", core.StringV("http:", b.det()))
-	a.SetGlobal("location", core.ObjV(loc, true))
-
-	b.defExternal(g, "setTimeout", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		b.nextTimer++
-		doc.Handlers = append(doc.Handlers, Handler{Kind: "timeout", Fn: argc(args, 0), TimerID: b.nextTimer})
-		return core.NumberV(float64(b.nextTimer), b.det()), nil
-	})
-	b.defExternal(g, "setInterval", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		b.nextTimer++
-		doc.Handlers = append(doc.Handlers, Handler{Kind: "interval", Fn: argc(args, 0), TimerID: b.nextTimer})
-		return core.NumberV(float64(b.nextTimer), b.det()), nil
-	})
-	clear := func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		b.cancelled[int(an.ToNumberPub(argc(args, 0)))] = true
-		return core.UndefD, nil
-	}
-	b.defExternal(g, "clearTimeout", clear)
-	b.defExternal(g, "clearInterval", clear)
-	listenG := func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		s, _ := an.ToStringPub(argc(args, 0))
-		doc.Handlers = append(doc.Handlers, Handler{Kind: "event", Event: s, Fn: argc(args, 1)})
-		return core.UndefD, nil
-	}
-	b.defExternal(g, "addEventListener", listenG)
-	b.defExternal(g, "attachEvent", listenG)
+	b := &CoreBinding{state: newState(doc), a: a, Deterministic: deterministic,
+		wrap: map[*Node]*core.DObj{}, cur: coreArgs{a: a}}
+	b.objs[onWindow] = a.Global
+	a.SetGlobal("window", core.ObjV(a.Global, true))
+	installOps(b)
 	return b
 }
 
-func argc(args []core.Value, i int) core.Value {
-	if i < len(args) {
-		return args[i]
+func (b *CoreBinding) object(t target, global string) {
+	o := b.a.NewPlainObj()
+	if t == onDocument {
+		o.Data = b.Doc
+	}
+	if global != "" {
+		b.a.SetGlobal(global, core.ObjV(o, true))
+	}
+	b.objs[t] = o
+}
+
+func (b *CoreBinding) install(o *op) {
+	owner := b.objs[o.on]
+	switch o.kind {
+	case data:
+		b.a.SetProp(owner, o.name, b.value(o.run(&b.state, nil, nil), nil))
+	case getter:
+		owner.DefineGetter(o.name, b.native(o))
+	case setter:
+		owner.DefineSetter(o.name, b.native(o))
+	default:
+		b.a.DefNativeOn(owner, o.name, b.native(o), o.effect == External)
+	}
+}
+
+func (b *CoreBinding) native(o *op) func(*core.Analysis, core.Value, []core.Value) (core.Value, error) {
+	return func(_ *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
+		b.cur.vals = args
+		return b.value(o.run(&b.state, nodeOfC(this), &b.cur), args), nil
+	}
+}
+
+// value converts a result, annotating it with the DOM policy: undefined is
+// determinate, everything else only under Deterministic.
+func (b *CoreBinding) value(r result, args []core.Value) core.Value {
+	det := b.Deterministic
+	switch r.kind {
+	case rNull:
+		return core.Value{Kind: core.Null, Det: det}
+	case rString:
+		return core.StringV(r.s, det)
+	case rNumber:
+		return core.NumberV(r.n, det)
+	case rNode:
+		if r.node == nil {
+			return core.Value{Kind: core.Null, Det: det}
+		}
+		return core.ObjV(b.Wrap(r.node), det)
+	case rNodes:
+		elems := make([]core.Value, len(r.nodes))
+		for i, n := range r.nodes {
+			elems[i] = b.value(node(n), nil)
+		}
+		arr := b.a.NewArrayObj(elems)
+		if !det {
+			b.a.MarkObjectIndeterminate(arr)
+		}
+		return core.ObjV(arr, det)
+	case rArg0:
+		return coreArgs{vals: args}.arg(0).WithDet(det)
+	case rObject:
+		return core.ObjV(b.a.NewPlainObj(), det)
 	}
 	return core.UndefD
-}
-
-// det is the annotation applied to DOM reads and results.
-func (b *CoreBinding) det() bool { return b.Deterministic }
-
-// defRead installs a read-only DOM native (safe during counterfactuals).
-func (b *CoreBinding) defRead(o *core.DObj, name string, fn func(*core.Analysis, core.Value, []core.Value) (core.Value, error)) {
-	b.a.DefNativeOn(o, name, fn, false)
-}
-
-// defExternal installs a mutating DOM native; encountering it during
-// counterfactual execution aborts the counterfactual (§4).
-func (b *CoreBinding) defExternal(o *core.DObj, name string, fn func(*core.Analysis, core.Value, []core.Value) (core.Value, error)) {
-	b.a.DefNativeOn(o, name, fn, true)
 }
 
 // Wrap returns the instrumented object for a node.
@@ -103,15 +104,64 @@ func (b *CoreBinding) Wrap(n *Node) *core.DObj {
 	if o, ok := b.wrap[n]; ok {
 		return o
 	}
-	o := b.a.NewObj("Object", b.elemProto)
+	o := b.a.NewObj("Object", b.objs[onElement])
 	o.Data = n
-	b.a.SetProp(o, "tagName", core.StringV(upper(n.Tag), b.det()))
-	b.a.SetProp(o, "nodeName", core.StringV(upper(n.Tag), b.det()))
-	b.a.SetProp(o, "nodeType", core.NumberV(1, b.det()))
-	b.a.SetProp(o, "style", core.ObjV(b.a.NewPlainObj(), b.det()))
+	for i := range nodeFields {
+		b.a.SetProp(o, nodeFields[i].name, b.value(nodeFields[i].run(&b.state, n, nil), nil))
+	}
 	b.wrap[n] = o
 	return o
 }
+
+// RunHandlers fires registered handlers under the instrumented semantics;
+// see state.runHandlers.
+func (b *CoreBinding) RunHandlers(limit int) (int, error) { return b.runHandlers(b, limit) }
+
+// fire flushes the heap on entry to the handler (§4: "since DOM events can
+// fire in any order, we perform a heap flush immediately upon entering an
+// event handler") and calls it.
+func (b *CoreBinding) fire(h Handler) (bool, error) {
+	fn, ok := h.Fn.(core.Value)
+	if !ok || !fn.IsCallable() {
+		return false, nil
+	}
+	b.a.FlushHeap("event-handler")
+	ev := b.a.NewPlainObj()
+	b.a.SetProp(ev, "type", core.StringV(h.Event, b.Deterministic))
+	if h.Target != nil {
+		b.a.SetProp(ev, "target", b.value(node(h.Target), nil))
+	}
+	_, err := b.a.CallFunction(fn, core.Value{Kind: core.Undefined, Det: false}, []core.Value{core.ObjV(ev, b.Deterministic)})
+	return true, err
+}
+
+// coreArgs reads an instrumented call's arguments for the ops table. DOM
+// results carry the DOM policy's annotation, so argument determinacy is
+// not consulted.
+type coreArgs struct {
+	a    *core.Analysis
+	vals []core.Value
+}
+
+func (c coreArgs) arg(i int) core.Value {
+	if i < len(c.vals) {
+		return c.vals[i]
+	}
+	return core.UndefD
+}
+
+func (c *coreArgs) str(i int) string {
+	s, _ := c.a.ToStringPub(c.arg(i))
+	return s
+}
+
+func (c *coreArgs) num(i int) float64 {
+	n, _ := c.a.ToNumberPub(c.arg(i))
+	return n
+}
+
+func (c *coreArgs) node(i int) *Node { return nodeOfC(c.arg(i)) }
+func (c *coreArgs) fn(i int) any     { return c.arg(i) }
 
 func nodeOfC(v core.Value) *Node {
 	if v.Kind != core.Object {
@@ -119,231 +169,4 @@ func nodeOfC(v core.Value) *Node {
 	}
 	n, _ := v.O.Data.(*Node)
 	return n
-}
-
-func (b *CoreBinding) wrapVal(n *Node) core.Value {
-	if n == nil {
-		return core.Value{Kind: core.Null, Det: b.det()}
-	}
-	return core.ObjV(b.Wrap(n), b.det())
-}
-
-func (b *CoreBinding) nodeArray(nodes []*Node) core.Value {
-	elems := make([]core.Value, len(nodes))
-	for i, n := range nodes {
-		elems[i] = b.wrapVal(n)
-	}
-	arr := b.a.NewArrayObj(elems)
-	if !b.det() {
-		b.a.MarkObjectIndeterminate(arr)
-	}
-	return core.ObjV(arr, b.det())
-}
-
-func (b *CoreBinding) defDocument(docObj *core.DObj) {
-	doc := b.Doc
-	a := b.a
-	b.defRead(docObj, "getElementById", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		s, _ := an.ToStringPub(argc(args, 0))
-		return b.wrapVal(doc.ByID(s)), nil
-	})
-	b.defRead(docObj, "getElementsByTagName", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		s, _ := an.ToStringPub(argc(args, 0))
-		return b.nodeArray(doc.ByTag(s)), nil
-	})
-	b.defExternal(docObj, "createElement", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		s, _ := an.ToStringPub(argc(args, 0))
-		return b.wrapVal(doc.NewNode(s, "")), nil
-	})
-	b.defExternal(docObj, "createTextNode", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		s, _ := an.ToStringPub(argc(args, 0))
-		n := doc.NewNode("#text", "")
-		n.Text = s
-		return b.wrapVal(n), nil
-	})
-	b.defExternal(docObj, "write", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		s, _ := an.ToStringPub(argc(args, 0))
-		doc.SetInnerHTML(doc.Body, doc.Body.InnerHTML()+s)
-		return core.UndefD, nil
-	})
-	listen := func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		s, _ := an.ToStringPub(argc(args, 0))
-		doc.Handlers = append(doc.Handlers, Handler{Kind: "event", Event: s, Fn: argc(args, 1)})
-		return core.UndefD, nil
-	}
-	b.defExternal(docObj, "addEventListener", listen)
-	b.defExternal(docObj, "attachEvent", listen)
-	a.SetProp(docObj, "title", core.StringV(doc.Title, b.det()))
-	a.SetProp(docObj, "cookie", core.StringV("", b.det()))
-	a.SetProp(docObj, "readyState", core.StringV("loading", b.det()))
-	a.SetProp(docObj, "body", b.wrapVal(doc.Body))
-	a.SetProp(docObj, "documentElement", b.wrapVal(doc.Root))
-}
-
-func (b *CoreBinding) setupElemProto() {
-	p := b.a.NewPlainObj()
-	b.elemProto = p
-	doc := b.Doc
-
-	b.defRead(p, "getElementsByTagName", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		n := nodeOfC(this)
-		if n == nil {
-			return b.nodeArray(nil), nil
-		}
-		tag, _ := an.ToStringPub(argc(args, 0))
-		var out []*Node
-		var walk func(m *Node)
-		walk = func(m *Node) {
-			for _, c := range m.Children {
-				if tag == "*" || c.Tag == tag {
-					out = append(out, c)
-				}
-				walk(c)
-			}
-		}
-		walk(n)
-		return b.nodeArray(out), nil
-	})
-	b.defExternal(p, "appendChild", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		parent, child := nodeOfC(this), nodeOfC(argc(args, 0))
-		if parent != nil && child != nil {
-			doc.Append(parent, child)
-		}
-		return argc(args, 0).WithDet(b.det()), nil
-	})
-	b.defExternal(p, "removeChild", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		parent, child := nodeOfC(this), nodeOfC(argc(args, 0))
-		if parent != nil && child != nil {
-			doc.Remove(parent, child)
-		}
-		return argc(args, 0).WithDet(b.det()), nil
-	})
-	b.defExternal(p, "setAttribute", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		if n := nodeOfC(this); n != nil {
-			name, _ := an.ToStringPub(argc(args, 0))
-			val, _ := an.ToStringPub(argc(args, 1))
-			if name == "id" {
-				doc.SetID(n, val)
-			} else {
-				n.Attrs[name] = val
-			}
-		}
-		return core.UndefD, nil
-	})
-	b.defRead(p, "getAttribute", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		n := nodeOfC(this)
-		if n == nil {
-			return core.Value{Kind: core.Null, Det: b.det()}, nil
-		}
-		name, _ := an.ToStringPub(argc(args, 0))
-		if name == "id" {
-			return core.StringV(n.ID, b.det()), nil
-		}
-		if v, ok := n.Attrs[name]; ok {
-			return core.StringV(v, b.det()), nil
-		}
-		return core.Value{Kind: core.Null, Det: b.det()}, nil
-	})
-	listen := func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		s, _ := an.ToStringPub(argc(args, 0))
-		doc.Handlers = append(doc.Handlers, Handler{
-			Kind: "event", Event: s, Target: nodeOfC(this), Fn: argc(args, 1),
-		})
-		return core.UndefD, nil
-	}
-	b.defExternal(p, "addEventListener", listen)
-	b.defExternal(p, "attachEvent", listen)
-	b.defRead(p, "removeEventListener", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		return core.UndefD, nil
-	})
-
-	p.DefineGetter("innerHTML", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		if n := nodeOfC(this); n != nil {
-			return core.StringV(n.InnerHTML(), b.det()), nil
-		}
-		return core.StringV("", b.det()), nil
-	})
-	p.DefineSetter("innerHTML", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		if n := nodeOfC(this); n != nil {
-			s, _ := an.ToStringPub(argc(args, 0))
-			doc.SetInnerHTML(n, s)
-		}
-		return core.UndefD, nil
-	})
-	p.DefineGetter("id", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		if n := nodeOfC(this); n != nil {
-			return core.StringV(n.ID, b.det()), nil
-		}
-		return core.StringV("", b.det()), nil
-	})
-	p.DefineSetter("id", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		if n := nodeOfC(this); n != nil {
-			s, _ := an.ToStringPub(argc(args, 0))
-			doc.SetID(n, s)
-		}
-		return core.UndefD, nil
-	})
-	p.DefineGetter("firstChild", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		n := nodeOfC(this)
-		if n == nil || len(n.Children) == 0 {
-			return core.Value{Kind: core.Null, Det: b.det()}, nil
-		}
-		return b.wrapVal(n.Children[0]), nil
-	})
-	p.DefineGetter("parentNode", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		if n := nodeOfC(this); n != nil {
-			return b.wrapVal(n.Parent), nil
-		}
-		return core.Value{Kind: core.Null, Det: b.det()}, nil
-	})
-	p.DefineGetter("childNodes", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		if n := nodeOfC(this); n != nil {
-			return b.nodeArray(n.Children), nil
-		}
-		return b.nodeArray(nil), nil
-	})
-	p.DefineGetter("value", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		if n := nodeOfC(this); n != nil {
-			return core.StringV(n.Attrs["value"], b.det()), nil
-		}
-		return core.StringV("", b.det()), nil
-	})
-	p.DefineSetter("value", func(an *core.Analysis, this core.Value, args []core.Value) (core.Value, error) {
-		if n := nodeOfC(this); n != nil {
-			s, _ := an.ToStringPub(argc(args, 0))
-			n.Attrs["value"] = s
-		}
-		return core.UndefD, nil
-	})
-}
-
-// RunHandlers fires registered handlers under the instrumented semantics,
-// flushing the heap on entry to each (§4: "since DOM events can fire in any
-// order, we perform a heap flush immediately upon entering an event
-// handler").
-func (b *CoreBinding) RunHandlers(limit int) (int, error) {
-	fired := 0
-	for i := 0; i < len(b.Doc.Handlers) && fired < limit; i++ {
-		h := b.Doc.Handlers[i]
-		if h.Kind == "timeout" || h.Kind == "interval" {
-			if b.cancelled[h.TimerID] {
-				continue
-			}
-		}
-		fn, ok := h.Fn.(core.Value)
-		if !ok || !fn.IsCallable() {
-			continue
-		}
-		b.a.FlushHeap("event-handler")
-		ev := b.a.NewPlainObj()
-		b.a.SetProp(ev, "type", core.StringV(h.Event, b.det()))
-		if h.Target != nil {
-			b.a.SetProp(ev, "target", b.wrapVal(h.Target))
-		}
-		fired++
-		if _, err := b.a.CallFunction(fn, core.Value{Kind: core.Undefined, Det: false}, []core.Value{core.ObjV(ev, b.det())}); err != nil {
-			return fired, fmt.Errorf("dom: handler %d (%s %s): %w", i, h.Kind, h.Event, err)
-		}
-	}
-	return fired, nil
 }

@@ -1,87 +1,84 @@
 package dom
 
-import (
-	"fmt"
-
-	"determinacy/internal/interp"
-)
+import "determinacy/internal/interp"
 
 // Binding connects a Document to a concrete interpreter.
 type Binding struct {
-	Doc *Document
-
-	it        *interp.Interp
-	wrap      map[*Node]*interp.Obj
-	elemProto *interp.Obj
-	nextTimer int
-	cancelled map[int]bool
+	state
+	it   *interp.Interp
+	wrap map[*Node]*interp.Obj
+	objs [onWindow + 1]*interp.Obj
+	cur  concreteArgs
 }
 
 // Install exposes the document to the interpreter as the standard globals:
 // document, window (aliased to the global object), navigator, location,
 // setTimeout and friends.
 func Install(it *interp.Interp, doc *Document) *Binding {
-	b := &Binding{Doc: doc, it: it, wrap: map[*Node]*interp.Obj{}, cancelled: map[int]bool{}}
-	b.setupElemProto()
-
-	g := it.Global
-	g.Set("window", interp.ObjVal(g)) // window is the global object
-
-	docObj := it.NewPlain()
-	docObj.Data = doc
-	b.defDocument(docObj)
-	g.Set("document", interp.ObjVal(docObj))
-
-	nav := it.NewPlain()
-	nav.Set("userAgent", interp.StringVal(doc.UserAgent))
-	nav.Set("appName", interp.StringVal("Netscape"))
-	g.Set("navigator", interp.ObjVal(nav))
-
-	loc := it.NewPlain()
-	loc.Set("href", interp.StringVal(doc.URL))
-	loc.Set("protocol", interp.StringVal("http:"))
-	g.Set("location", interp.ObjVal(loc))
-
-	b.def(g, "setTimeout", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		b.nextTimer++
-		doc.Handlers = append(doc.Handlers, Handler{Kind: "timeout", Fn: argv(args, 0), TimerID: b.nextTimer})
-		return interp.NumberVal(float64(b.nextTimer)), nil
-	})
-	b.def(g, "setInterval", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		b.nextTimer++
-		doc.Handlers = append(doc.Handlers, Handler{Kind: "interval", Fn: argv(args, 0), TimerID: b.nextTimer})
-		return interp.NumberVal(float64(b.nextTimer)), nil
-	})
-	clear := func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		b.cancelled[int(interp.ToNumber(argv(args, 0)))] = true
-		return interp.UndefinedVal, nil
-	}
-	b.def(g, "clearTimeout", clear)
-	b.def(g, "clearInterval", clear)
-	b.def(g, "addEventListener", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		doc.Handlers = append(doc.Handlers, Handler{
-			Kind: "event", Event: interp.ToString(argv(args, 0)), Fn: argv(args, 1),
-		})
-		return interp.UndefinedVal, nil
-	})
-	b.def(g, "attachEvent", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		doc.Handlers = append(doc.Handlers, Handler{
-			Kind: "event", Event: interp.ToString(argv(args, 0)), Fn: argv(args, 1),
-		})
-		return interp.UndefinedVal, nil
-	})
+	b := &Binding{state: newState(doc), it: it, wrap: map[*Node]*interp.Obj{}}
+	b.objs[onWindow] = it.Global
+	it.Global.Set("window", interp.ObjVal(it.Global))
+	installOps(b)
 	return b
 }
 
-func argv(args []interp.Value, i int) interp.Value {
-	if i < len(args) {
-		return args[i]
+func (b *Binding) object(t target, global string) {
+	o := b.it.NewPlain()
+	if t == onDocument {
+		o.Data = b.Doc
 	}
-	return interp.UndefinedVal
+	if global != "" {
+		b.it.Global.Set(global, interp.ObjVal(o))
+	}
+	b.objs[t] = o
 }
 
-func (b *Binding) def(o *interp.Obj, name string, fn interp.NativeFunc) {
-	o.Set(name, interp.ObjVal(b.it.NewNative(name, fn)))
+func (b *Binding) install(o *op) {
+	owner := b.objs[o.on]
+	switch o.kind {
+	case data:
+		owner.Set(o.name, b.value(o.run(&b.state, nil, nil), nil))
+	case getter:
+		owner.DefineGetter(o.name, b.native(o))
+	case setter:
+		owner.DefineSetter(o.name, b.native(o))
+	default:
+		owner.Set(o.name, interp.ObjVal(b.it.NewNative(o.name, b.native(o))))
+	}
+}
+
+func (b *Binding) native(o *op) interp.NativeFunc {
+	return func(_ interp.Host, this interp.Value, args []interp.Value) (interp.Value, error) {
+		b.cur = args
+		return b.value(o.run(&b.state, nodeOf(this), &b.cur), args), nil
+	}
+}
+
+func (b *Binding) value(r result, args []interp.Value) interp.Value {
+	switch r.kind {
+	case rNull:
+		return interp.NullVal
+	case rString:
+		return interp.StringVal(r.s)
+	case rNumber:
+		return interp.NumberVal(r.n)
+	case rNode:
+		if r.node == nil {
+			return interp.NullVal
+		}
+		return interp.ObjVal(b.Wrap(r.node))
+	case rNodes:
+		elems := make([]interp.Value, len(r.nodes))
+		for i, n := range r.nodes {
+			elems[i] = b.value(node(n), nil)
+		}
+		return interp.ObjVal(b.it.NewArray(elems))
+	case rArg0:
+		return concreteArgs(args).arg(0)
+	case rObject:
+		return interp.ObjVal(b.it.NewPlain())
+	}
+	return interp.UndefinedVal
 }
 
 // Wrap returns the interpreter object for a node, creating it on first use.
@@ -92,27 +89,46 @@ func (b *Binding) Wrap(n *Node) *interp.Obj {
 	if o, ok := b.wrap[n]; ok {
 		return o
 	}
-	o := b.it.NewObject(b.elemProto)
+	o := b.it.NewObject(b.objs[onElement])
 	o.Data = n
-	o.Set("tagName", interp.StringVal(upper(n.Tag)))
-	o.Set("nodeName", interp.StringVal(upper(n.Tag)))
-	o.Set("nodeType", interp.NumberVal(1))
-	o.Set("style", interp.ObjVal(b.it.NewPlain()))
+	for i := range nodeFields {
+		o.Set(nodeFields[i].name, b.value(nodeFields[i].run(&b.state, n, nil), nil))
+	}
 	b.wrap[n] = o
 	return o
 }
 
-func upper(s string) string {
-	out := make([]byte, len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 'a' && c <= 'z' {
-			c -= 32
-		}
-		out[i] = c
+// RunHandlers fires registered handlers; see state.runHandlers.
+func (b *Binding) RunHandlers(limit int) (int, error) { return b.runHandlers(b, limit) }
+
+func (b *Binding) fire(h Handler) (bool, error) {
+	fn, ok := h.Fn.(interp.Value)
+	if !ok || !fn.IsCallable() {
+		return false, nil
 	}
-	return string(out)
+	ev := b.it.NewPlain()
+	ev.Set("type", interp.StringVal(h.Event))
+	if h.Target != nil {
+		ev.Set("target", b.value(node(h.Target), nil))
+	}
+	_, err := b.it.CallFunction(fn, interp.UndefinedVal, []interp.Value{interp.ObjVal(ev)})
+	return true, err
 }
+
+// concreteArgs reads a concrete call's arguments for the ops table.
+type concreteArgs []interp.Value
+
+func (c concreteArgs) arg(i int) interp.Value {
+	if i < len(c) {
+		return c[i]
+	}
+	return interp.UndefinedVal
+}
+
+func (c *concreteArgs) str(i int) string  { return interp.ToString(c.arg(i)) }
+func (c *concreteArgs) num(i int) float64 { return interp.ToNumber(c.arg(i)) }
+func (c *concreteArgs) node(i int) *Node  { return nodeOf(c.arg(i)) }
+func (c *concreteArgs) fn(i int) any      { return c.arg(i) }
 
 func nodeOf(v interp.Value) *Node {
 	if v.Kind != interp.Object {
@@ -120,223 +136,4 @@ func nodeOf(v interp.Value) *Node {
 	}
 	n, _ := v.O.Data.(*Node)
 	return n
-}
-
-func (b *Binding) wrapVal(n *Node) interp.Value {
-	if n == nil {
-		return interp.NullVal
-	}
-	return interp.ObjVal(b.Wrap(n))
-}
-
-func (b *Binding) nodeArray(nodes []*Node) interp.Value {
-	elems := make([]interp.Value, len(nodes))
-	for i, n := range nodes {
-		elems[i] = b.wrapVal(n)
-	}
-	return interp.ObjVal(b.it.NewArray(elems))
-}
-
-func (b *Binding) defDocument(docObj *interp.Obj) {
-	doc := b.Doc
-	b.def(docObj, "getElementById", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		return b.wrapVal(doc.ByID(interp.ToString(argv(args, 0)))), nil
-	})
-	b.def(docObj, "getElementsByTagName", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		return b.nodeArray(doc.ByTag(interp.ToString(argv(args, 0)))), nil
-	})
-	b.def(docObj, "createElement", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		return b.wrapVal(doc.NewNode(interp.ToString(argv(args, 0)), "")), nil
-	})
-	b.def(docObj, "createTextNode", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		n := doc.NewNode("#text", "")
-		n.Text = interp.ToString(argv(args, 0))
-		return b.wrapVal(n), nil
-	})
-	b.def(docObj, "write", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		doc.SetInnerHTML(doc.Body, doc.Body.InnerHTML()+interp.ToString(argv(args, 0)))
-		return interp.UndefinedVal, nil
-	})
-	b.def(docObj, "addEventListener", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		doc.Handlers = append(doc.Handlers, Handler{
-			Kind: "event", Event: interp.ToString(argv(args, 0)), Fn: argv(args, 1),
-		})
-		return interp.UndefinedVal, nil
-	})
-	b.def(docObj, "attachEvent", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		doc.Handlers = append(doc.Handlers, Handler{
-			Kind: "event", Event: interp.ToString(argv(args, 0)), Fn: argv(args, 1),
-		})
-		return interp.UndefinedVal, nil
-	})
-	docObj.Set("title", interp.StringVal(doc.Title))
-	docObj.Set("cookie", interp.StringVal(""))
-	docObj.Set("readyState", interp.StringVal("loading"))
-	docObj.Set("body", b.wrapVal(doc.Body))
-	docObj.Set("documentElement", b.wrapVal(doc.Root))
-}
-
-func (b *Binding) setupElemProto() {
-	p := b.it.NewPlain()
-	b.elemProto = p
-	doc := b.Doc
-
-	b.def(p, "getElementsByTagName", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		n := nodeOf(this)
-		if n == nil {
-			return b.nodeArray(nil), nil
-		}
-		tag := interp.ToString(argv(args, 0))
-		var out []*Node
-		var walk func(m *Node)
-		walk = func(m *Node) {
-			for _, c := range m.Children {
-				if tag == "*" || c.Tag == tag {
-					out = append(out, c)
-				}
-				walk(c)
-			}
-		}
-		walk(n)
-		return b.nodeArray(out), nil
-	})
-	b.def(p, "appendChild", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		parent, child := nodeOf(this), nodeOf(argv(args, 0))
-		if parent != nil && child != nil {
-			doc.Append(parent, child)
-		}
-		return argv(args, 0), nil
-	})
-	b.def(p, "removeChild", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		parent, child := nodeOf(this), nodeOf(argv(args, 0))
-		if parent != nil && child != nil {
-			doc.Remove(parent, child)
-		}
-		return argv(args, 0), nil
-	})
-	b.def(p, "setAttribute", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if n := nodeOf(this); n != nil {
-			name := interp.ToString(argv(args, 0))
-			val := interp.ToString(argv(args, 1))
-			if name == "id" {
-				doc.SetID(n, val)
-			} else {
-				n.Attrs[name] = val
-			}
-		}
-		return interp.UndefinedVal, nil
-	})
-	b.def(p, "getAttribute", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		n := nodeOf(this)
-		if n == nil {
-			return interp.NullVal, nil
-		}
-		name := interp.ToString(argv(args, 0))
-		if name == "id" {
-			return interp.StringVal(n.ID), nil
-		}
-		if v, ok := n.Attrs[name]; ok {
-			return interp.StringVal(v), nil
-		}
-		return interp.NullVal, nil
-	})
-	listen := func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		doc.Handlers = append(doc.Handlers, Handler{
-			Kind: "event", Event: interp.ToString(argv(args, 0)),
-			Target: nodeOf(this), Fn: argv(args, 1),
-		})
-		return interp.UndefinedVal, nil
-	}
-	b.def(p, "addEventListener", listen)
-	b.def(p, "attachEvent", listen)
-	b.def(p, "removeEventListener", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		return interp.UndefinedVal, nil
-	})
-
-	// Live accessor properties.
-	p.DefineGetter("innerHTML", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if n := nodeOf(this); n != nil {
-			return interp.StringVal(n.InnerHTML()), nil
-		}
-		return interp.StringVal(""), nil
-	})
-	p.DefineSetter("innerHTML", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if n := nodeOf(this); n != nil {
-			doc.SetInnerHTML(n, interp.ToString(argv(args, 0)))
-		}
-		return interp.UndefinedVal, nil
-	})
-	p.DefineGetter("id", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if n := nodeOf(this); n != nil {
-			return interp.StringVal(n.ID), nil
-		}
-		return interp.StringVal(""), nil
-	})
-	p.DefineSetter("id", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if n := nodeOf(this); n != nil {
-			doc.SetID(n, interp.ToString(argv(args, 0)))
-		}
-		return interp.UndefinedVal, nil
-	})
-	p.DefineGetter("firstChild", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		n := nodeOf(this)
-		if n == nil || len(n.Children) == 0 {
-			return interp.NullVal, nil
-		}
-		return b.wrapVal(n.Children[0]), nil
-	})
-	p.DefineGetter("parentNode", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if n := nodeOf(this); n != nil {
-			return b.wrapVal(n.Parent), nil
-		}
-		return interp.NullVal, nil
-	})
-	p.DefineGetter("childNodes", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if n := nodeOf(this); n != nil {
-			return b.nodeArray(n.Children), nil
-		}
-		return b.nodeArray(nil), nil
-	})
-	p.DefineGetter("value", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if n := nodeOf(this); n != nil {
-			return interp.StringVal(n.Attrs["value"]), nil
-		}
-		return interp.StringVal(""), nil
-	})
-	p.DefineSetter("value", func(i *interp.Interp, this interp.Value, args []interp.Value) (interp.Value, error) {
-		if n := nodeOf(this); n != nil {
-			n.Attrs["value"] = interp.ToString(argv(args, 0))
-		}
-		return interp.UndefinedVal, nil
-	})
-}
-
-// RunHandlers fires registered handlers (ready/load events, timers, element
-// events) in registration order, including handlers registered while
-// handling, up to limit invocations. It models ZombieJS driving the page
-// after the main script.
-func (b *Binding) RunHandlers(limit int) (int, error) {
-	fired := 0
-	for i := 0; i < len(b.Doc.Handlers) && fired < limit; i++ {
-		h := b.Doc.Handlers[i]
-		if h.Kind == "timeout" || h.Kind == "interval" {
-			if b.cancelled[h.TimerID] {
-				continue
-			}
-		}
-		fn, ok := h.Fn.(interp.Value)
-		if !ok || !fn.IsCallable() {
-			continue
-		}
-		ev := b.it.NewPlain()
-		ev.Set("type", interp.StringVal(h.Event))
-		if h.Target != nil {
-			ev.Set("target", b.wrapVal(h.Target))
-		}
-		fired++
-		if _, err := b.it.CallFunction(fn, interp.UndefinedVal, []interp.Value{interp.ObjVal(ev)}); err != nil {
-			return fired, fmt.Errorf("dom: handler %d (%s %s): %w", i, h.Kind, h.Event, err)
-		}
-	}
-	return fired, nil
 }

@@ -175,16 +175,21 @@ func (d *Document) attached(n *Node) bool {
 func (d *Document) ByTag(tag string) []*Node {
 	tag = strings.ToLower(tag)
 	var out []*Node
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if tag == "*" || n.Tag == tag {
-			out = append(out, n)
-		}
-		for _, c := range n.Children {
-			walk(c)
-		}
+	if tag == "*" || d.Root.Tag == tag {
+		out = append(out, d.Root)
 	}
-	walk(d.Root)
+	return d.Root.descendants(tag, out)
+}
+
+// descendants appends n's descendants with the given tag ("*" for all) to
+// out, in document order.
+func (n *Node) descendants(tag string, out []*Node) []*Node {
+	for _, c := range n.Children {
+		if tag == "*" || c.Tag == tag {
+			out = append(out, c)
+		}
+		out = c.descendants(tag, out)
+	}
 	return out
 }
 

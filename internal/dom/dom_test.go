@@ -217,26 +217,61 @@ func TestCounterfactualAbortsOnDOMMutation(t *testing.T) {
 	}
 }
 
+// TestConcreteAndCoreBindingsAgree runs one script over most of the DOM
+// under both bindings; both must print exactly the expected text. The
+// bindings share one operation table, so the expected text, not their
+// agreement, is what catches a bug in an operation.
 func TestConcreteAndCoreBindingsAgree(t *testing.T) {
 	src := `
+		console.log(document.getElementById("items").childNodes.length, document.getElementById("nope"));
 		var el = document.getElementById("content");
-		el.innerHTML = "<span></span>text";
-		console.log(el.firstChild.tagName);
-		console.log(document.getElementsByTagName("span").length);
-		var items = document.getElementById("items");
-		console.log(items.childNodes.length);
-		console.log(document.title);
+		el.innerHTML = "<span></span>";
+		console.log(el.firstChild.tagName, el.firstChild.parentNode === el, el.innerHTML);
+		console.log(document.getElementsByTagName("span").length, document.getElementsByTagName("li").length);
+		console.log(document.title, navigator.appName, location.protocol, document.readyState);
+		var d = document.createElement("div");
+		d.setAttribute("id", "fresh");
+		d.setAttribute("data-x", "1");
+		console.log(document.body.appendChild(d) === d, document.getElementById("fresh") === d);
+		console.log(d.getAttribute("data-x"), d.getAttribute("missing"), d.id, d.nodeName, d.nodeType);
+		d.id = "renamed";
+		console.log(document.getElementById("renamed") === d, document.getElementById("fresh"));
+		var q = document.getElementById("query");
+		q.value = "v";
+		console.log(q.value, q.getAttribute("type"), q.parentNode.tagName);
+		document.body.removeChild(d);
+		console.log(document.getElementById("renamed"), document.body.getElementsByTagName("*").length);
+		var t = setTimeout(function() { console.log("cancelled"); }, 0);
+		clearTimeout(t);
+		setTimeout(function() { console.log("timer", t); }, 0);
+		document.addEventListener("ready", function(e) { console.log("event", e.type); });
 	`
-	concrete := runConcrete(t, src)
+	const want = "3 null\n" +
+		"SPAN true <span></span>\n" +
+		"1 0\n" +
+		"determinacy test page Netscape http: loading\n" +
+		"true true\n" +
+		"1 null fresh DIV 1\n" +
+		"true null\n" +
+		"v text FORM\n" +
+		"null 6\n" +
+		"timer 1\n" +
+		"event ready\n"
+	if got := runConcrete(t, src); got != want {
+		t.Errorf("concrete binding:\n%s\nwant:\n%s", got, want)
+	}
 
 	mod := ir.MustCompile("t.js", src)
 	var buf strings.Builder
 	a := core.New(mod, facts.NewStore(), core.Options{Out: &buf})
-	dom.InstallCore(a, dom.NewDocument(dom.Options{}), false)
+	b := dom.InstallCore(a, dom.NewDocument(dom.Options{}), false)
 	if _, err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if concrete != buf.String() {
-		t.Errorf("bindings disagree:\nconcrete:\n%s\ninstrumented:\n%s", concrete, buf.String())
+	if _, err := b.RunHandlers(16); err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != want {
+		t.Errorf("instrumented binding:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }

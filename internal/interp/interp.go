@@ -73,7 +73,7 @@ type Interp struct {
 	nalloc    int
 	frames    []*Frame
 	evalCache map[string]*ir.Function
-	rng       uint64
+	rng       Rand
 	// stopped makes interrupts sticky so natives that re-enter execution
 	// (CallFunction from embedders) cannot outrun a cancellation.
 	stopped error
@@ -103,7 +103,7 @@ func New(mod *ir.Module, opts Options) *Interp {
 	it := &Interp{
 		Mod:       mod,
 		opts:      opts,
-		rng:       opts.Seed*2862933555777941757 + 3037000493,
+		rng:       NewRand(opts.Seed),
 		evalCache: make(map[string]*ir.Function),
 	}
 	it.setupRuntime()
@@ -189,21 +189,26 @@ func (it *Interp) NewError(name, msg string) *Obj {
 }
 
 // Random returns the next value of the deterministic PRNG (xorshift64*).
-func (it *Interp) Random() float64 {
-	it.rng ^= it.rng >> 12
-	it.rng ^= it.rng << 25
-	it.rng ^= it.rng >> 27
-	x := it.rng * 2685821657736338717
-	return float64(x>>11) / float64(1<<53)
+func (it *Interp) Random() float64 { return it.rng.Float64() }
+
+// Rand is the xorshift64* PRNG behind Math.random. Both interpreters seed
+// it alike, so a seed names one sequence.
+type Rand uint64
+
+// NewRand seeds a generator.
+func NewRand(seed uint64) Rand { return Rand(seed*2862933555777941757 + 3037000493) }
+
+// Float64 steps the generator and returns a number in [0, 1).
+func (r *Rand) Float64() float64 {
+	*r ^= *r >> 12
+	*r ^= *r << 25
+	*r ^= *r >> 27
+	return float64((*r*2685821657736338717)>>11) / float64(1<<53)
 }
 
-// Input returns the configured input value for name (undefined if unset).
-func (it *Interp) Input(name string) Value {
-	if v, ok := it.opts.Inputs[name]; ok {
-		return v
-	}
-	return UndefinedVal
-}
+// Input returns the configured input value for name (the zero Value,
+// undefined, if unset).
+func (it *Interp) Input(name string) Value { return it.opts.Inputs[name] }
 
 // Now returns the configured Date.now value.
 func (it *Interp) Now() float64 { return it.opts.Now }
@@ -335,7 +340,7 @@ func (it *Interp) observe(in ir.Instr, v Value) {
 func (it *Interp) execInstr(f *Frame, in ir.Instr) outcome {
 	switch in := in.(type) {
 	case *ir.Const:
-		v := litValue(in.Val)
+		v := LitValue(in.Val)
 		f.Regs[in.Dst] = v
 		it.observe(in, v)
 	case *ir.Move:
@@ -423,7 +428,7 @@ func (it *Interp) execInstr(f *Frame, in ir.Instr) outcome {
 		f.Regs[in.Dst] = v
 		it.observe(in, v)
 	case *ir.UnOp:
-		v := unOp(in.Op, f.Regs[in.X])
+		v := UnOp(in.Op, f.Regs[in.X])
 		f.Regs[in.Dst] = v
 		it.observe(in, v)
 	case *ir.Call:
@@ -461,7 +466,8 @@ func (it *Interp) execInstr(f *Frame, in ir.Instr) outcome {
 	return okOutcome
 }
 
-func litValue(l ir.Literal) Value {
+// LitValue converts an IR literal to a value.
+func LitValue(l ir.Literal) Value {
 	switch l.Kind {
 	case ir.LitUndefined:
 		return UndefinedVal
@@ -798,7 +804,7 @@ func (it *Interp) getProp(base Value, name string) (Value, outcome) {
 		if name == "length" {
 			return NumberVal(float64(len(base.S))), okOutcome
 		}
-		if idx, ok := arrayIndex(name); ok {
+		if idx, ok := ArrayIndex(name); ok {
 			if idx < len(base.S) {
 				return StringVal(string(base.S[idx])), okOutcome
 			}
@@ -857,29 +863,10 @@ func (it *Interp) delProp(base Value, name string) (Value, outcome) {
 // Operators
 
 func (it *Interp) binOp(op string, l, r Value) (Value, outcome) {
+	if v, ok := BinOp(op, l, r); ok {
+		return v, okOutcome
+	}
 	switch op {
-	case "+":
-		lp, rp := toPrimitive(l), toPrimitive(r)
-		if lp.Kind == Object {
-			lp = StringVal("[object Object]")
-		}
-		if rp.Kind == Object {
-			rp = StringVal("[object Object]")
-		}
-		if lp.Kind == String || rp.Kind == String {
-			return StringVal(ToString(lp) + ToString(rp)), okOutcome
-		}
-		return NumberVal(ToNumber(lp) + ToNumber(rp)), okOutcome
-	case "-":
-		return NumberVal(ToNumber(l) - ToNumber(r)), okOutcome
-	case "*":
-		return NumberVal(ToNumber(l) * ToNumber(r)), okOutcome
-	case "/":
-		return NumberVal(ToNumber(l) / ToNumber(r)), okOutcome
-	case "%":
-		return NumberVal(math.Mod(ToNumber(l), ToNumber(r))), okOutcome
-	case "<", ">", "<=", ">=":
-		return compareOp(op, l, r), okOutcome
 	case "==":
 		return BoolVal(LooseEquals(l, r)), okOutcome
 	case "!=":
@@ -888,18 +875,6 @@ func (it *Interp) binOp(op string, l, r Value) (Value, outcome) {
 		return BoolVal(StrictEquals(l, r)), okOutcome
 	case "!==":
 		return BoolVal(!StrictEquals(l, r)), okOutcome
-	case "&":
-		return NumberVal(float64(ToInt32(l) & ToInt32(r))), okOutcome
-	case "|":
-		return NumberVal(float64(ToInt32(l) | ToInt32(r))), okOutcome
-	case "^":
-		return NumberVal(float64(ToInt32(l) ^ ToInt32(r))), okOutcome
-	case "<<":
-		return NumberVal(float64(ToInt32(l) << (ToUint32(r) & 31))), okOutcome
-	case ">>":
-		return NumberVal(float64(ToInt32(l) >> (ToUint32(r) & 31))), okOutcome
-	case ">>>":
-		return NumberVal(float64(ToUint32(l) >> (ToUint32(r) & 31))), okOutcome
 	case "||#":
 		// Non-short-circuit boolean or, emitted by switch lowering.
 		return BoolVal(ToBool(l) || ToBool(r)), okOutcome
@@ -930,8 +905,8 @@ func (it *Interp) binOp(op string, l, r Value) (Value, outcome) {
 	}
 }
 
-func compareOp(op string, l, r Value) Value {
-	lp, rp := toPrimitive(l), toPrimitive(r)
+func compare(op string, l, r Value) Value {
+	lp, rp := primitive(l), primitive(r)
 	if lp.Kind == String && rp.Kind == String {
 		switch op {
 		case "<":
@@ -960,7 +935,9 @@ func compareOp(op string, l, r Value) Value {
 	}
 }
 
-func unOp(op string, x Value) Value {
+// UnOp applies a unary operator. The instrumented interpreter shares it
+// for the numeric operators, passing an operand converted to a primitive.
+func UnOp(op string, x Value) Value {
 	switch op {
 	case "!":
 		return BoolVal(!ToBool(x))
@@ -975,6 +952,60 @@ func unOp(op string, x Value) Value {
 	default:
 		return UndefinedVal
 	}
+}
+
+// BinOp applies a binary operator whose operands convert to primitives:
+// arithmetic, bitwise, + and relational. ok is false for the rest, which
+// inspect objects. The instrumented interpreter shares it, passing
+// operands it has already converted.
+func BinOp(op string, l, r Value) (v Value, ok bool) {
+	switch op {
+	case "<", ">", "<=", ">=":
+		return compare(op, l, r), true
+	case "+":
+		lp, rp := primitive(l), primitive(r)
+		if lp.Kind == String || rp.Kind == String {
+			return StringVal(ToString(lp) + ToString(rp)), true
+		}
+		return NumberVal(ToNumber(lp) + ToNumber(rp)), true
+	case "-":
+		return NumberVal(ToNumber(l) - ToNumber(r)), true
+	case "*":
+		return NumberVal(ToNumber(l) * ToNumber(r)), true
+	case "/":
+		return NumberVal(ToNumber(l) / ToNumber(r)), true
+	case "%":
+		return NumberVal(math.Mod(ToNumber(l), ToNumber(r))), true
+	case "&":
+		return NumberVal(float64(ToInt32(l) & ToInt32(r))), true
+	case "|":
+		return NumberVal(float64(ToInt32(l) | ToInt32(r))), true
+	case "^":
+		return NumberVal(float64(ToInt32(l) ^ ToInt32(r))), true
+	case "<<":
+		return NumberVal(float64(ToInt32(l) << (ToUint32(r) & 31))), true
+	case ">>":
+		return NumberVal(float64(ToInt32(l) >> (ToUint32(r) & 31))), true
+	case ">>>":
+		return NumberVal(float64(ToUint32(l) >> (ToUint32(r) & 31))), true
+	}
+	return UndefinedVal, false
+}
+
+// primitive is the operand conversion of the + and relational operators:
+// toPrimitive, with plain objects as "[object Object]".
+func primitive(v Value) Value {
+	if v.Kind != Object {
+		return v // kept apart from objectPrimitive so this case inlines
+	}
+	return objectPrimitive(v)
+}
+
+func objectPrimitive(v Value) Value {
+	if p := toPrimitive(v); p.Kind != Object {
+		return p
+	}
+	return StringVal("[object Object]")
 }
 
 // FormatArgs renders console.log arguments.

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"determinacy/internal/ast"
+	"determinacy/internal/facts"
 	"determinacy/internal/ir"
 )
 
@@ -81,10 +82,11 @@ func (v Value) IsCallable() bool {
 	return v.Kind == Object && (v.O.Fn != nil || v.O.Native != nil)
 }
 
-// NativeFunc is the implementation of a built-in function. Implementations
-// may call back into the interpreter (e.g. Function.prototype.call). A
+// NativeFunc is the implementation of a built-in function, run by the
+// interpreter h. Implementations that need more than the Host's sources
+// (Function.prototype.call calls back) assert h.(*Interp). A
 // JavaScript-level exception is reported by returning a *Thrown error.
-type NativeFunc func(it *Interp, this Value, args []Value) (Value, error)
+type NativeFunc func(h Host, this Value, args []Value) (Value, error)
 
 // Native is a built-in function with a name used in diagnostics and by the
 // determinacy models in internal/core.
@@ -200,7 +202,7 @@ func (o *Obj) Set(name string, v Value) {
 			o.setArrayLength(v)
 			return
 		}
-		if idx, ok := arrayIndex(name); ok {
+		if idx, ok := ArrayIndex(name); ok {
 			if cur := o.ArrayLength(); idx >= cur {
 				o.setRaw("length", NumberVal(float64(idx+1)))
 			}
@@ -262,7 +264,8 @@ func (o *Obj) setArrayLength(v Value) {
 	o.setRaw("length", NumberVal(float64(n)))
 }
 
-func arrayIndex(name string) (int, bool) {
+// ArrayIndex parses an array index property name.
+func ArrayIndex(name string) (int, bool) {
 	if name == "" {
 		return 0, false
 	}
@@ -404,17 +407,7 @@ func toPrimitive(v Value) Value {
 	o := v.O
 	switch o.Class {
 	case "Array":
-		n := o.ArrayLength()
-		parts := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			el, ok := o.Get(strconv.Itoa(i))
-			if !ok || el.Kind == Undefined || el.Kind == Null {
-				parts = append(parts, "")
-			} else {
-				parts = append(parts, ToString(el))
-			}
-		}
-		return StringVal(strings.Join(parts, ","))
+		return StringVal(o.join(","))
 	case "Function":
 		name := ""
 		if o.Fn != nil {
@@ -432,13 +425,18 @@ func toPrimitive(v Value) Value {
 		if v, ok := o.Lookup("message"); ok {
 			msg = ToString(v)
 		}
-		if msg == "" {
-			return StringVal(name)
-		}
-		return StringVal(name + ": " + msg)
+		return StringVal(ErrorString(name, msg))
 	default:
 		return v // callers map this to "[object Object]" / NaN
 	}
+}
+
+// ErrorString renders an error from its name and message.
+func ErrorString(name, msg string) string {
+	if msg == "" {
+		return name
+	}
+	return name + ": " + msg
 }
 
 // ToInt32 converts per the ECMAScript ToInt32 abstract operation.
@@ -496,9 +494,9 @@ func LooseEquals(a, b Value) bool {
 	case b.Kind == Bool:
 		return LooseEquals(a, NumberVal(ToNumber(b)))
 	case a.Kind == Object && (b.Kind == Number || b.Kind == String):
-		return LooseEquals(toPrimitive(a), b)
+		return LooseEquals(primitive(a), b)
 	case b.Kind == Object && (a.Kind == Number || a.Kind == String):
-		return LooseEquals(a, toPrimitive(b))
+		return LooseEquals(a, primitive(b))
 	}
 	return false
 }
@@ -525,6 +523,30 @@ func TypeOf(v Value) string {
 	return "undefined"
 }
 
+// Snapshot converts a value to a fact snapshot.
+func Snapshot(v Value) facts.Snapshot {
+	switch v.Kind {
+	case Undefined:
+		return facts.Snapshot{Kind: facts.VUndefined}
+	case Null:
+		return facts.Snapshot{Kind: facts.VNull}
+	case Bool:
+		return facts.Snapshot{Kind: facts.VBool, Bool: v.B}
+	case Number:
+		return facts.Snapshot{Kind: facts.VNumber, Num: v.N}
+	case String:
+		return facts.Snapshot{Kind: facts.VString, Str: v.S}
+	default:
+		if v.O.Fn != nil {
+			return facts.Snapshot{Kind: facts.VFunction, FnIndex: v.O.Fn.Index, Alloc: v.O.Alloc}
+		}
+		if v.O.Native != nil {
+			return facts.Snapshot{Kind: facts.VFunction, Native: v.O.Native.Name, Alloc: v.O.Alloc}
+		}
+		return facts.Snapshot{Kind: facts.VObject, Alloc: v.O.Alloc}
+	}
+}
+
 // ToDisplay renders a value for console output and diagnostics.
 func ToDisplay(v Value) string {
 	if v.Kind == String {
@@ -537,7 +559,7 @@ func ToDisplay(v Value) string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s: %s", k, shortDisplay(v.O.props[k]))
+			fmt.Fprintf(&b, "%s: %s", k, ShortDisplay(v.O.props[k]))
 		}
 		b.WriteString("}")
 		return b.String()
@@ -551,7 +573,7 @@ func ToDisplay(v Value) string {
 				b.WriteString(", ")
 			}
 			el, _ := v.O.Get(strconv.Itoa(i))
-			b.WriteString(shortDisplay(el))
+			b.WriteString(ShortDisplay(el))
 		}
 		b.WriteString("]")
 		return b.String()
@@ -559,19 +581,24 @@ func ToDisplay(v Value) string {
 	return ToString(v)
 }
 
-func shortDisplay(v Value) string {
-	if v.Kind == String {
+// ShortDisplay renders a value nested in a displayed object or array.
+func ShortDisplay(v Value) string {
+	switch v.Kind {
+	case String:
 		return ast.QuoteString(v.S)
-	}
-	if v.Kind == Object {
-		switch v.O.Class {
-		case "Array":
-			return "[...]"
-		case "Function":
-			return "function"
-		default:
-			return "{...}"
-		}
+	case Object:
+		return ClassDisplay(v.O.Class)
 	}
 	return ToString(v)
+}
+
+// ClassDisplay abbreviates a nested object by its class.
+func ClassDisplay(class string) string {
+	switch class {
+	case "Array":
+		return "[...]"
+	case "Function":
+		return "function"
+	}
+	return "{...}"
 }

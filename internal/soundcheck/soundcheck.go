@@ -80,7 +80,7 @@ func (c *Checker) Attach(it *interp.Interp) {
 		if !ok || !f.Det {
 			return
 		}
-		got := SnapshotConcrete(val)
+		got := interp.Snapshot(val)
 		if !snapshotsCompatible(f.Val, got) {
 			c.Mismatches = append(c.Mismatches, Mismatch{
 				Instr: in.IID(), Ctx: top.ctx.Clone(), Seq: seq, Want: f.Val, Got: got,
@@ -88,30 +88,6 @@ func (c *Checker) Attach(it *interp.Interp) {
 			return
 		}
 		c.Checked++
-	}
-}
-
-// SnapshotConcrete converts a concrete value to a fact snapshot.
-func SnapshotConcrete(v interp.Value) facts.Snapshot {
-	switch v.Kind {
-	case interp.Undefined:
-		return facts.Snapshot{Kind: facts.VUndefined}
-	case interp.Null:
-		return facts.Snapshot{Kind: facts.VNull}
-	case interp.Bool:
-		return facts.Snapshot{Kind: facts.VBool, Bool: v.B}
-	case interp.Number:
-		return facts.Snapshot{Kind: facts.VNumber, Num: v.N}
-	case interp.String:
-		return facts.Snapshot{Kind: facts.VString, Str: v.S}
-	default:
-		if v.O.Fn != nil {
-			return facts.Snapshot{Kind: facts.VFunction, FnIndex: v.O.Fn.Index, Alloc: v.O.Alloc}
-		}
-		if v.O.Native != nil {
-			return facts.Snapshot{Kind: facts.VFunction, Native: v.O.Native.Name, Alloc: v.O.Alloc}
-		}
-		return facts.Snapshot{Kind: facts.VObject, Alloc: v.O.Alloc}
 	}
 }
 
