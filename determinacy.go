@@ -223,9 +223,6 @@ type Result struct {
 	prog  *ast.Program
 	mod   *ir.Module
 	store *facts.Store
-	// staticInstrs is the instruction count before execution; program
-	// points at or beyond it belong to runtime-lowered eval code.
-	staticInstrs int
 	// tracer carries the run's tracer forward so client phases
 	// (Specialize) join the same event stream.
 	tracer obs.Tracer
@@ -397,8 +394,8 @@ func (m *memoState) skip(reason string) {
 }
 
 // analyzeLowered runs the instrumented semantics over an already-compiled
-// program. The module is mutated during the run (eval'd code lowers into
-// it), so callers sharing a cached compile must pass a fresh Clone.
+// program. The module is only read: eval'd code lowers into the run's own
+// layer, which the Result exposes.
 //
 // With Options.FactCache set, a completed run is memoized and an exact
 // re-submission is served from the cache: the fact store is stitched from
@@ -420,11 +417,8 @@ func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts
 			if tr != nil {
 				tr.Event(obs.Event{Kind: obs.EvCache, Phase: "factcache", Detail: "hit"})
 			}
-			return &Result{
-				prog: prog, mod: mod, store: hit.Store,
-				staticInstrs: mod.NumInstrs, tracer: tr,
-				Stats: hit.Stats, HandlersRan: hit.HandlersRan,
-			}, nil
+			return &Result{prog: prog, mod: mod, store: hit.Store, tracer: tr,
+				Stats: hit.Stats, HandlersRan: hit.HandlersRan}, nil
 		}
 		if tr != nil {
 			tr.Event(obs.Event{Kind: obs.EvCache, Phase: "factcache", Detail: "miss"})
@@ -459,7 +453,7 @@ func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts
 		coreOpts.OnEnterFunc = memo.rec.OnEnter
 	}
 	a := core.New(mod, store, coreOpts)
-	res := &Result{prog: prog, mod: mod, store: store, staticInstrs: mod.NumInstrs, tracer: tr}
+	res := &Result{prog: prog, mod: a.Mod, store: store, tracer: tr}
 
 	var binding *dom.CoreBinding
 	if opts.WithDOM {
@@ -497,7 +491,7 @@ func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts
 	res.Stats = a.Stats()
 	if memo != nil {
 		switch {
-		case mod.NumInstrs > res.staticInstrs:
+		case a.Mod.NumInstrs > mod.NumInstrs:
 			// Runtime eval lowered fresh instructions whose IDs are not
 			// stable across executions; such runs are never cacheable.
 			memo.skip("eval")
@@ -526,10 +520,10 @@ func runHandlersGuarded(binding *dom.CoreBinding, max int, tr obs.Tracer, point 
 // observations to indeterminate; two runs claiming different determinate
 // values at the same key would indicate an analysis bug and is surfaced as
 // an error.
-// The runs are fanned across a bounded worker pool (Options.Workers) and a
-// shared compilation cache, so the source compiles once regardless of seed
-// count; merging per-seed results in seed submission order keeps the merged
-// store and statistics identical to a serial sweep.
+// The source compiles once, through a shared compilation cache, and the
+// runs share the compiled program across a bounded worker pool
+// (Options.Workers); merging per-seed results in seed submission order
+// keeps the merged store and statistics identical to a serial sweep.
 func AnalyzeRuns(src string, opts Options, seeds ...uint64) (*Result, error) {
 	return AnalyzeRunsContext(context.Background(), src, opts, seeds...)
 }
@@ -543,6 +537,10 @@ func AnalyzeRunsContext(ctx context.Context, src string, opts Options, seeds ...
 	if len(seeds) == 0 {
 		seeds = []uint64{0}
 	}
+	prog, mod, err := runsCache.Compile("program.js", src)
+	if err != nil {
+		return nil, fmt.Errorf("determinacy: run with seed %d: %w", seeds[0], err)
+	}
 	type runOut struct {
 		res *Result
 		err error
@@ -551,17 +549,13 @@ func AnalyzeRunsContext(ctx context.Context, src string, opts Options, seeds ...
 	outs, qs := batch.MapCtx(ctx, pool, len(seeds), func(i int) runOut {
 		o := opts
 		o.Seed = seeds[i]
-		prog, mod, err := runsCache.Compile("program.js", src)
-		if err != nil {
-			return runOut{err: fmt.Errorf("determinacy: run with seed %d: %w", seeds[i], err)}
-		}
 		res, err := analyzeLowered(ctx, prog, mod, o)
 		if err != nil {
 			return runOut{err: fmt.Errorf("determinacy: run with seed %d: %w", seeds[i], err)}
 		}
 		// Runtime-lowered eval code gets fresh instruction IDs per run, so
 		// only facts at static program points merge across runs.
-		res.store = res.store.Restrict(ir.ID(res.staticInstrs))
+		res.store = res.store.Restrict(ir.ID(mod.NumInstrs))
 		return runOut{res: res}
 	})
 	for _, q := range qs {
@@ -593,15 +587,14 @@ func AnalyzeRunsContext(ctx context.Context, src string, opts Options, seeds ...
 	return merged, nil
 }
 
-// runsCache backs AnalyzeRuns' per-seed compiles: content-addressed, so
-// repeated sweeps over the same source (and the first sweep's N-1 extra
-// seeds) skip the front end entirely.
+// runsCache backs AnalyzeRuns' compiles: content-addressed, so repeated
+// sweeps over the same source skip the front end entirely.
 var runsCache = progcache.New(0)
 
-// Program is a compiled analysis input: the parsed AST plus a run-ready
-// clone of the lowered module. A Program is SINGLE-USE — running an
-// analysis mutates its module (runtime eval lowering), so obtain a fresh
-// one from Cache.Compile per run.
+// Program is a compiled analysis input: the parsed AST plus the lowered
+// module. Analyses only read it — each run lowers its eval code into a
+// private layer — so one Program may back any number of runs, including
+// concurrent ones.
 type Program struct {
 	prog *ast.Program
 	mod  *ir.Module
@@ -629,8 +622,8 @@ func (c *Cache) WithMetrics(m *Metrics) *Cache {
 }
 
 // Compile parses and lowers src, serving repeated requests for the same
-// (name, src) pair from the cache. Each call returns a fresh single-use
-// Program; front-end errors are cached too.
+// (name, src) pair from the cache. A hit returns a Program sharing the
+// cached AST and module; front-end errors are cached too.
 func (c *Cache) Compile(name, src string) (*Program, error) {
 	p, _, err := c.CompileHit(name, src)
 	return p, err
@@ -647,8 +640,7 @@ func (c *Cache) CompileHit(name, src string) (*Program, bool, error) {
 }
 
 // AnalyzeProgram runs the instrumented analysis over a compiled Program
-// (see Cache.Compile). The Program is consumed: its module is mutated by
-// the run and must not be reused.
+// (see Cache.Compile). The Program is not modified and may be reused.
 func AnalyzeProgram(p *Program, opts Options) (*Result, error) {
 	return AnalyzeProgramContext(context.Background(), p, opts)
 }

@@ -5,11 +5,11 @@
 // cells of one Table 1 row and the N seeds of a seed-sweep analysis all
 // compile the same source exactly once.
 //
-// Cached ASTs are handed out by pointer — every downstream consumer
-// (lowering, the specializer, fact rendering) treats the AST as read-only.
-// Cached modules are never handed out directly: runtime eval lowering
-// mutates a module, so Compile returns a fresh ir.Module.Clone per call,
-// which shares the immutable instructions but isolates all mutation.
+// Cached ASTs and modules are handed out by pointer. Every downstream
+// consumer (lowering, the specializer, fact rendering) treats the AST as
+// read-only, and a lowered module is frozen: each run lowers its eval code
+// into a private layer over it (see ir.Module.Layer), so any number of
+// runs can share one cached module at the same time.
 package progcache
 
 import (
@@ -72,7 +72,7 @@ type entry struct {
 	// on the same key wait on it rather than compiling redundantly.
 	once sync.Once
 	prog *ast.Program
-	mod  *ir.Module // pristine master, never executed — only cloned
+	mod  *ir.Module
 	err  error
 
 	// isErr and counted implement error-entry accounting, both under
@@ -115,10 +115,10 @@ func keyOf(file, src string) cacheKey {
 }
 
 // Compile parses and lowers source, serving repeated requests for the same
-// (file, src) from the cache. The returned program is the shared cached AST
-// (read-only by convention); the returned module is a fresh clone that the
-// caller may execute and mutate freely. Front-end errors are cached too —
-// they are deterministic per source text.
+// (file, src) from the cache. The returned program and module are the
+// shared cached ones: the AST is read-only by convention and the module is
+// frozen. Front-end errors are cached too — they are deterministic per
+// source text.
 func (c *Cache) Compile(file, src string) (*ast.Program, *ir.Module, error) {
 	prog, mod, _, err := c.CompileHit(file, src)
 	return prog, mod, err
@@ -182,7 +182,7 @@ func (c *Cache) CompileHit(file, src string) (prog *ast.Program, mod *ir.Module,
 		c.noteError(e)
 		return nil, nil, ok, e.err
 	}
-	return e.prog, e.mod.Clone(), ok, nil
+	return e.prog, e.mod, ok, nil
 }
 
 // noteError folds a finished compilation's error outcome into the

@@ -48,7 +48,7 @@ func TestConcurrentStressSmallLRU(t *testing.T) {
 					t.Errorf("worker %d round %d: cache returned %q's entry for %q", w, r, mod.File, file)
 					return
 				}
-				if len(mod.Funcs) == 0 || mod.NumInstrs == 0 {
+				if len(mod.Funcs()) == 0 || mod.NumInstrs == 0 {
 					t.Errorf("worker %d round %d: empty module for %s", w, r, file)
 					return
 				}

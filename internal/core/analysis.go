@@ -190,7 +190,7 @@ func (s Stats) Export(m *obs.Metrics) {
 // Analysis is the instrumented interpreter. Create with New, execute with
 // Run, and read facts from Facts.
 type Analysis struct {
-	Mod    *ir.Module
+	Mod    *ir.Module // the run's layer over New's module (see ir.Module.Layer)
 	Global *DObj
 	Facts  *facts.Store
 
@@ -214,7 +214,6 @@ type Analysis struct {
 	frames    []*DFrame
 	branches  []*branchFrame
 	cfDepth   int
-	evalCache map[string]*ir.Function
 	rng       interp.Rand
 	stopped   error
 	// curIn is the instruction currently executing, tracked so the panic
@@ -292,13 +291,12 @@ func New(mod *ir.Module, store *facts.Store, opts Options) *Analysis {
 		opts.MaxCounterfactualDepth = 4
 	}
 	a := &Analysis{
-		Mod:       mod,
-		Facts:     store,
-		opts:      opts,
-		tracer:    opts.Tracer,
-		rng:       interp.NewRand(opts.Seed),
-		evalCache: make(map[string]*ir.Function),
-		stats:     NewStats(),
+		Mod:    mod.Layer(),
+		Facts:  store,
+		opts:   opts,
+		tracer: opts.Tracer,
+		rng:    interp.NewRand(opts.Seed),
+		stats:  NewStats(),
 	}
 	a.setupRuntime()
 	return a

@@ -359,8 +359,7 @@ func (a *Analysis) execStore(base Value, name string, nameDet bool, v Value) out
 func (a *Analysis) execDelete(base Value, name string, nameDet bool) (Value, outcome) {
 	switch base.Kind {
 	case Object:
-		hadIt, hadDet := a.hasOwnConcrete(base.O, name)
-		deleted := a.deleteProp(base.O, name)
+		a.deleteProp(base.O, name)
 		if !nameDet {
 			// Any property might have been the target in other executions.
 			a.openRecord(base.O, true)
@@ -368,9 +367,10 @@ func (a *Analysis) execDelete(base Value, name string, nameDet bool) (Value, out
 		if !base.Det {
 			a.FlushHeap("indet-delete-base")
 		}
-		_ = hadIt
-		return BoolV(deleted, base.Det && nameDet && hadDet), okOut
+		fallthrough
 	case String, Number, Bool:
+		// Mini-JS has no non-configurable properties, so delete always
+		// succeeds, whether or not the property existed.
 		return BoolV(true, base.Det && nameDet), okOut
 	default:
 		return Value{}, a.throwError("TypeError",
@@ -1029,8 +1029,9 @@ func (a *Analysis) execEval(f *DFrame, in *ir.Call) outcome {
 		}
 		a.tracer.Event(obs.Event{Kind: obs.EvEval, Detail: detail, N1: int64(len(argv.S))})
 	}
-	fn, out := a.lowerEvalFor(f.Fn, argv.S)
-	if out.kind != oNormal {
+	fn, err := ir.LowerEval(a.Mod, argv.S, f.Fn)
+	if err != nil {
+		out := a.throwError("SyntaxError", err.Error(), true)
 		if out.kind == oThrow {
 			out.val = out.val.WithDet(argv.Det)
 		}
@@ -1081,17 +1082,4 @@ func (a *Analysis) execEval(f *DFrame, in *ir.Call) outcome {
 	default:
 		return bout
 	}
-}
-
-func (a *Analysis) lowerEvalFor(caller *ir.Function, src string) (*ir.Function, outcome) {
-	key := fmt.Sprintf("%d\x00%s", caller.Index, src)
-	if fn, ok := a.evalCache[key]; ok {
-		return fn, okOut
-	}
-	fn, err := ir.LowerEval(a.Mod, src, caller)
-	if err != nil {
-		return nil, a.throwError("SyntaxError", err.Error(), true)
-	}
-	a.evalCache[key] = fn
-	return fn, okOut
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"determinacy/internal/interp"
+	"determinacy/internal/ir"
 )
 
 type nativeFn = func(an *Analysis, this Value, args []Value) (Value, error)
@@ -490,9 +491,9 @@ func indirectEval(an *Analysis, _ Value, args []Value) (Value, error) {
 	if argv.Kind != String {
 		return argv, nil
 	}
-	fn, lout := an.lowerEvalFor(an.Mod.Top(), argv.S)
-	if lout.kind != oNormal {
-		return Value{}, &Thrown{Val: lout.val}
+	fn, err := ir.LowerEval(an.Mod, argv.S, an.Mod.Top())
+	if err != nil {
+		return Value{}, &Thrown{Val: an.throwError("SyntaxError", err.Error(), true).val}
 	}
 	var bf *branchFrame
 	if !argv.Det {

@@ -264,9 +264,9 @@ func (a *Analysis) setRawProp(o *DObj, name string, v Value) {
 }
 
 // deleteProp removes an own property with journaling.
-func (a *Analysis) deleteProp(o *DObj, name string) bool {
+func (a *Analysis) deleteProp(o *DObj, name string) {
 	if _, ok := o.props[name]; !ok {
-		return false
+		return
 	}
 	a.journalProp(o, name)
 	delete(o.props, name)
@@ -276,7 +276,6 @@ func (a *Analysis) deleteProp(o *DObj, name string) bool {
 			break
 		}
 	}
-	return true
 }
 
 func (a *Analysis) arrayLength(o *DObj) int {

@@ -215,12 +215,8 @@ func checkSource(src string, resolutions int, base uint64, maxSteps, maxFlushes 
 
 	// §7: facts from instrumented runs on different inputs merge by union
 	// and must never contradict on determinate values.
-	mod2, err := ir.Compile("fuzz.js", src)
-	if err != nil {
-		return 0, &Failure{Kind: KindReject, Resolution: -1, Detail: "recompile: " + err.Error(), Program: src}
-	}
 	store2 := facts.NewStore()
-	a2 := core.New(mod2, store2, core.Options{
+	a2 := core.New(mod, store2, core.Options{
 		Seed:       resolutionSeed(base, 1),
 		Inputs:     resolveInputs(base, 1),
 		MaxSteps:   maxSteps,
@@ -242,12 +238,8 @@ func checkSource(src string, resolutions int, base uint64, maxSteps, maxFlushes 
 	rstore := store.Restrict(static)
 	checked := 0
 	for r := 0; r < resolutions; r++ {
-		modR, err := ir.Compile("fuzz.js", src)
-		if err != nil {
-			return checked, &Failure{Kind: KindReject, Resolution: r, Detail: "recompile: " + err.Error(), Program: src}
-		}
 		var out bytes.Buffer
-		it := interp.New(modR, interp.Options{
+		it := interp.New(mod, interp.Options{
 			Seed:     resolutionSeed(base, r),
 			Inputs:   resolveInputs(base, r),
 			Out:      &out,
@@ -260,7 +252,7 @@ func checkSource(src string, resolutions int, base uint64, maxSteps, maxFlushes 
 		}
 		checked += ck.Checked
 		if len(ck.Mismatches) > 0 {
-			return checked, &Failure{Kind: KindUnsound, Resolution: r, Detail: ck.Report(modR), Program: src}
+			return checked, &Failure{Kind: KindUnsound, Resolution: r, Detail: ck.Report(it.Mod), Program: src}
 		}
 		if r == 0 {
 			// Identical seed and inputs: instrumentation must be

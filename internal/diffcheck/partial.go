@@ -72,12 +72,8 @@ func CheckPartial(src string, resolutions int, base uint64, after int64) (checke
 
 	rstore := store.Restrict(static)
 	for r := 0; r < resolutions; r++ {
-		modR, err := ir.Compile("fuzz.js", src)
-		if err != nil {
-			return checked, true, &Failure{Kind: KindReject, Resolution: r, Detail: "recompile: " + err.Error(), Program: src}
-		}
 		var out bytes.Buffer
-		it := interp.New(modR, interp.Options{
+		it := interp.New(mod, interp.Options{
 			Seed:     resolutionSeed(base, r),
 			Inputs:   resolveInputs(base, r),
 			Out:      &out,
@@ -91,7 +87,7 @@ func CheckPartial(src string, resolutions int, base uint64, after int64) (checke
 		checked += ck.Checked
 		if len(ck.Mismatches) > 0 {
 			return checked, true, &Failure{Kind: KindUnsound, Resolution: r,
-				Detail:  fmt.Sprintf("partial facts (aborted after %d checkpoints) violated:\n%s", after, ck.Report(modR)),
+				Detail:  fmt.Sprintf("partial facts (aborted after %d checkpoints) violated:\n%s", after, ck.Report(it.Mod)),
 				Program: src}
 		}
 	}

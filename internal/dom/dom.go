@@ -238,6 +238,9 @@ func (n *Node) render(b *strings.Builder) {
 // the simple single-tag patterns browser feature detection uses (e.g.
 // jQuery's "<link/>", "<table></table>"); anything else becomes text.
 func (d *Document) SetInnerHTML(n *Node, html string) {
+	for _, c := range n.Children {
+		c.Parent = nil
+	}
 	n.Children = nil
 	n.Text = ""
 	s := strings.TrimSpace(html)

@@ -217,16 +217,48 @@ func TestCounterfactualAbortsOnDOMMutation(t *testing.T) {
 	}
 }
 
+// TestCounterfactualAbortsOnDOMSetter pins that a DOM accessor setter in
+// a counterfactual branch aborts the counterfactual before the host DOM
+// changes, under both DOM policies, so the Effect tag on setter rows is
+// never needed.
+func TestCounterfactualAbortsOnDOMSetter(t *testing.T) {
+	src := `
+		var el = document.getElementById("main");
+		if (Math.random() > 2) { el.id = "changed"; el.innerHTML = "<p/>"; }
+		console.log(el.id, document.getElementById("main") === el, el.getElementsByTagName("p").length);
+	`
+	const want = "main true 0\n"
+	if got := runConcrete(t, src); got != want {
+		t.Errorf("concrete binding: got %q, want %q", got, want)
+	}
+	for _, det := range []bool{false, true} {
+		var buf strings.Builder
+		a := core.New(ir.MustCompile("t.js", src), facts.NewStore(), core.Options{Out: &buf})
+		dom.InstallCore(a, dom.NewDocument(dom.Options{}), det)
+		if _, err := a.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != want {
+			t.Errorf("detDOM=%v: instrumented binding printed %q, want %q", det, buf.String(), want)
+		}
+		if n := a.Stats().CFAborts; n != 1 {
+			t.Errorf("detDOM=%v: %d counterfactual aborts, want 1", det, n)
+		}
+	}
+}
+
 // TestConcreteAndCoreBindingsAgree runs one script over most of the DOM
 // under both bindings; both must print exactly the expected text. The
 // bindings share one operation table, so the expected text, not their
 // agreement, is what catches a bug in an operation.
 func TestConcreteAndCoreBindingsAgree(t *testing.T) {
 	src := `
-		console.log(document.getElementById("items").childNodes.length, document.getElementById("nope"));
+		var items = document.getElementById("items");
+		console.log(items.childNodes.length, document.getElementById("nope"));
 		var el = document.getElementById("content");
 		el.innerHTML = "<span></span>";
 		console.log(el.firstChild.tagName, el.firstChild.parentNode === el, el.innerHTML);
+		console.log(document.getElementById("items"), items.parentNode, document.getElementById("item0"));
 		console.log(document.getElementsByTagName("span").length, document.getElementsByTagName("li").length);
 		console.log(document.title, navigator.appName, location.protocol, document.readyState);
 		var d = document.createElement("div");
@@ -248,6 +280,7 @@ func TestConcreteAndCoreBindingsAgree(t *testing.T) {
 	`
 	const want = "3 null\n" +
 		"SPAN true <span></span>\n" +
+		"null null null\n" +
 		"1 0\n" +
 		"determinacy test page Netscape http: loading\n" +
 		"true true\n" +

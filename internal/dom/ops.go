@@ -187,8 +187,9 @@ var ops = []op{
 	{on: onElement, name: "addEventListener", effect: External, run: listen},
 	{on: onElement, name: "attachEvent", effect: External, run: listen},
 	{on: onElement, name: "removeEventListener", effect: Read, run: func(*state, *Node, args) result { return undefined }},
-	// Live accessor properties. Accessors run through the interpreters'
-	// getter and setter paths, which do not consult effect.
+	// Live accessor properties. The interpreters' accessor paths do not
+	// consult effect: core aborts a counterfactual at every setter, so the
+	// External tag on setters only documents what they do.
 	{on: onElement, kind: getter, name: "innerHTML", run: getString((*Node).InnerHTML)},
 	{on: onElement, kind: setter, name: "innerHTML", effect: External, run: setString((*Document).SetInnerHTML)},
 	{on: onElement, kind: getter, name: "id", run: getString(func(n *Node) string { return n.ID })},

@@ -114,7 +114,7 @@ func (c Config) compile(file, src string) (*ast.Program, *ir.Module, error) {
 // DynamicRun is the result of one instrumented execution against the DOM.
 type DynamicRun struct {
 	Prog        *ast.Program
-	Mod         *ir.Module
+	Mod         *ir.Module // the run's layer: the compiled module plus its eval code
 	Store       *facts.Store
 	Stats       core.Stats
 	FlushLimit  bool // the run was stopped at the flush cap
@@ -186,7 +186,6 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*DynamicRun, error) {
 		coreOut = capture
 	}
 
-	staticInstrs := mod.NumInstrs
 	store := facts.NewStore()
 	coreOpts := core.Options{
 		Seed:       cfg.Seed,
@@ -204,7 +203,7 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*DynamicRun, error) {
 	doc := dom.NewDocument(dom.Options{})
 	binding := dom.InstallCore(a, doc, detDOM)
 
-	out := &DynamicRun{Prog: prog, Mod: mod, Store: store}
+	out := &DynamicRun{Prog: prog, Mod: a.Mod, Store: store}
 	_, runErr := a.Run()
 	if runErr == nil || errors.Is(runErr, core.ErrFlushLimit) {
 		n, herr := binding.RunHandlers(cfg.HandlerLimit)
@@ -228,7 +227,7 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*DynamicRun, error) {
 			// A flush-cap stop is a partial execution: its facts are sound
 			// but not what an uncapped run produces — never cache it.
 			cfg.FactCache.Skip("partial")
-		case mod.NumInstrs > staticInstrs:
+		case a.Mod.NumInstrs > mod.NumInstrs:
 			cfg.FactCache.Skip("eval")
 		case capture.overflow:
 			cfg.FactCache.Skip("output-cap")

@@ -482,7 +482,7 @@ func (c *Cache) Diff(key Key, mod *ir.Module) (DiffReport, bool) {
 		prev[h] = true
 	}
 	var rep DiffReport
-	for _, fn := range mod.Funcs {
+	for _, fn := range mod.Funcs() {
 		rep.Total++
 		if prev[BodyHash(mod, fn)] {
 			rep.Unchanged++

@@ -307,8 +307,8 @@ func TestDiffAndChunkDedup(t *testing.T) {
 	if rep.Unchanged == 0 || rep.Changed == 0 {
 		t.Fatalf("diff = %+v, want both unchanged and changed functions", rep)
 	}
-	if rep.Total != len(coldB.mod.Funcs) {
-		t.Fatalf("diff total = %d, want %d", rep.Total, len(coldB.mod.Funcs))
+	if rep.Total != len(coldB.mod.Funcs()) {
+		t.Fatalf("diff total = %d, want %d", rep.Total, len(coldB.mod.Funcs()))
 	}
 
 	storeRun(t, c, keyB, coldB)

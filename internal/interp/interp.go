@@ -45,7 +45,7 @@ type Options struct {
 
 // Interp executes an IR module under the concrete semantics.
 type Interp struct {
-	Mod    *ir.Module
+	Mod    *ir.Module // the run's layer over New's module (see ir.Module.Layer)
 	Global *Obj
 
 	// Prototype objects of the built-in classes. User code can extend them
@@ -68,12 +68,11 @@ type Interp struct {
 	OnEnterFrame func(site ir.ID)
 	OnLeaveFrame func()
 
-	opts      Options
-	steps     int
-	nalloc    int
-	frames    []*Frame
-	evalCache map[string]*ir.Function
-	rng       Rand
+	opts   Options
+	steps  int
+	nalloc int
+	frames []*Frame
+	rng    Rand
 	// stopped makes interrupts sticky so natives that re-enter execution
 	// (CallFunction from embedders) cannot outrun a cancellation.
 	stopped error
@@ -101,10 +100,9 @@ func New(mod *ir.Module, opts Options) *Interp {
 		opts.Out = io.Discard
 	}
 	it := &Interp{
-		Mod:       mod,
-		opts:      opts,
-		rng:       NewRand(opts.Seed),
-		evalCache: make(map[string]*ir.Function),
+		Mod:  mod.Layer(),
+		opts: opts,
+		rng:  NewRand(opts.Seed),
 	}
 	it.setupRuntime()
 	return it
@@ -725,9 +723,9 @@ func (it *Interp) execEval(f *Frame, in *ir.Call) outcome {
 		it.observe(in, arg)
 		return okOutcome
 	}
-	fn, out := it.lowerEvalFor(f.Fn, arg.S)
-	if out.kind != oNormal {
-		return out
+	fn, err := ir.LowerEval(it.Mod, arg.S, f.Fn)
+	if err != nil {
+		return it.throwError("SyntaxError", err.Error())
 	}
 	env := &Env{Parent: f.Env, Slots: make([]Value, fn.NumSlots), Fn: fn}
 	nf := &Frame{Fn: fn, Env: env, Regs: make([]Value, fn.NumRegs), CallSite: in.ID}
@@ -749,22 +747,6 @@ func (it *Interp) execEval(f *Frame, in *ir.Call) outcome {
 	default:
 		return bout
 	}
-}
-
-// lowerEvalFor parses and lowers eval'd source against caller's scope,
-// caching the result so repeated eval of the same string reuses program
-// points (keeping determinacy facts stable across loop iterations).
-func (it *Interp) lowerEvalFor(caller *ir.Function, src string) (*ir.Function, outcome) {
-	key := fmt.Sprintf("%d\x00%s", caller.Index, src)
-	if fn, ok := it.evalCache[key]; ok {
-		return fn, okOutcome
-	}
-	fn, err := ir.LowerEval(it.Mod, src, caller)
-	if err != nil {
-		return nil, it.throwError("SyntaxError", err.Error())
-	}
-	it.evalCache[key] = fn
-	return fn, okOutcome
 }
 
 func (it *Interp) pushFrame(f *Frame) {
@@ -850,8 +832,11 @@ func (it *Interp) setProp(base Value, name string, v Value) outcome {
 func (it *Interp) delProp(base Value, name string) (Value, outcome) {
 	switch base.Kind {
 	case Object:
-		return BoolVal(base.O.Delete(name)), okOutcome
+		base.O.Delete(name)
+		fallthrough
 	case String, Number, Bool:
+		// Mini-JS has no non-configurable properties, so delete always
+		// succeeds, whether or not the property existed.
 		return TrueVal, okOutcome
 	default:
 		return UndefinedVal, it.throwError("TypeError",

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"determinacy/internal/ir"
 )
 
 // Policy is a built-in's declared determinacy policy: how the instrumented
@@ -766,9 +768,9 @@ func indirectEval(h Host, _ Value, args []Value) (Value, error) {
 	if a.Kind != String {
 		return a, nil
 	}
-	fn, lout := it.lowerEvalFor(it.Mod.Top(), a.S)
-	if lout.kind != oNormal {
-		return UndefinedVal, &Thrown{Val: lout.val}
+	fn, err := ir.LowerEval(it.Mod, a.S, it.Mod.Top())
+	if err != nil {
+		return UndefinedVal, &Thrown{Val: it.throwError("SyntaxError", err.Error()).val}
 	}
 	env := &Env{Parent: &Env{Slots: nil, Fn: it.Mod.Top()}, Slots: make([]Value, fn.NumSlots), Fn: fn}
 	nf := &Frame{Fn: fn, Env: env, Regs: make([]Value, fn.NumRegs), CallSite: -1}

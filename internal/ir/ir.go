@@ -330,88 +330,132 @@ type Function struct {
 	IsEval bool
 }
 
-// Module is a lowered program.
+// Module is a lowered program. A module returned by Lower is frozen:
+// nothing writes to it afterwards, so one module can back any number of
+// runs at once. A run executes a layer (see Layer), which sees the frozen
+// module plus the code LowerEval lowers into it at run time.
 type Module struct {
-	Funcs  []*Function
 	File   string
 	Source string
 	// NumInstrs is one more than the largest instruction ID allocated,
 	// including instructions in runtime-lowered eval code.
 	NumInstrs int
 
-	// byID maps instruction IDs to instructions, for fact rendering.
-	byID map[ID]Instr
-	// fnOf maps instruction IDs to their enclosing function.
-	fnOf map[ID]*Function
+	// base is the frozen module a layer extends (nil for a module from
+	// Lower); first is the first instruction ID this module allocated.
+	base  *Module
+	first int
+	// funcs are the functions lowered into this module, in Index order.
+	funcs []*Function
+	// instrs is indexed by ID-first; an ID allocated by a lowering that
+	// then failed may hold the zero instrInfo.
+	instrs []instrInfo
+	// evals memoizes LowerEval by caller and source, so repeated eval of
+	// the same string reuses program points (keeping determinacy facts
+	// stable across loop iterations).
+	evals map[evalKey]*Function
+}
+
+// instrInfo is what a module records about one instruction.
+type instrInfo struct {
+	in Instr
+	fn *Function // the enclosing function
 	// reentrant marks instructions lexically inside a loop of their own
 	// function: they may execute more than once per activation, so their
 	// occurrence indices are only stable while the loop structure is
 	// determinate. The determinacy analysis consults this to decide whether
 	// occurrence-qualified facts are sound (see internal/core).
-	reentrant map[ID]bool
+	reentrant bool
+}
+
+type evalKey struct {
+	caller int
+	src    string
+}
+
+// Layer returns a fresh run layer over m: a module that answers for m's
+// functions and instructions and receives the code LowerEval lowers at run
+// time, numbered after m's. It copies nothing from m. A layer of a layer
+// extends the same frozen module, so runtime-lowered code stays private to
+// the run that lowered it.
+func (m *Module) Layer() *Module {
+	if m.base != nil {
+		m = m.base
+	}
+	return &Module{File: m.File, Source: m.Source, NumInstrs: m.NumInstrs, base: m, first: m.NumInstrs,
+		evals: map[evalKey]*Function{}}
+}
+
+// info returns what the module that allocated id recorded about it.
+func (m *Module) info(id ID) instrInfo {
+	if m.base != nil && int(id) < m.first {
+		return m.base.info(id)
+	}
+	if i := int(id) - m.first; i >= 0 && i < len(m.instrs) {
+		return m.instrs[i]
+	}
+	return instrInfo{}
 }
 
 // IsReentrant reports whether the instruction may execute multiple times
 // within one activation of its function (it sits inside a loop).
-func (m *Module) IsReentrant(id ID) bool { return m.reentrant[id] }
-
-// Clone returns a module that shares m's functions and instructions (which
-// are immutable once lowered) but has an independent function list, index
-// maps and instruction-ID counter. Executing a clone — in particular
-// lowering eval'd code at runtime, which appends functions and registers
-// fresh instructions — never mutates m or any sibling clone, so one
-// pristine module can safely back many concurrent analysis runs.
-func (m *Module) Clone() *Module {
-	out := &Module{
-		Funcs:     append([]*Function(nil), m.Funcs...),
-		File:      m.File,
-		Source:    m.Source,
-		NumInstrs: m.NumInstrs,
-	}
-	if m.byID != nil {
-		out.byID = make(map[ID]Instr, len(m.byID))
-		for k, v := range m.byID {
-			out.byID[k] = v
-		}
-		out.fnOf = make(map[ID]*Function, len(m.fnOf))
-		for k, v := range m.fnOf {
-			out.fnOf[k] = v
-		}
-		out.reentrant = make(map[ID]bool, len(m.reentrant))
-		for k, v := range m.reentrant {
-			out.reentrant[k] = v
-		}
-	}
-	return out
-}
-
-// ForEachInstr visits every registered instruction with its enclosing
-// function, in unspecified order.
-func (m *Module) ForEachInstr(f func(Instr, *Function)) {
-	for id, in := range m.byID {
-		f(in, m.fnOf[id])
-	}
-}
-
-// Top returns the synthetic top-level function.
-func (m *Module) Top() *Function { return m.Funcs[0] }
+func (m *Module) IsReentrant(id ID) bool { return m.info(id).reentrant }
 
 // InstrAt returns the instruction with the given ID, or nil.
-func (m *Module) InstrAt(id ID) Instr { return m.byID[id] }
+func (m *Module) InstrAt(id ID) Instr { return m.info(id).in }
 
 // FuncOf returns the function containing the instruction with the given ID,
 // or nil.
-func (m *Module) FuncOf(id ID) *Function { return m.fnOf[id] }
+func (m *Module) FuncOf(id ID) *Function { return m.info(id).fn }
 
-// register adds an instruction to the lookup indexes.
-func (m *Module) register(in Instr, fn *Function) {
-	if m.byID == nil {
-		m.byID = make(map[ID]Instr)
-		m.fnOf = make(map[ID]*Function)
-		m.reentrant = make(map[ID]bool)
+// ForEachInstr visits every registered instruction with its enclosing
+// function, in ID order.
+func (m *Module) ForEachInstr(f func(Instr, *Function)) {
+	if m.base != nil {
+		m.base.ForEachInstr(f)
 	}
-	m.byID[in.IID()] = in
-	m.fnOf[in.IID()] = fn
+	for _, e := range m.instrs {
+		if e.in != nil {
+			f(e.in, e.fn)
+		}
+	}
+}
+
+// Funcs returns every function, indexed by Function.Index: a layer's
+// follow its base's. The caller must not modify the slice.
+func (m *Module) Funcs() []*Function {
+	own := m.funcs[:len(m.funcs):len(m.funcs)]
+	if m.base == nil {
+		return own
+	}
+	return append(m.base.Funcs(), own...)
+}
+
+// Top returns the synthetic top-level function.
+func (m *Module) Top() *Function {
+	if m.base != nil {
+		m = m.base
+	}
+	return m.funcs[0]
+}
+
+// addFunc appends fn to the module, numbering it.
+func (m *Module) addFunc(fn *Function) {
+	fn.Index = len(m.funcs)
+	if m.base != nil {
+		fn.Index += len(m.base.funcs)
+	}
+	m.funcs = append(m.funcs, fn)
+}
+
+// register adds an instruction to the lookup index.
+func (m *Module) register(in Instr, fn *Function, reentrant bool) {
+	i := int(in.IID()) - m.first
+	for len(m.instrs) <= i {
+		m.instrs = append(m.instrs, instrInfo{})
+	}
+	e := &m.instrs[i]
+	e.in, e.fn, e.reentrant = in, fn, e.reentrant || reentrant
 }
 
 // WritesOf returns the names of local variables that may be written by

@@ -16,10 +16,10 @@ func TestLoweringBasics(t *testing.T) {
 		}
 		f(1, 2);
 	`)
-	if len(mod.Funcs) != 2 {
-		t.Fatalf("got %d functions, want 2", len(mod.Funcs))
+	if len(mod.Funcs()) != 2 {
+		t.Fatalf("got %d functions, want 2", len(mod.Funcs()))
 	}
-	f := mod.Funcs[1]
+	f := mod.Funcs()[1]
 	if f.Name != "f" {
 		t.Errorf("function name %q", f.Name)
 	}
@@ -45,7 +45,7 @@ func TestScopeResolution(t *testing.T) {
 		}
 	`)
 	var inner *ir.Function
-	for _, f := range mod.Funcs {
+	for _, f := range mod.Funcs() {
 		if f.Name == "inner" {
 			inner = f
 		}
@@ -110,7 +110,7 @@ func TestWritesOf(t *testing.T) {
 			function g() { var c = 9; }
 		}
 	`)
-	f := mod.Funcs[1]
+	f := mod.Funcs()[1]
 	writes := ir.WritesOf(f.Body)
 	names := map[string]bool{}
 	for _, w := range writes {
@@ -131,8 +131,9 @@ func TestLowerEvalScoping(t *testing.T) {
 			return 0;
 		}
 	`)
-	caller := mod.Funcs[1]
-	fn, err := ir.LowerEval(mod, "captured + 1", caller)
+	caller := mod.Funcs()[1]
+	run := mod.Layer()
+	fn, err := ir.LowerEval(run, "captured + 1", caller)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +153,48 @@ func TestLowerEvalScoping(t *testing.T) {
 	if !found {
 		t.Error("captured not resolved as a local")
 	}
-	if _, err := ir.LowerEval(mod, "syntax error (", caller); err == nil {
+	if _, err := ir.LowerEval(run, "syntax error (", caller); err == nil {
 		t.Error("expected a parse error")
+	}
+}
+
+// TestLayerLeavesBaseFrozen lowers eval code into a run layer and checks
+// that the layer sees it after the base's functions and instructions while
+// the base module is untouched, that a repeated source is memoized, and
+// that a source which fails to lower still uses up its instruction IDs.
+func TestLayerLeavesBaseFrozen(t *testing.T) {
+	mod := ir.MustCompile("t.js", `function f() { return 1; }`)
+	nFuncs, nInstrs := len(mod.Funcs()), mod.NumInstrs
+	run := mod.Layer()
+	fn, err := ir.LowerEval(run, "var k = 2; k", mod.Top())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := ir.LowerEval(run, "var k = 2; k", mod.Top()); again != fn {
+		t.Error("repeated eval source was lowered again")
+	}
+	if fn.Index != nFuncs || run.Funcs()[nFuncs] != fn || len(run.Funcs()) != nFuncs+1 {
+		t.Errorf("eval function Index = %d in %d layer functions, want %d", fn.Index, len(run.Funcs()), nFuncs)
+	}
+	if len(mod.Funcs()) != nFuncs || mod.NumInstrs != nInstrs || mod.InstrAt(ir.ID(nInstrs)) != nil {
+		t.Fatal("lowering into the layer changed the base module")
+	}
+	first := fn.Body.Instrs[0].IID()
+	if int(first) != nInstrs || run.InstrAt(first) == nil || run.FuncOf(first) != fn {
+		t.Errorf("first eval instruction %d not indexed in the layer after %d base instructions", first, nInstrs)
+	}
+	if run.InstrAt(0) != mod.InstrAt(0) || run.Top() != mod.Top() {
+		t.Error("layer does not answer for its base")
+	}
+	used := run.NumInstrs
+	if _, err := ir.LowerEval(run, "switch (k) { case 1: a(); case 2: b(); }", mod.Top()); err == nil {
+		t.Fatal("expected a lowering error")
+	}
+	if run.NumInstrs <= used || len(run.Funcs()) != nFuncs+1 {
+		t.Errorf("failed lowering: NumInstrs %d (was %d), %d functions", run.NumInstrs, used, len(run.Funcs()))
+	}
+	if other := mod.Layer(); other.NumInstrs != nInstrs || len(other.Funcs()) != nFuncs {
+		t.Error("a second layer sees the first layer's eval code")
 	}
 }
 

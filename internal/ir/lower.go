@@ -20,8 +20,8 @@ func (e *LowerError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg)
 func Lower(prog *ast.Program) (*Module, error) {
 	m := &Module{File: prog.File, Source: prog.Source}
 	l := &lowerer{mod: m}
-	top := &Function{Index: 0, Name: "<toplevel>", ThisSlot: -1, SelfSlot: -1}
-	m.Funcs = append(m.Funcs, top)
+	top := &Function{Name: "<toplevel>", ThisSlot: -1, SelfSlot: -1}
+	m.addFunc(top)
 	err := l.catching(func() {
 		sc := &fnScope{fn: top, slots: map[string]int{}, isTop: true}
 		l.scopes = append(l.scopes, sc)
@@ -32,15 +32,6 @@ func Lower(prog *ast.Program) (*Module, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// MustLower is Lower but panics on error.
-func MustLower(prog *ast.Program) *Module {
-	m, err := Lower(prog)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // Compile parses and lowers source in one step.
@@ -61,29 +52,37 @@ func MustCompile(file, src string) *Module {
 	return m
 }
 
-// LowerEval lowers eval'd source at runtime. The resulting function's Parent
-// is caller, so free identifiers resolve through the caller's static scope
-// chain. The function returns the value of its final top-level expression
-// statement, matching eval's completion-value semantics for the common case.
+// LowerEval lowers eval'd source at runtime into m, which must be a run
+// layer (see Module.Layer). The resulting function's Parent is caller, so
+// free identifiers resolve through the caller's static scope chain. The
+// function returns the value of its final top-level expression statement,
+// matching eval's completion-value semantics for the common case. Lowering
+// the same source for the same caller again returns the same function.
 //
 // Deviations from full JavaScript, documented in DESIGN.md: var declarations
 // inside eval'd code are scoped to the eval fragment rather than hoisted
 // into the calling function.
 func LowerEval(m *Module, src string, caller *Function) (*Function, error) {
+	if m.base == nil {
+		panic("ir: LowerEval into a frozen module; lower into its Layer")
+	}
+	key := evalKey{caller.Index, src}
+	if fn, ok := m.evals[key]; ok {
+		return fn, nil
+	}
 	prog, err := parser.Parse("<eval>", src)
 	if err != nil {
 		return nil, err
 	}
 	l := &lowerer{mod: m}
 	fn := &Function{
-		Index:    len(m.Funcs),
 		Name:     "<eval>",
 		Parent:   caller,
 		IsEval:   true,
 		ThisSlot: -1,
 		SelfSlot: -1,
 	}
-	m.Funcs = append(m.Funcs, fn)
+	m.addFunc(fn)
 	err = l.catching(func() {
 		// Rebuild the lexical scope stack from the caller's Parent chain.
 		var chain []*Function
@@ -103,10 +102,11 @@ func LowerEval(m *Module, src string, caller *Function) (*Function, error) {
 		fn.Body = l.lowerBody(prog.Body, sc)
 	})
 	if err != nil {
-		// Undo the speculative registration.
-		m.Funcs = m.Funcs[:len(m.Funcs)-1]
+		// Drop the last function added; its instruction IDs stay used.
+		m.funcs = m.funcs[:len(m.funcs)-1]
 		return nil, err
 	}
+	m.evals[key] = fn
 	return fn, nil
 }
 
@@ -167,10 +167,7 @@ func (l *lowerer) newReg() Reg {
 // note registers an instruction in the module indexes, marking it
 // reentrant when it sits inside a loop of the current function.
 func (l *lowerer) note(in Instr) {
-	l.mod.register(in, l.cur().fn)
-	if l.loopDepth > 0 {
-		l.mod.reentrant[in.IID()] = true
-	}
+	l.mod.register(in, l.cur().fn, l.loopDepth > 0)
 }
 
 func (l *lowerer) emit(b *Block, in Instr) {
@@ -297,7 +294,6 @@ func (l *lowerer) storeName(b *Block, name string, r Reg, pos lexer.Pos) {
 
 func (l *lowerer) lowerFunctionLit(b *Block, fn *ast.FunctionLit, isDecl bool) Reg {
 	f := &Function{
-		Index:    len(l.mod.Funcs),
 		Name:     fn.Name,
 		Params:   fn.Params,
 		Parent:   l.cur().fn,
@@ -306,7 +302,7 @@ func (l *lowerer) lowerFunctionLit(b *Block, fn *ast.FunctionLit, isDecl bool) R
 		ThisSlot: -1,
 		SelfSlot: -1,
 	}
-	l.mod.Funcs = append(l.mod.Funcs, f)
+	l.mod.addFunc(f)
 	sc := &fnScope{fn: f, slots: map[string]int{}}
 	l.scopes = append(l.scopes, sc)
 	savedDepth := l.loopDepth

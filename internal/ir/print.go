@@ -9,7 +9,7 @@ import (
 // detrun -dump-ir flag.
 func (m *Module) String() string {
 	var b strings.Builder
-	for _, f := range m.Funcs {
+	for _, f := range m.Funcs() {
 		fmt.Fprintf(&b, "func %s#%d(%s) slots=%v\n", name(f), f.Index, strings.Join(f.Params, ", "), f.SlotNames)
 		printBlock(&b, f.Body, 1)
 	}

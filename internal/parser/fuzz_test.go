@@ -42,8 +42,8 @@ func FuzzParseAndLower(f *testing.F) {
 
 // FuzzLower targets the lowering phase and the module invariants the rest
 // of the pipeline leans on: dense instruction registration, consistent
-// index maps, panic-free printing, and Clone producing a structurally
-// identical module. The seed corpus is checked in under
+// index maps, panic-free printing, and a fresh run layer answering exactly
+// as its base module. The seed corpus is checked in under
 // testdata/fuzz/FuzzLower. Run with go test -fuzz=FuzzLower.
 func FuzzLower(f *testing.F) {
 	f.Add("var x = 1;")
@@ -66,10 +66,11 @@ func FuzzLower(f *testing.F) {
 			return // rejection is fine; panics and invariant breaks are not
 		}
 
-		if len(mod.Funcs) == 0 || mod.Top() != mod.Funcs[0] {
+		funcs := mod.Funcs()
+		if len(funcs) == 0 || mod.Top() != funcs[0] {
 			t.Fatalf("module has no coherent top-level function")
 		}
-		for i, fn := range mod.Funcs {
+		for i, fn := range funcs {
 			if fn == nil || fn.Body == nil {
 				t.Fatalf("function %d is nil or bodyless", i)
 			}
@@ -103,23 +104,20 @@ func FuzzLower(f *testing.F) {
 			t.Fatalf("module with %d instructions printed empty", seen)
 		}
 
-		clone := mod.Clone()
-		if clone == mod {
-			t.Fatal("Clone returned the receiver")
-		}
-		if clone.NumInstrs != mod.NumInstrs || len(clone.Funcs) != len(mod.Funcs) {
-			t.Fatalf("clone shape differs: %d/%d instrs, %d/%d funcs",
-				clone.NumInstrs, mod.NumInstrs, len(clone.Funcs), len(mod.Funcs))
+		layer := mod.Layer()
+		if layer.NumInstrs != mod.NumInstrs || len(layer.Funcs()) != len(funcs) {
+			t.Fatalf("fresh layer shape differs: %d/%d instrs, %d/%d funcs",
+				layer.NumInstrs, mod.NumInstrs, len(layer.Funcs()), len(funcs))
 		}
 		for id := 0; id < mod.NumInstrs; id++ {
-			if clone.InstrAt(ir.ID(id)) != mod.InstrAt(ir.ID(id)) ||
-				clone.FuncOf(ir.ID(id)) != mod.FuncOf(ir.ID(id)) ||
-				clone.IsReentrant(ir.ID(id)) != mod.IsReentrant(ir.ID(id)) {
-				t.Fatalf("clone diverges from original at instruction %d", id)
+			if layer.InstrAt(ir.ID(id)) != mod.InstrAt(ir.ID(id)) ||
+				layer.FuncOf(ir.ID(id)) != mod.FuncOf(ir.ID(id)) ||
+				layer.IsReentrant(ir.ID(id)) != mod.IsReentrant(ir.ID(id)) {
+				t.Fatalf("layer diverges from its base at instruction %d", id)
 			}
 		}
-		if clone.String() != mod.String() {
-			t.Fatal("clone prints differently from the original")
+		if layer.String() != mod.String() {
+			t.Fatal("fresh layer prints differently from its base")
 		}
 	})
 }

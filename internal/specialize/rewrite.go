@@ -478,10 +478,10 @@ func (sp *specializer) call(x *ast.Call, e *env) ast.Expr {
 }
 
 func (sp *specializer) fnByIndex(i int) *ir.Function {
-	if i < 0 || i >= len(sp.mod.Funcs) {
+	if i < 0 || i >= len(sp.funcs) {
 		return nil
 	}
-	return sp.mod.Funcs[i]
+	return sp.funcs[i]
 }
 
 // hoistSafe reports whether a function can be cloned to the top level: its

@@ -135,6 +135,7 @@ func Specialize(prog *ast.Program, mod *ir.Module, store *facts.Store, opts Opti
 	}
 	sp := &specializer{
 		mod:        mod,
+		funcs:      mod.Funcs(),
 		store:      store,
 		opts:       opts,
 		gen:        genStore(store, opts),
@@ -148,7 +149,7 @@ func Specialize(prog *ast.Program, mod *ir.Module, store *facts.Store, opts Opti
 		k := posKey{in.IPos(), kindOf(in)}
 		sp.posIdx[k] = append(sp.posIdx[k], in)
 	})
-	for _, fn := range mod.Funcs {
+	for _, fn := range sp.funcs {
 		if fn.Decl != nil {
 			sp.fnOfPos[fn.Decl.P] = fn
 		}
@@ -230,6 +231,7 @@ type posKey struct {
 
 type specializer struct {
 	mod   *ir.Module
+	funcs []*ir.Function // mod.Funcs(), indexed by Function.Index
 	store *facts.Store
 	// gen is the context-insensitive projection used as a lookup fallback
 	// when Options.Generalize is set (nil otherwise).
