@@ -71,7 +71,6 @@ func main() {
 		tenants   = flag.String("tenants", "", `per-tenant scheduling config, JSON or @file: {"pro":{"weight":4,"rate":50},"bulk":{"weight":1,"class":"batch"},"*":{"weight":1}}`)
 		heartbeat = flag.Duration("stream-heartbeat", 15*time.Second, "keepalive interval on ?stream= responses (0 = disabled)")
 		peers     = flag.String("peers", "", `cluster topology, JSON or @file: {"self":"a","peers":{"a":"http://host-a:8420","b":"http://host-b:8420"}}; requests route to content-hash owners with full local fallback`)
-		drainTO   = flag.Duration("drain-timeout", 0, "graceful-drain budget on SIGTERM/SIGINT before in-flight runs are sealed partial (0 = use -drain)")
 		showVer   = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Usage = func() {
@@ -101,15 +100,6 @@ func main() {
 	}
 	if *timeout <= 0 || *maxTO <= 0 || *drain <= 0 {
 		badFlag("-timeout, -max-timeout and -drain must be positive")
-	}
-	if *drainTO < 0 {
-		badFlag("-drain-timeout must be non-negative, got %v", *drainTO)
-	}
-	// -drain-timeout is the documented drain knob; -drain is kept for
-	// compatibility and supplies the default when -drain-timeout is unset.
-	drainBudget := *drainTO
-	if drainBudget == 0 {
-		drainBudget = *drain
 	}
 	if *timeout > *maxTO {
 		badFlag("-timeout %v exceeds -max-timeout %v", *timeout, *maxTO)
@@ -172,7 +162,7 @@ func main() {
 		Tenants:          tenantTable,
 		StreamHeartbeat:  streamHB,
 		Cluster:          router,
-		DrainTimeout:     drainBudget,
+		DrainTimeout:     *drain,
 	})
 	if router != nil {
 		router.Start()
@@ -228,7 +218,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "detserve:", err)
 		os.Exit(cliexit.Error)
 	case sig := <-sigCh:
-		log.Printf("detserve: %v: draining (budget %v)", sig, drainBudget)
+		log.Printf("detserve: %v: draining (budget %v)", sig, *drain)
 	}
 
 	// Graceful drain: flip readiness and refuse new work immediately, run
@@ -236,8 +226,8 @@ func main() {
 	// concurrently with the HTTP shutdown that waits on those responses.
 	srv.BeginDrain()
 	drained := make(chan bool, 1)
-	go func() { drained <- srv.Drain(drainBudget) }()
-	shCtx, cancel := context.WithTimeout(context.Background(), drainBudget+5*time.Second)
+	go func() { drained <- srv.Drain(*drain) }()
+	shCtx, cancel := context.WithTimeout(context.Background(), *drain+5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shCtx); err != nil {
 		log.Printf("detserve: shutdown: %v; closing remaining connections", err)

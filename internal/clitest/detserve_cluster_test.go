@@ -14,7 +14,7 @@ import (
 // TestDetserveClusterFlagValidation pins the fleet flags to the exit-code
 // contract: malformed -peers topology (bad JSON, bad URLs, a self that is
 // not in the peer map, unknown fields, a missing @file) and a negative
-// -drain-timeout are usage errors (exit 2 with a diagnostic on stderr),
+// -drain are usage errors (exit 2 with a diagnostic on stderr),
 // never a node that joins a ring it misparsed.
 func TestDetserveClusterFlagValidation(t *testing.T) {
 	if testing.Short() {
@@ -34,7 +34,7 @@ func TestDetserveClusterFlagValidation(t *testing.T) {
 		{"-peers", `{"self":"a","vnodes":-1,"peers":{"a":"http://127.0.0.1:1"}}`}, // negative vnodes
 		{"-peers", `{"self":"a","peers":{"a":"http://127.0.0.1:1"},"extra":1}`},   // unknown field
 		{"-peers", "@" + filepath.Join(dir, "no-such-peers.json")},
-		{"-drain-timeout", "-1s"},
+		{"-drain", "-1s"},
 	}
 	for _, args := range cases {
 		cmd := exec.Command(bin, args...)
@@ -57,7 +57,7 @@ func TestDetserveClusterFlagValidation(t *testing.T) {
 
 // TestDetserveClusterFlagsAccepted starts detserve as a named cluster
 // node (topology via @file, like production) with an explicit
-// -drain-timeout, then drains it with SIGTERM: the flags parse, the node
+// -drain, then drains it with SIGTERM: the flags parse, the node
 // reports its peers, and the process exits 0 through the graceful-drain
 // path even though its only peer never existed.
 func TestDetserveClusterFlagsAccepted(t *testing.T) {
@@ -81,7 +81,7 @@ func TestDetserveClusterFlagsAccepted(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-peers", "@"+peers,
-		"-drain-timeout", "2s")
+		"-drain", "2s")
 	cmd.Stdout, cmd.Stderr = logFile, logFile
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)

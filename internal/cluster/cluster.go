@@ -3,9 +3,8 @@
 // progcache content hash (sha256 of the program source) names one owning
 // peer per program, so identical programs land on warm caches and a viral
 // script compiles once cluster-wide (the owner's progcache singleflight
-// collapses the stampede that the ring funnels to it). Peers are also a
-// remote L3 fact-cache tier: a local factcache miss may be served by
-// fetching the owner's CRC-framed records (see factcache's Remote hook).
+// collapses the stampede that the ring funnels to it). Peers share work
+// only by that routing: each node analyzes against its own caches.
 //
 // The package is failure-first. Every remote interaction is bounded and
 // every failure mode degrades to local analysis, so a cluster node is
@@ -18,9 +17,8 @@
 //   - per-peer health checking driven off /readyz on ProbeInterval, feeding
 //     the same breaker so a recovered peer re-closes its circuit without
 //     risking live traffic;
-//   - bounded timeouts everywhere, one retry with exponential backoff and
-//     jitter for connection-level forward failures, and single-retry
-//     hedging for idempotent cache reads (cluster_hedges_total);
+//   - bounded timeouts everywhere, and one retry with exponential backoff
+//     and jitter for connection-level forward failures;
 //   - bounded per-peer in-flight forwards (a slow peer exhausts its own
 //     semaphore, not this node's goroutines);
 //   - relayed responses are fully buffered and size-capped before a byte
@@ -28,9 +26,8 @@
 //     local analysis instead of truncating a response.
 //
 // Observability: cluster_peer_state{peer} (0 open, 1 half-open, 2 closed),
-// cluster_requests_total{peer,outcome}, cluster_hedges_total,
-// cluster_fallback_total{reason}, and a peer table on /debug/statusz via
-// Snapshot.
+// cluster_requests_total{peer,outcome}, cluster_fallback_total{reason}, and
+// a peer table on /debug/statusz via Snapshot.
 package cluster
 
 import (
@@ -59,11 +56,6 @@ const ForwardedHeader = "X-Cluster-Forwarded"
 // framing-level CRCs protect cache records the same way, but a relayed
 // analysis response is plain JSON and needs its own integrity check.
 const DigestHeader = "X-Relay-Digest"
-
-// CachePath is the remote fact-cache endpoint served by every node:
-// GET CachePath?key=<factcache key id> answers the raw framed records
-// (manifest then chunks) or 404.
-const CachePath = "/v1/cluster/cache"
 
 // Topology names the fleet: this node plus every peer's base URL. The
 // JSON shape is the detserve -peers flag format:
@@ -177,12 +169,6 @@ type Config struct {
 	// including the retry (0 = 15s). The owner enforces its own analysis
 	// deadline; this guards against a hung peer, not a slow program.
 	ForwardTimeout time.Duration
-	// CacheTimeout bounds one remote cache fetch (0 = 1s); HedgeDelay is
-	// how long the first attempt may run before a hedged second request is
-	// issued for idempotent cache reads (0 = CacheTimeout/4, negative =
-	// hedging disabled).
-	CacheTimeout time.Duration
-	HedgeDelay   time.Duration
 	// ProbeInterval paces the /readyz health prober started by Start
 	// (0 = 1s, negative = no background prober; ProbeOnce still works).
 	ProbeInterval time.Duration
@@ -205,12 +191,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ForwardTimeout <= 0 {
 		c.ForwardTimeout = 15 * time.Second
-	}
-	if c.CacheTimeout <= 0 {
-		c.CacheTimeout = time.Second
-	}
-	if c.HedgeDelay == 0 {
-		c.HedgeDelay = c.CacheTimeout / 4
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
@@ -242,8 +222,6 @@ type peer struct {
 	lastErr  atomic.Pointer[string]
 	forwards atomic.Int64 // relayed forward round trips (any outcome)
 	failures atomic.Int64 // transport/5xx/garbage failures fed to the breaker
-	fetches  atomic.Int64 // remote cache fetch attempts
-	cacheOK  atomic.Int64 // remote cache fetches that returned records
 
 	state *obs.Gauge // cluster_peer_state{peer}
 }
@@ -296,9 +274,6 @@ type Router struct {
 	peers map[string]*peer // remote peers only; self is served locally
 
 	metrics *obs.Metrics
-	hedges  *obs.Counter
-
-	sf singleflight // collapses concurrent remote cache fetches per key
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -342,12 +317,9 @@ func New(cfg Config) (*Router, error) {
 		closed:  make(chan struct{}),
 	}
 	if r.metrics != nil {
-		r.hedges = r.metrics.Counter("cluster_hedges_total")
 		r.metrics.Help("cluster_peer_state", "Per-peer circuit state: 0 open, 1 half-open, 2 closed.")
 		r.metrics.Help("cluster_requests_total", "Forwarded peer round trips by outcome.")
 		r.metrics.Help("cluster_fallback_total", "Requests served by local analysis after a peer failure, by reason.")
-		r.metrics.Help("cluster_hedges_total", "Hedged second requests issued for remote cache reads.")
-		r.metrics.Help("cluster_cachegets_total", "Remote cache fetch attempts by outcome.")
 	}
 	for name, u := range top.Peers {
 		if name == top.Self {
@@ -421,12 +393,6 @@ func (r *Router) countRequest(peerName, outcome string) {
 	}
 }
 
-func (r *Router) countCacheGet(outcome string) {
-	if r.metrics != nil {
-		r.metrics.Counter(fmt.Sprintf("cluster_cachegets_total{outcome=%q}", outcome)).Inc()
-	}
-}
-
 // DegradedFactor reports how much of the remote fleet is currently
 // unreachable, as a Retry-After scale: 1.0 with every circuit closed,
 // rising to 2.0 with every remote peer open. The server stretches shed
@@ -460,8 +426,6 @@ type PeerSnapshot struct {
 	ConsecFails int    `json:"consec_fails,omitempty"`
 	Forwards    int64  `json:"forwards"`
 	Failures    int64  `json:"failures"`
-	CacheGets   int64  `json:"cache_gets"`
-	CacheHits   int64  `json:"cache_hits"`
 	LastError   string `json:"last_error,omitempty"`
 }
 
@@ -478,8 +442,6 @@ func (r *Router) Snapshot() Snapshot {
 			ConsecFails: p.br.ConsecFails(),
 			Forwards:    p.forwards.Load(),
 			Failures:    p.failures.Load(),
-			CacheGets:   p.fetches.Load(),
-			CacheHits:   p.cacheOK.Load(),
 		}
 		if e := p.lastErr.Load(); e != nil {
 			ps.LastError = *e

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -51,8 +50,6 @@ func testRouter(t *testing.T, self string, peers map[string]string, tweak func(*
 		Metrics:         obs.NewMetrics(),
 		ProbeInterval:   -1,
 		ForwardTimeout:  2 * time.Second,
-		CacheTimeout:    time.Second,
-		HedgeDelay:      -1,
 		BreakerCooldown: 50 * time.Millisecond,
 	}
 	if tweak != nil {
@@ -173,34 +170,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 }
 
-func TestSingleflightCollapses(t *testing.T) {
-	var sf singleflight
-	var calls atomic.Int64
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			data, ok := sf.Do("k", func() ([]byte, bool) {
-				calls.Add(1)
-				<-release
-				return []byte("v"), true
-			})
-			if !ok || string(data) != "v" {
-				t.Errorf("singleflight result: %q %v", data, ok)
-			}
-		}()
-	}
-	// Give the goroutines a moment to pile onto the key, then release.
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("fn ran %d times, want 1", n)
-	}
-}
-
 // TestForwardAndFallbackClassification drives Forward against live and
 // dead peers and checks the breaker, classification, and relay behavior.
 func TestForwardAndFallbackClassification(t *testing.T) {
@@ -294,55 +263,6 @@ func TestProbeReclosesCircuit(t *testing.T) {
 	}
 	if !p.healthy.Load() {
 		t.Fatal("peer should be marked healthy")
-	}
-}
-
-// TestFetchHedgesSlowPeer pins the hedged cache read: a first attempt
-// stuck past HedgeDelay triggers a second, and the fast answer wins.
-func TestFetchHedgesSlowPeer(t *testing.T) {
-	var calls atomic.Int64
-	block := make(chan struct{})
-	peerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if calls.Add(1) == 1 {
-			<-block // first request hangs until the test ends
-		}
-		w.Write([]byte("RECORDS"))
-	}))
-	defer peerSrv.Close()
-	defer close(block)
-
-	r := testRouter(t, "a", map[string]string{"a": "http://unused:1", "b": peerSrv.URL}, func(c *Config) {
-		c.HedgeDelay = 20 * time.Millisecond
-		c.CacheTimeout = 5 * time.Second
-	})
-	// Find a key owned by b so Fetch routes there.
-	key := ""
-	for i := 0; ; i++ {
-		k := HashKey(fmt.Sprintf("prog-%d", i))
-		if r.Owner(k) == "b" {
-			key = k
-			break
-		}
-	}
-	data, ok := r.Fetch(key, key)
-	if !ok || string(data) != "RECORDS" {
-		t.Fatalf("hedged fetch: %q %v", data, ok)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("expected exactly one hedge (2 requests), got %d", n)
-	}
-	if v := r.metrics.Counter("cluster_hedges_total").Value(); v != 1 {
-		t.Fatalf("cluster_hedges_total = %d, want 1", v)
-	}
-	// Keys owned by self never fetch.
-	for i := 0; ; i++ {
-		k := HashKey(fmt.Sprintf("self-%d", i))
-		if r.Owner(k) == "a" {
-			if _, ok := r.Fetch(k, k); ok {
-				t.Fatal("self-owned key must not fetch remotely")
-			}
-			break
-		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"determinacy"
-	"determinacy/internal/factcache"
 	"determinacy/internal/workload"
 )
 
@@ -105,44 +104,8 @@ func checkMemoSource(src string, base uint64, dir string) *Failure {
 		} else if cold.Stores == 0 && cold.Skips == 0 {
 			return fail(fmt.Sprintf("%s leg: complete run neither populated the fact DB nor recorded a skip", leg.name))
 		}
-
-		// Remote-warm leg: a node with an EMPTY local DB but a remote tier
-		// serving dir's records (the sharded cluster's L3) must also answer
-		// byte-identically — the records survive export, transfer, and
-		// re-validated import with nothing lost or reinterpreted.
-		if leg.name == "complete" && !resC.Partial && cold.Stores > 0 {
-			fcSrc, err := determinacy.OpenFactCache(dir)
-			if err != nil {
-				return &Failure{Kind: KindCrash, Resolution: -1, Detail: "open fact cache: " + err.Error(), Program: src}
-			}
-			fcRemote, err := determinacy.OpenFactCache(dir + "-remoteleg")
-			if err != nil {
-				return &Failure{Kind: KindCrash, Resolution: -1, Detail: "open remote-leg fact cache: " + err.Error(), Program: src}
-			}
-			fcRemote.Internal().WithRemote(exportRemote{src: fcSrc.Internal()})
-			resR, outR, errR := run(leg.maxSteps, fcRemote)
-			if errR != nil {
-				return fail(fmt.Sprintf("remote-warm leg errored where cold succeeded: %v", errR))
-			}
-			if remoteR := memoRender(resR, outR); remoteR != coldR {
-				return fail(fmt.Sprintf("remote-warm leg: cold and remote runs differ at %s", firstDiff(coldR, remoteR)))
-			}
-			rst := fcRemote.Internal().Stats()
-			if rst.RemoteHits != 1 || rst.RemoteInvalid != 0 {
-				return fail(fmt.Sprintf("remote-warm leg: remote_hits=%d remote_invalid=%d, want 1/0", rst.RemoteHits, rst.RemoteInvalid))
-			}
-		}
 	}
 	return nil
-}
-
-// exportRemote adapts one cache's peer-facing record export into another
-// cache's remote tier — the in-process stand-in for a cluster peer's
-// /v1/cluster/cache endpoint.
-type exportRemote struct{ src *factcache.Cache }
-
-func (r exportRemote) Fetch(keyID, routeKey string) ([]byte, bool) {
-	return r.src.ExportRecords(keyID)
 }
 
 // memoRender flattens everything a caller can observe about a run into

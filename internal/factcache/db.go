@@ -198,39 +198,6 @@ func (db *DB) GetObject(id string, wantKind byte) ([]byte, error) {
 	return payload, nil
 }
 
-// RawObject reads an object's framed bytes exactly as stored, with no
-// validation. The cluster's remote cache endpoint serves these, so every
-// defect — a bit flip on this node's disk, corruption in transit, version
-// skew between nodes — reaches the importing node's own unframe/CRC
-// validation and is discarded there, counted by reason.
-func (db *DB) RawObject(id string) ([]byte, error) {
-	if len(id) < 2 {
-		return nil, fmt.Errorf("%w: malformed object id %q", ErrCorrupt, id)
-	}
-	return os.ReadFile(db.objectPath(id))
-}
-
-// SplitFrames cuts a concatenated stream of framed records back into
-// individual frames using the self-delimiting length field. It validates
-// only enough structure to delimit (magic + length); full validation
-// happens per-frame in unframe.
-func SplitFrames(b []byte) ([][]byte, error) {
-	var frames [][]byte
-	for len(b) > 0 {
-		if len(b) < headerSize || string(b[:4]) != dbMagic {
-			return nil, ErrCorrupt
-		}
-		n := binary.LittleEndian.Uint32(b[11:])
-		end := uint64(headerSize) + uint64(n)
-		if uint64(len(b)) < end {
-			return nil, fmt.Errorf("%w: truncated frame", ErrCorrupt)
-		}
-		frames = append(frames, b[:end])
-		b = b[end:]
-	}
-	return frames, nil
-}
-
 // RemoveObject deletes an object (no-op if absent); used to clear records
 // that failed validation so a later store can rewrite them.
 func (db *DB) RemoveObject(id string) {

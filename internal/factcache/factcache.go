@@ -100,29 +100,21 @@ func (s Sig) canon() []byte {
 
 // Key addresses one (program, options) pair in the cache.
 type Key struct {
-	id    string // full address: schema + file + source hash + options
-	head  string // diff anchor: same minus the source hash
-	route string // bare source hash: the cluster's content-routing key
+	id   string // full address: schema + file + source hash + options
+	head string // diff anchor: same minus the source hash
 }
 
 // KeyFor derives the cache key for a program and its options signature.
 func KeyFor(file, source string, sig Sig) Key {
 	sb := string(sig.canon())
-	sh := hashString(source)
 	return Key{
-		id:    hashString(fmt.Sprintf("key\x00%d\x00%s\x00%s\x00%s", Schema, file, sh, sb)),
-		head:  hashString(fmt.Sprintf("head\x00%d\x00%s\x00%s", Schema, file, sb)),
-		route: sh,
+		id:   hashString(fmt.Sprintf("key\x00%d\x00%s\x00%s\x00%s", Schema, file, hashString(source), sb)),
+		head: hashString(fmt.Sprintf("head\x00%d\x00%s\x00%s", Schema, file, sb)),
 	}
 }
 
 // ID reports the full cache address (diagnostics, tests).
 func (k Key) ID() string { return k.id }
-
-// RouteKey reports the bare source hash — the key a sharded cluster
-// routes analysis on, so a remote lookup lands on the node whose disk
-// holds the facts.
-func (k Key) RouteKey() string { return k.route }
 
 // Zero reports whether the key is the zero value (no cache in play).
 func (k Key) Zero() bool { return k.id == "" }
@@ -156,7 +148,6 @@ type CacheStats struct {
 	Invalidations, Skips         int64
 	ChunksWritten, ChunksDeduped int64
 	FnUnchanged, FnChanged       int64
-	RemoteHits, RemoteInvalid    int64
 }
 
 // Cache is the fact cache: an on-disk DB plus a small in-memory LRU of
@@ -169,7 +160,6 @@ type Cache struct {
 	lru    *list.List // front = most recently used; values are *memEntry
 	maxMem int
 
-	remote  Remote // optional L3 tier consulted on local miss
 	metrics *obs.Metrics
 	stats   CacheStats
 }
@@ -267,11 +257,6 @@ func (c *Cache) Lookup(key Key) (*Hit, bool) {
 		return nil, false
 	}
 	man, chunks, ok := c.load(key)
-	if !ok && c.loadRemote(key) {
-		// The owning peer had the records and they validated end to end;
-		// they are local objects now, so reload from disk.
-		man, chunks, ok = c.load(key)
-	}
 	if !ok {
 		c.mu.Lock()
 		c.countLocked(&c.stats.Misses, "factcache_misses_total")

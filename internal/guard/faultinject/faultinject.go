@@ -35,12 +35,11 @@ const (
 	// an injected dispatch panic can never leak pool capacity.
 	SiteSchedEnqueue  = "sched.enqueue"
 	SiteSchedDispatch = "sched.dispatch"
-	// Cluster sites, on the peer router's remote paths. Forward fires as a
-	// request is about to be relayed to its owning peer; CacheGet fires as
-	// a remote L3 fact-cache fetch is issued. Both sit inside the router's
-	// recovery boundary, so an injected panic degrades to local serving.
-	SiteClusterForward  = "cluster.forward"
-	SiteClusterCacheGet = "cluster.cacheget"
+	// Cluster site, on the peer router's forward path: it fires as a
+	// request is about to be relayed to its owning peer, inside the
+	// router's recovery boundary, so an injected panic degrades to local
+	// serving.
+	SiteClusterForward = "cluster.forward"
 )
 
 // Action is the fault a plan injects when its trigger count is reached.

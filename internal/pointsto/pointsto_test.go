@@ -1,8 +1,10 @@
 package pointsto_test
 
 import (
+	"strings"
 	"testing"
 
+	"determinacy/internal/interp"
 	"determinacy/internal/ir"
 	"determinacy/internal/pointsto"
 )
@@ -223,5 +225,46 @@ func TestPointsToGlobals(t *testing.T) {
 	b := res.PointsToGlobal("alias")
 	if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
 		t.Errorf("aliases must share the abstract object: %v vs %v", a, b)
+	}
+}
+
+// TestModelCoversBuiltins guards the hand-written builtin model against
+// the runtime's table: every native function in interp.Builtins must
+// resolve to an abstract object, on the global object or under its owner
+// (a namespace, a constructor, or <Ctor>.prototype).
+func TestModelCoversBuiltins(t *testing.T) {
+	_, res := analyze(t, "")
+	owners := func(owner string) []*pointsto.Object {
+		ctor, isProto := strings.CutSuffix(owner, ".prototype")
+		objs := res.PointsToGlobal(ctor)
+		if !isProto {
+			return objs
+		}
+		var protos []*pointsto.Object
+		for _, c := range objs {
+			protos = append(protos, res.FieldObjects(c, "prototype")...)
+		}
+		return protos
+	}
+	checked := 0
+	for i := range interp.Builtins {
+		b := &interp.Builtins[i]
+		if b.Fn == nil {
+			continue
+		}
+		checked++
+		objs := res.PointsToGlobal(b.Name)
+		if b.Owner != "" {
+			objs = nil
+			for _, o := range owners(b.Owner) {
+				objs = append(objs, res.FieldObjects(o, b.Name)...)
+			}
+		}
+		if len(objs) == 0 {
+			t.Errorf("builtin %s has no abstract object", b.Path())
+		}
+	}
+	if checked == 0 {
+		t.Fatal("interp.Builtins has no native functions")
 	}
 }

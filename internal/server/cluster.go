@@ -138,25 +138,3 @@ func (dw *digestWriter) finish() {
 	dw.inner.WriteHeader(dw.status)
 	_, _ = dw.inner.Write(dw.buf.Bytes())
 }
-
-// handleClusterCache serves this node's fact records for a key to peers:
-// the raw framed stream ExportRecords produces (manifest + chunks, CRC
-// per frame), or 404 when the key is absent, invalid locally, or no fact
-// cache is configured. Peers validate every frame on import, so this
-// endpoint never needs to vouch for the bytes.
-func (s *Server) handleClusterCache(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if s.cfg.FactCache == nil || key == "" {
-		s.writeError(w, http.StatusNotFound, ErrorBody{Kind: "not-found", Message: "no records for key"})
-		return
-	}
-	data, ok := s.cfg.FactCache.Internal().ExportRecords(key)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, ErrorBody{Kind: "not-found", Message: "no records for key"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
-	s.metrics.Counter(`server_responses_total{code="200"}`).Inc()
-}

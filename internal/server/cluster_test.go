@@ -38,7 +38,7 @@ type clusterNode struct {
 // construction cycle), then a Router over the shared topology, then a
 // Server whose handler is swapped in. transport may be nil (default);
 // tweak, when non-nil, adjusts each node's cluster config (fast breaker
-// cooldowns, disabled hedging, ...).
+// cooldowns, forward timeouts, ...).
 func newClusterNodes(t *testing.T, names []string, transport http.RoundTripper, tweak func(*cluster.Config)) map[string]*clusterNode {
 	t.Helper()
 	nodes := make(map[string]*clusterNode, len(names))
@@ -65,7 +65,6 @@ func newClusterNodes(t *testing.T, names []string, transport http.RoundTripper, 
 			Transport:       transport,
 			Metrics:         n.metrics,
 			ProbeInterval:   -1, // tests drive ProbeOnce explicitly
-			HedgeDelay:      -1,
 			BreakerCooldown: 50 * time.Millisecond,
 		}
 		if tweak != nil {
@@ -181,7 +180,8 @@ func TestClusterForwardedServedLocally(t *testing.T) {
 
 // TestClusterDeadPeerFallsBack pins graceful degradation: with the owner
 // gone, requests still answer 200 from local analysis, fallbacks are
-// counted by reason, and the owner's circuit opens after the threshold.
+// counted by reason, the owner's circuit opens after the threshold, and
+// repeats of the program land on the node's own fact cache.
 func TestClusterDeadPeerFallsBack(t *testing.T) {
 	nodes := newClusterNodes(t, []string{"a", "b"}, nil, func(c *cluster.Config) {
 		c.ForwardTimeout = 2 * time.Second
@@ -191,10 +191,9 @@ func TestClusterDeadPeerFallsBack(t *testing.T) {
 	src := srcOwnedBy(t, a.router, "b")
 	b.ts.Close() // owner dies before serving anything
 
-	// Request 1 fails its forward AND its L3 cache fetch against the dead
-	// owner (two breaker strikes); request 2's forward failure is the
-	// third, opening the circuit.
-	for i := 0; i < 2; i++ {
+	// Each request's failed forward is one breaker strike; the third
+	// opens the circuit.
+	for i := 0; i < 3; i++ {
 		resp := postJSON(t, a.ts.URL+"/v1/analyze", AnalyzeRequest{Name: "dead.js", Source: src})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status = %d, want 200 via local fallback", i, resp.StatusCode)
@@ -204,8 +203,13 @@ func TestClusterDeadPeerFallsBack(t *testing.T) {
 			t.Fatalf("request %d: degraded local fallback: %+v", i, out)
 		}
 	}
-	if v := a.metrics.Counter(`cluster_fallback_total{reason="refused"}`).Value(); v != 2 {
-		t.Fatalf(`cluster_fallback_total{reason="refused"} = %d, want 2`, v)
+	if v := a.metrics.Counter(`cluster_fallback_total{reason="refused"}`).Value(); v != 3 {
+		t.Fatalf(`cluster_fallback_total{reason="refused"} = %d, want 3`, v)
+	}
+	// The first fallback analyzed cold and stored; the repeats hit the
+	// node's own L2.
+	if st := a.fc.Internal().Stats(); st.Stores != 1 || st.Hits != 2 {
+		t.Fatalf("node a factcache after three fallbacks: stores=%d hits=%d, want 1/2", st.Stores, st.Hits)
 	}
 
 	// Circuit now open: the next request falls back without dialing.
@@ -223,11 +227,11 @@ func TestClusterDeadPeerFallsBack(t *testing.T) {
 	}
 }
 
-// TestClusterRemoteCacheWarm pins the L3 tier end to end: the owner
-// analyzes and caches; a peer forced to serve the same program locally
-// pulls the owner's records over /v1/cluster/cache, validates and
-// imports them, and answers byte-identically — a cache hit without ever
-// analyzing.
+// TestClusterRemoteCacheWarm pins how a non-owner's cache warms: peers
+// share no fact records, so a request served on node a (forwarded header
+// = loop prevention) with an empty local cache is analysed locally,
+// answers the owner's bytes, stores into a's own L2, and leaves the
+// owner's cache untouched; the repeat hits a's L2.
 func TestClusterRemoteCacheWarm(t *testing.T) {
 	nodes := newClusterNodes(t, []string{"a", "b"}, nil, nil)
 	a, b := nodes["a"], nodes["b"]
@@ -235,67 +239,41 @@ func TestClusterRemoteCacheWarm(t *testing.T) {
 
 	// Owner runs cold and caches.
 	direct := decodeAnalyze(t, postJSON(t, b.ts.URL+"/v1/analyze", AnalyzeRequest{Name: "warm.js", Source: src}))
+	ownerBefore := b.fc.Internal().Stats()
 
-	// Force node a to serve locally (forwarded header = loop prevention);
-	// its local cache is empty, so the lookup goes remote.
 	body, _ := json.Marshal(AnalyzeRequest{Name: "warm.js", Source: src})
-	req, _ := http.NewRequest(http.MethodPost, a.ts.URL+"/v1/analyze", strings.NewReader(string(body)))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(cluster.ForwardedHeader, "b")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	remote := decodeAnalyze(t, resp)
-	if !reflect.DeepEqual(normalize(remote), normalize(direct)) {
-		t.Fatalf("remote-warm response differs from owner's:\nremote: %+v\ndirect: %+v", remote, direct)
-	}
-	st := a.fc.Internal().Stats()
-	if st.RemoteHits != 1 {
-		t.Fatalf("node a RemoteHits = %d, want 1", st.RemoteHits)
-	}
-	if v := a.metrics.Counter(`cluster_cachegets_total{outcome="hit"}`).Value(); v != 1 {
-		t.Fatalf(`cluster_cachegets_total{outcome="hit"} = %d, want 1`, v)
-	}
-
-	// The records imported: a fresh lookup on a hits locally, no new fetch.
-	resp2, err := http.DefaultClient.Do(func() *http.Request {
-		r2, _ := http.NewRequest(http.MethodPost, a.ts.URL+"/v1/analyze", strings.NewReader(string(body)))
-		r2.Header.Set("Content-Type", "application/json")
-		r2.Header.Set(cluster.ForwardedHeader, "b")
-		return r2
-	}())
-	if err != nil {
-		t.Fatalf("second POST: %v", err)
-	}
-	decodeAnalyze(t, resp2)
-	if v := a.metrics.Counter(`cluster_cachegets_total{outcome="hit"}`).Value(); v != 1 {
-		t.Fatalf("second serve should hit locally; cache gets = %d, want still 1", v)
-	}
-}
-
-// TestClusterCacheEndpoint pins the peer-facing record server's miss
-// contract (the 200 stream is exercised end-to-end by
-// TestClusterRemoteCacheWarm): unknown and absent keys answer a typed
-// 404, never a relayable body.
-func TestClusterCacheEndpoint(t *testing.T) {
-	nodes := newClusterNodes(t, []string{"a", "b"}, nil, nil)
-	b := nodes["b"]
-
-	for _, key := range []string{strings.Repeat("0", 64), ""} {
-		missing, err := http.Get(b.ts.URL + cluster.CachePath + "?key=" + key)
+	serveOnA := func() AnalyzeResponse {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, a.ts.URL+"/v1/analyze", strings.NewReader(string(body)))
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set(cluster.ForwardedHeader, "b")
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			t.Fatalf("GET missing: %v", err)
+			t.Fatalf("POST: %v", err)
 		}
-		if missing.StatusCode != http.StatusNotFound {
-			t.Fatalf("key %q status = %d, want 404", key, missing.StatusCode)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, want 200", resp.StatusCode)
 		}
-		if kind := decodeError(t, missing).Kind; kind != "not-found" {
-			t.Fatalf("key %q kind = %q, want not-found", key, kind)
-		}
+		return decodeAnalyze(t, resp)
+	}
+
+	local := serveOnA()
+	if !reflect.DeepEqual(normalize(local), normalize(direct)) {
+		t.Fatalf("locally warmed response differs from owner's:\nlocal:  %+v\ndirect: %+v", local, direct)
+	}
+	if st := a.fc.Internal().Stats(); st.Stores != 1 || st.Hits != 0 {
+		t.Fatalf("node a factcache after cold local serve: stores=%d hits=%d, want 1/0", st.Stores, st.Hits)
+	}
+
+	// The repeat lands on a's own L2.
+	if again := serveOnA(); !reflect.DeepEqual(normalize(again), normalize(direct)) {
+		t.Fatalf("L2 hit differs from owner's:\nhit:    %+v\ndirect: %+v", again, direct)
+	}
+	if st := a.fc.Internal().Stats(); st.Stores != 1 || st.Hits != 1 {
+		t.Fatalf("node a factcache after repeat: stores=%d hits=%d, want 1/1", st.Stores, st.Hits)
+	}
+	if st := b.fc.Internal().Stats(); st != ownerBefore {
+		t.Fatalf("owner's factcache was consulted by a peer: before %+v, after %+v", ownerBefore, st)
 	}
 }
 

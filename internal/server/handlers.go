@@ -133,7 +133,6 @@ func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+routeAnalyze, s.traced(routeAnalyze, s.digested(s.handleAnalyze)))
 	mux.HandleFunc("POST "+routeBatch, s.traced(routeBatch, s.handleBatch))
-	mux.HandleFunc("GET "+cluster.CachePath, s.handleClusterCache)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)

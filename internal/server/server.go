@@ -102,10 +102,8 @@ type Config struct {
 	StreamHeartbeat time.Duration
 	// Cluster, when set, makes this node part of a sharded fleet:
 	// non-streaming /v1/analyze requests whose content-hash owner is a
-	// healthy remote peer are forwarded there, the peer fleet serves as a
-	// remote L3 fact tier behind FactCache (wired automatically when both
-	// are set), and GET /v1/cluster/cache serves this node's records to
-	// peers. Every peer failure mode degrades to local analysis.
+	// healthy remote peer are forwarded there. Every peer failure mode
+	// degrades to local analysis against this node's own caches.
 	Cluster *cluster.Router
 	// DrainTimeout is the graceful-drain budget: how long Drain (and the
 	// SIGTERM path in cmd/detserve) waits for in-flight runs before
@@ -271,12 +269,6 @@ func New(cfg Config) *Server {
 		hQueueWait:    routedHistograms(m, "server_queue_wait_seconds", latencyBuckets),
 		tenantLatency: policy != sched.PolicyFIFO,
 		cluster:       cfg.Cluster,
-	}
-	// The peer fleet is the L3 fact tier: a local factcache miss consults
-	// the owning peer's records (CRC-validated on import) before falling
-	// back to a cold analysis.
-	if cfg.Cluster != nil && cfg.FactCache != nil {
-		cfg.FactCache.Internal().WithRemote(cfg.Cluster)
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	m.Gauge("server_max_inflight").Set(float64(cfg.MaxInFlight))

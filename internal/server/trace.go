@@ -216,8 +216,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		cs := s.cluster.Snapshot()
 		fmt.Fprintf(w, "cluster self=%s\n", cs.Self)
 		for _, ps := range cs.Peers {
-			fmt.Fprintf(w, "  peer=%s url=%s state=%s healthy=%v forwards=%d failures=%d cache_gets=%d cache_hits=%d",
-				ps.Name, ps.URL, ps.State, ps.Healthy, ps.Forwards, ps.Failures, ps.CacheGets, ps.CacheHits)
+			fmt.Fprintf(w, "  peer=%s url=%s state=%s healthy=%v forwards=%d failures=%d",
+				ps.Name, ps.URL, ps.State, ps.Healthy, ps.Forwards, ps.Failures)
 			if ps.LastError != "" {
 				fmt.Fprintf(w, " last_error=%q", ps.LastError)
 			}
