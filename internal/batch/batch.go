@@ -144,17 +144,6 @@ func Map[T any](p *Pool, n int, job func(i int) T) []T {
 // jobs' results land at their submission index, preserving the
 // determinism contract for the jobs that did run.
 func MapCtx[T any](ctx context.Context, p *Pool, n int, job func(i int) T) ([]T, []Quarantine) {
-	return MapCtxGated(ctx, p, n, nil, job)
-}
-
-// MapCtxGated is MapCtx with a dispatch gate: when gate is non-nil it runs
-// before each job starts. A gate returning an error skips the job (it gets
-// a quarantine entry wrapping that error, like ctx cancellation); a gate
-// that briefly blocks paces the batch's dispatch — the server's priority
-// scheduler uses this to make a slot-holding bulk batch yield CPU to
-// queued interactive work. Gates must be bounded: a gate that waits on the
-// very requests this batch's slot is blocking would deadlock the pool.
-func MapCtxGated[T any](ctx context.Context, p *Pool, n int, gate func(context.Context) error, job func(i int) T) ([]T, []Quarantine) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -195,12 +184,6 @@ func MapCtxGated[T any](ctx context.Context, p *Pool, n int, gate func(context.C
 		if err := ctx.Err(); err != nil {
 			qerr[i] = fmt.Errorf("batch: job %d not run: %w", i, err)
 			return
-		}
-		if gate != nil {
-			if err := gate(ctx); err != nil {
-				qerr[i] = fmt.Errorf("batch: job %d not run: %w", i, err)
-				return
-			}
 		}
 		runOne(i)
 	}

@@ -13,7 +13,8 @@ import (
 
 // TestDetserveSchedulerFlagValidation pins the serving CLI's admission
 // flags to the exit-code contract: a bad -scheduler, malformed or missing
-// -tenants config, and a negative -stream-heartbeat are usage errors
+// -tenants or -peers config (trailing data included), and a negative
+// -stream-heartbeat are usage errors
 // (exit 2 with a diagnostic on stderr), never a listener that starts with
 // a half-applied config.
 func TestDetserveSchedulerFlagValidation(t *testing.T) {
@@ -25,12 +26,15 @@ func TestDetserveSchedulerFlagValidation(t *testing.T) {
 
 	cases := [][]string{
 		{"-scheduler", "bogus"},
-		{"-scheduler", "WFQ"}, // policies are lowercase tokens, not case-folded
+		{"-scheduler", "WFQ"},      // policies are lowercase tokens, not case-folded
+		{"-scheduler", "priority"}, // removed policy
 		{"-tenants", `{not json`},
 		{"-tenants", `{"pro":{"weight":-1}}`},
 		{"-tenants", `{"pro":{"weight":1,"tier":"x"}}`}, // unknown field
-		{"-tenants", `{"bulk":{"class":"warp-speed"}}`},
+		{"-tenants", `{"bulk":{"class":"batch"}}`},      // removed key: now an unknown field
+		{"-tenants", `{"pro":{"weight":4}} {"evil":{"weight":-9}}`},
 		{"-tenants", "@" + filepath.Join(dir, "no-such-tenants.json")},
+		{"-peers", `{"self":"a","peers":{"a":"http://127.0.0.1:1"}} trailing`},
 		{"-stream-heartbeat", "-1s"},
 	}
 	for _, args := range cases {

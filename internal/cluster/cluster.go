@@ -31,8 +31,11 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -97,13 +100,17 @@ func validName(s string) bool {
 	return true
 }
 
-// ParseTopology decodes and validates the -peers JSON object.
+// ParseTopology decodes and validates the -peers JSON object; anything
+// after it other than whitespace is an error.
 func ParseTopology(data []byte) (Topology, error) {
 	var t Topology
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&t); err != nil {
 		return Topology{}, fmt.Errorf("cluster: peers config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Topology{}, errors.New("cluster: peers config: trailing data after the JSON object")
 	}
 	if t.VNodes < 0 {
 		return Topology{}, fmt.Errorf("cluster: vnodes must be non-negative, got %d", t.VNodes)

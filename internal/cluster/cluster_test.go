@@ -76,13 +76,15 @@ func TestParseTopologyValidation(t *testing.T) {
 		`{"self":"a","peers":{"a":"http://x:1"},"vnodes":-1}`,
 		`{"self":"a","peers":{"a":"http://x:1"},"extra":1}`, // unknown field
 		`{"self":"a b","peers":{"a b":"http://x:1"}}`,
+		`{"self":"a","peers":{"a":"http://x:1"}} trailing`,     // trailing data
+		`{"self":"a","peers":{"a":"http://x:1"}} {"self":"b"}`, // second object
 	}
 	for _, s := range bad {
 		if _, err := ParseTopology([]byte(s)); err == nil {
 			t.Errorf("ParseTopology(%s): expected error", s)
 		}
 	}
-	good := `{"self":"a","vnodes":8,"peers":{"a":"http://x:1","b-2":"https://y.example:8420"}}`
+	good := `{"self":"a","vnodes":8,"peers":{"a":"http://x:1","b-2":"https://y.example:8420"}}` + "\n"
 	top, err := ParseTopology([]byte(good))
 	if err != nil {
 		t.Fatalf("ParseTopology(%s): %v", good, err)

@@ -195,11 +195,9 @@ type FlightEntry struct {
 	// (empty for locally served ones).
 	Peer string `json:"peer,omitempty"`
 
-	// Tenant and Class identify the admitted request under the wfq and
-	// priority scheduler policies; empty under fifo, where admission is
-	// tenant-blind.
+	// Tenant identifies the admitted request under the wfq scheduler
+	// policy; empty under fifo, where admission is tenant-blind.
 	Tenant string `json:"tenant,omitempty"`
-	Class  string `json:"class,omitempty"`
 
 	Steps           int `json:"steps,omitempty"`
 	HeapFlushes     int `json:"heap_flushes,omitempty"`

@@ -39,7 +39,7 @@ func (s *Server) tryForward(w http.ResponseWriter, r *http.Request, rt *reqTrace
 	}
 
 	hdr := http.Header{}
-	for _, k := range []string{"X-Tenant-ID", "X-API-Key", "Authorization", "X-Priority"} {
+	for _, k := range []string{"X-Tenant-ID", "X-API-Key", "Authorization"} {
 		if v := r.Header.Get(k); v != "" {
 			hdr.Set(k, v)
 		}

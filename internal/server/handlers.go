@@ -276,24 +276,18 @@ func tenantID(r *http.Request) string {
 	return id
 }
 
-// schedRequest builds a route's admission request: tenant identity, the
-// route's default priority class (overridable by a valid X-Priority
-// header; the tenant's configured class overrides both inside the
-// scheduler), and the effective deadline driving deadline-aware shedding.
-func (s *Server) schedRequest(r *http.Request, class sched.Class, timeoutMS int64) *sched.Request {
-	if c, ok := sched.ParseClass(r.Header.Get("X-Priority")); ok {
-		class = c
-	}
+// schedRequest builds a route's admission request: tenant identity and
+// the effective deadline driving deadline-aware shedding.
+func (s *Server) schedRequest(r *http.Request, timeoutMS int64) *sched.Request {
 	return &sched.Request{
 		Tenant:   tenantID(r),
-		Class:    class,
 		Deadline: time.Now().Add(s.effTimeout(timeoutMS)),
 	}
 }
 
-// noteAdmitted records the admitted request's effective tenant and class
-// into its flight-recorder entry, and observes its per-tenant latency
-// histogram on completion. Both only under the wfq/priority policies:
+// noteAdmitted records the admitted request's effective tenant into its
+// flight-recorder entry, and observes its per-tenant latency histogram on
+// completion. Both only under the wfq policy:
 // under fifo every request is anonymous and the entries (and metric
 // families) stay byte-identical to the pre-scheduler server.
 func (s *Server) noteAdmitted(rt *reqTrace, sreq *sched.Request, t0 time.Time) func() {
@@ -302,7 +296,6 @@ func (s *Server) noteAdmitted(rt *reqTrace, sreq *sched.Request, t0 time.Time) f
 	}
 	if rt != nil {
 		rt.entry.Tenant = sreq.Tenant
-		rt.entry.Class = sreq.Class.String()
 	}
 	h := s.metrics.Histogram(fmt.Sprintf("server_tenant_request_seconds{tenant=%q}", sreq.Tenant), latencyBuckets...)
 	return func() { h.Observe(time.Since(t0).Seconds()) }
@@ -420,7 +413,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, rt *reqTr
 			return
 		}
 	}
-	sreq := s.schedRequest(r, sched.Interactive, req.TimeoutMS)
+	sreq := s.schedRequest(r, req.TimeoutMS)
 	s.wg.Add(1)
 	defer s.wg.Done()
 	if faultinject.Armed() {
@@ -603,7 +596,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rt *reqTrac
 		s.writeErr(w, rt, http.StatusBadRequest, ErrorBody{Kind: "bad-request", Message: "numeric options must be non-negative"})
 		return
 	}
-	sreq := s.schedRequest(r, sched.Batch, req.TimeoutMS)
+	sreq := s.schedRequest(r, req.TimeoutMS)
 	s.wg.Add(1)
 	defer s.wg.Done()
 	if err := s.acquire(r.Context(), sreq, s.hQueueWait[rt.route]); err != nil {
@@ -627,19 +620,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rt *reqTrac
 	tracer := rt.obsTracer()
 	var cacheHits atomic.Int64
 
-	// The priority policy paces bulk batches: before each pool job, the
-	// gate briefly yields while strictly higher classes have queued
-	// admission waiters.
-	var gate func(context.Context) error
-	if g, ok := s.sched.(sched.DispatchGater); ok {
-		gate = g.JobGate(sreq)
-	}
-
 	type progOut struct {
 		resp *AnalyzeResponse
 		err  error
 	}
-	outs, qs := batch.MapCtxGated(ctx, s.pool, len(req.Programs), gate, func(i int) progOut {
+	outs, qs := batch.MapCtx(ctx, s.pool, len(req.Programs), func(i int) progOut {
 		p := req.Programs[i]
 		name := p.Name
 		if name == "" {

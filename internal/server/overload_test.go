@@ -262,7 +262,7 @@ func TestOverloadFairnessCampaign(t *testing.T) {
 	var dump strings.Builder
 	_ = s.metrics.WriteProm(&dump)
 	for _, series := range []string{
-		`sched_queue_depth{tenant="bronze",class="interactive"}`,
+		`sched_queue_depth{tenant="bronze"}`,
 		`server_tenant_request_seconds_count{tenant="gold"}`,
 		`sched_sheds_total{reason="tenant-queue-full"}`,
 	} {
@@ -278,7 +278,7 @@ func TestOverloadFairnessCampaign(t *testing.T) {
 
 // TestOverloadChaosCampaign replays seeded fault plans over the two
 // scheduler sites while bursts of multi-tenant traffic contend for slots,
-// for both the wfq and priority policies. The invariant: every response
+// for both the wfq and fifo policies. The invariant: every response
 // is clean, a sound partial, a typed 429, or the injected fault's
 // structured 500 — and after each round the server still serves, holds no
 // slots, and leaks no goroutines.
@@ -290,14 +290,13 @@ func TestOverloadChaosCampaign(t *testing.T) {
 	}
 	tenants := []string{"gold", "silver", "bronze", "unknown-tenant"}
 	sites := []string{faultinject.SiteSchedEnqueue, faultinject.SiteSchedDispatch}
-	classes := []string{"", "interactive", "batch", "background"}
 
 	const rounds = 8
 	const burst = 24
 	for round := 0; round < rounds; round++ {
 		policy := sched.PolicyWFQ
 		if round%2 == 1 {
-			policy = sched.PolicyPriority
+			policy = sched.PolicyFIFO
 		}
 		site := sites[round/2%2]
 		t.Run(fmt.Sprintf("round%d-%s-%s", round, policy, site), func(t *testing.T) {
@@ -317,11 +316,7 @@ func TestOverloadChaosCampaign(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					hdr := map[string]string{}
-					if c := classes[i%len(classes)]; c != "" {
-						hdr["X-Priority"] = c
-					}
-					resp, err := postJSONTenant(t, context.Background(), ts.URL+"/v1/analyze", tenants[i%len(tenants)], AnalyzeRequest{Source: slowSrc, Seed: uint64(i)}, hdr)
+					resp, err := postJSONTenant(t, context.Background(), ts.URL+"/v1/analyze", tenants[i%len(tenants)], AnalyzeRequest{Source: slowSrc, Seed: uint64(i)}, nil)
 					if err != nil {
 						t.Errorf("request %d: transport error %v", i, err)
 						return

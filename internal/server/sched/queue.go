@@ -21,11 +21,10 @@ const (
 
 // waiter is one queued admission attempt.
 type waiter struct {
-	req   *Request
-	t     *tenantState
-	class Class
-	enq   time.Time
-	// vfinish is the WFQ virtual finish time; unused by priority.
+	req *Request
+	t   *tenantState
+	enq time.Time
+	// vfinish is the waiter's WFQ virtual finish time.
 	vfinish float64
 	// ready receives exactly one grant (nil) or refusal; buffered so
 	// dispatch never blocks on an abandoning waiter.
@@ -33,45 +32,30 @@ type waiter struct {
 	state int
 }
 
-// order is the queueing discipline plugged into core: wfq and priority
-// differ only in how waiters are stored and which one dispatches next.
-// All methods run under core.mu.
-type order interface {
-	name() string
-	// push enqueues w (and computes its ordering state).
-	push(c *core, w *waiter)
-	// next pops the waiter to dispatch, nil when no queue is backlogged.
-	next(c *core) *waiter
-	// remove deletes an abandoned waiter from its queue.
-	remove(c *core, w *waiter)
-	// chargeImmediate accounts an uncontended grant (empty queue, free
-	// slot) so fairness state stays consistent across idle periods.
-	chargeImmediate(c *core, t *tenantState)
-	// higherQueued reports whether a strictly more urgent waiter than
-	// class is queued (drives the batch-pool dispatch gate).
-	higherQueued(c *core, class Class) bool
-}
-
-// core is the mutex-guarded scheduler shared by the wfq and priority
-// policies: bounded per-tenant/per-class queues, token-bucket quotas,
-// deadline-aware shedding with computed Retry-After guidance, and a
-// pluggable dispatch order.
+// core is the mutex-guarded wfq policy: bounded per-tenant queues,
+// token-bucket quotas, deadline-aware shedding with computed Retry-After
+// guidance, and weighted-fair dispatch order.
+//
+// The order is start-time-fair virtual-clock queueing: each queued
+// request gets a virtual finish time vfinish = max(vtime, tenant.vfinish)
+// + 1/weight, and dispatch always picks the earliest-finishing head.
+// Charging one virtual unit per request means that while several tenants
+// stay backlogged, their completed-request counts converge to the ratio
+// of their weights; the max() term forgives idle periods, so a tenant
+// returning after quiet time starts at the current clock instead of a
+// banked advantage.
 type core struct {
 	cfg Config
-	ord order
 
-	mu            sync.Mutex
-	free          int
-	inflight      int
-	queued        int
-	queuedByClass [numClasses]int
-	draining      bool
-	tenants       *tenantBook
-	// active tracks tenants with non-empty WFQ queues.
+	mu       sync.Mutex
+	free     int
+	inflight int
+	queued   int
+	draining bool
+	tenants  *tenantBook
+	// active tracks tenants with non-empty queues.
 	active map[*tenantState]bool
-	// classQ holds the priority policy's per-class FIFO queues.
-	classQ [numClasses][]*waiter
-	// vtime is the WFQ virtual clock.
+	// vtime is the virtual clock.
 	vtime float64
 	svc   svcWindow
 	rng   *rand.Rand
@@ -81,10 +65,9 @@ type core struct {
 	cShedLegacy        *obs.Counter
 }
 
-func newCore(cfg Config, ord order) *core {
+func newCore(cfg Config) *core {
 	c := &core{
 		cfg:     cfg,
-		ord:     ord,
 		free:    cfg.Slots,
 		tenants: newTenantBook(cfg),
 		active:  map[*tenantState]bool{},
@@ -95,13 +78,13 @@ func newCore(cfg Config, ord order) *core {
 		c.gInFlight = m.Gauge("server_inflight")
 		c.gQueued = m.Gauge("server_queue_depth")
 		c.cShedLegacy = m.Counter("server_shed_total")
-		m.Help("sched_queue_depth", "Queued admission waiters by tenant and priority class.")
+		m.Help("sched_queue_depth", "Queued admission waiters by tenant.")
 		m.Help("sched_sheds_total", "Requests shed by the admission scheduler, by reason.")
 	}
 	return c
 }
 
-func (c *core) Name() string { return c.ord.name() }
+func (c *core) Name() string { return PolicyWFQ }
 
 func (c *core) Acquire(ctx context.Context, req *Request) error {
 	if faultinject.Armed() {
@@ -110,7 +93,6 @@ func (c *core) Acquire(ctx context.Context, req *Request) error {
 	t := c.tenants.get(req.Tenant)
 	req.tenant = t
 	req.Tenant = t.name // effective identity: unknown tenants pool as "other"
-	req.Class = t.classFor(req.Class)
 	now := time.Now()
 
 	c.mu.Lock()
@@ -119,7 +101,7 @@ func (c *core) Acquire(ctx context.Context, req *Request) error {
 		return ErrDraining
 	}
 	if ok, wait := t.takeToken(now); !ok {
-		err := c.shedLocked(t, req.Class, ReasonQuota, wait)
+		err := c.shedLocked(t, ReasonQuota, wait)
 		c.mu.Unlock()
 		return err
 	}
@@ -128,7 +110,7 @@ func (c *core) Acquire(ctx context.Context, req *Request) error {
 	// queue place and a slot to seal a near-empty partial at its deadline;
 	// shed it now with live Retry-After guidance instead.
 	if p50 := c.svc.p50(); p50 > 0 && !req.Deadline.IsZero() && now.Add(p50).After(req.Deadline) {
-		err := c.shedLocked(t, req.Class, ReasonDeadline, c.estimateRetryLocked(p50))
+		err := c.shedLocked(t, ReasonDeadline, c.estimateRetryLocked(p50))
 		c.mu.Unlock()
 		return err
 	}
@@ -137,34 +119,29 @@ func (c *core) Acquire(ctx context.Context, req *Request) error {
 		c.inflight++
 		t.noteAdmit()
 		req.granted = now
-		c.ord.chargeImmediate(c, t)
+		// Charge the uncontended grant too, so fairness state stays
+		// consistent across idle periods.
+		c.vtime = c.chargeLocked(t)
 		c.setInFlightLocked()
 		c.mu.Unlock()
 		return c.fireDispatch(req)
 	}
-	// Bounded queueing: global depth, then the tenant's own cap, then the
-	// priority policy's per-class cap.
+	// Bounded queueing: global depth, then the tenant's own cap.
 	switch {
 	case c.queued >= c.cfg.QueueDepth:
-		err := c.shedLocked(t, req.Class, ReasonQueueFull, 0)
+		err := c.shedLocked(t, ReasonQueueFull, 0)
 		c.mu.Unlock()
 		return err
 	case int(t.queuedN.Load()) >= c.tenantCap(t):
-		err := c.shedLocked(t, req.Class, ReasonTenantQueueFull, 0)
-		c.mu.Unlock()
-		return err
-	case c.queuedByClass[req.Class] >= c.classCap(req.Class):
-		err := c.shedLocked(t, req.Class, ReasonClassQueueFull, 0)
+		err := c.shedLocked(t, ReasonTenantQueueFull, 0)
 		c.mu.Unlock()
 		return err
 	}
-	w := &waiter{req: req, t: t, class: req.Class, enq: now, ready: make(chan error, 1)}
-	c.ord.push(c, w)
+	w := &waiter{req: req, t: t, enq: now, ready: make(chan error, 1)}
+	c.pushLocked(w)
 	c.queued++
-	c.queuedByClass[w.class]++
 	t.queuedN.Add(1)
-	t.queuedClass[w.class]++
-	c.setQueueGaugesLocked(t, w.class)
+	c.setQueueGaugesLocked(t)
 	c.mu.Unlock()
 
 	select {
@@ -179,7 +156,7 @@ func (c *core) Acquire(ctx context.Context, req *Request) error {
 		c.mu.Lock()
 		if w.state == stQueued {
 			w.state = stCancelled
-			c.ord.remove(c, w)
+			c.removeLocked(w)
 			c.dequeueAccountingLocked(w)
 			c.mu.Unlock()
 			req.Queued = true
@@ -229,12 +206,12 @@ func (c *core) Release(req *Request) {
 	c.mu.Unlock()
 }
 
-// dispatchLocked grants free slots to queued waiters in policy order,
+// dispatchLocked grants free slots to queued waiters in fair order,
 // shedding queued requests whose deadline became unmeetable while they
 // waited (their slot goes to the next waiter instead of being wasted).
 func (c *core) dispatchLocked() {
 	for c.free > 0 {
-		w := c.ord.next(c)
+		w := c.nextLocked()
 		if w == nil {
 			return
 		}
@@ -264,7 +241,7 @@ func (c *core) BeginDrain() {
 	}
 	c.draining = true
 	for {
-		w := c.ord.next(c)
+		w := c.nextLocked()
 		if w == nil {
 			return
 		}
@@ -277,7 +254,7 @@ func (c *core) BeginDrain() {
 func (c *core) Snapshot() Snapshot {
 	c.mu.Lock()
 	snap := Snapshot{
-		Policy:   c.ord.name(),
+		Policy:   PolicyWFQ,
 		InFlight: c.inflight,
 		Queued:   c.queued,
 		P50MS:    float64(c.svc.p50().Microseconds()) / 1000,
@@ -287,40 +264,10 @@ func (c *core) Snapshot() Snapshot {
 	return snap
 }
 
-// JobGate is the batch pool's priority-aware dispatch hook: before each
-// pool job runs on behalf of req, the gate briefly yields while a
-// strictly more urgent class has queued admission waiters, so a bulk
-// batch holding a slot stops monopolizing CPU the moment interactive
-// work arrives. The yield is bounded (a few milliseconds per job) and
-// never blocks on those waiters' progress, so it cannot deadlock the
-// slot-holder against the very queue it is yielding to.
-func (c *core) JobGate(req *Request) func(context.Context) error {
-	class := req.Class
-	return func(ctx context.Context) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i := 0; i < 8; i++ {
-			c.mu.Lock()
-			yield := c.ord.higherQueued(c, class)
-			c.mu.Unlock()
-			if !yield {
-				return nil
-			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(500 * time.Microsecond):
-			}
-		}
-		return nil
-	}
-}
-
 // shedLocked accounts a refusal and builds its typed error. wait, when
 // positive, is the reason-specific Retry-After (quota refill, deadline
 // guidance); zero falls back to the live queue estimate.
-func (c *core) shedLocked(t *tenantState, class Class, reason string, wait time.Duration) *ShedError {
+func (c *core) shedLocked(t *tenantState, reason string, wait time.Duration) *ShedError {
 	t.noteShed()
 	c.countShedLocked(reason)
 	if wait <= 0 {
@@ -354,21 +301,12 @@ func (c *core) tenantCap(t *tenantState) int {
 	return c.cfg.QueueDepth
 }
 
-func (c *core) classCap(class Class) int {
-	if cap, ok := c.cfg.ClassCaps[class]; ok && cap > 0 {
-		return cap
-	}
-	return c.cfg.QueueDepth
-}
-
 // dequeueAccountingLocked unwinds a waiter's queue-side counters and
 // gauges (it left the queue: granted, shed, drained, or cancelled).
 func (c *core) dequeueAccountingLocked(w *waiter) {
 	c.queued--
-	c.queuedByClass[w.class]--
 	w.t.queuedN.Add(-1)
-	w.t.queuedClass[w.class]--
-	c.setQueueGaugesLocked(w.t, w.class)
+	c.setQueueGaugesLocked(w.t)
 }
 
 func (c *core) countShedLocked(reason string) {
@@ -385,15 +323,78 @@ func (c *core) setInFlightLocked() {
 	}
 }
 
-func (c *core) setQueueGaugesLocked(t *tenantState, class Class) {
+func (c *core) setQueueGaugesLocked(t *tenantState) {
 	if c.m == nil {
 		return
 	}
 	c.gQueued.Set(float64(c.queued))
-	if t.gQueued[class] == nil {
-		t.gQueued[class] = c.m.Gauge(fmt.Sprintf("sched_queue_depth{tenant=%q,class=%q}", t.name, class.String()))
+	if t.gQueued == nil {
+		t.gQueued = c.m.Gauge(fmt.Sprintf("sched_queue_depth{tenant=%q}", t.name))
 	}
-	// queuedByClass is global; the per-tenant series wants this tenant's
-	// share, tracked on the tenant under the same mutex.
-	t.gQueued[class].Set(float64(t.queuedClass[class]))
+	t.gQueued.Set(float64(t.queuedN.Load()))
+}
+
+// pushLocked enqueues w behind its tenant's earlier waiters, charging the
+// tenant one virtual unit at its weight.
+func (c *core) pushLocked(w *waiter) {
+	t := w.t
+	w.vfinish = c.chargeLocked(t)
+	t.queue = append(t.queue, w)
+	c.active[t] = true
+}
+
+// chargeLocked advances t's virtual finish time by one request at its
+// weight and returns it.
+func (c *core) chargeLocked(t *tenantState) float64 {
+	base := c.vtime
+	if t.vfinish > base {
+		base = t.vfinish
+	}
+	t.vfinish = base + 1/t.weight
+	return t.vfinish
+}
+
+// nextLocked pops the earliest-finishing queue head, nil when no tenant
+// is backlogged.
+func (c *core) nextLocked() *waiter {
+	var best *tenantState
+	for t := range c.active {
+		if best == nil || t.queue[0].vfinish < best.queue[0].vfinish ||
+			(t.queue[0].vfinish == best.queue[0].vfinish && t.name < best.name) {
+			best = t
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	w := best.queue[0]
+	copy(best.queue, best.queue[1:])
+	best.queue[len(best.queue)-1] = nil
+	best.queue = best.queue[:len(best.queue)-1]
+	if len(best.queue) == 0 {
+		delete(c.active, best)
+	}
+	if w.vfinish > c.vtime {
+		c.vtime = w.vfinish
+	}
+	return w
+}
+
+// removeLocked deletes an abandoned waiter in place. Later vfinishes of
+// the same tenant are left as charged: a cancelled request costs its
+// tenant one virtual unit, which keeps cancellation from being a way to
+// jump the fair queue.
+func (c *core) removeLocked(w *waiter) {
+	t := w.t
+	for i, q := range t.queue {
+		if q == w {
+			copy(t.queue[i:], t.queue[i+1:])
+			t.queue[len(t.queue)-1] = nil
+			t.queue = t.queue[:len(t.queue)-1]
+			break
+		}
+	}
+	if len(t.queue) == 0 {
+		delete(c.active, t)
+	}
 }

@@ -1,18 +1,16 @@
 // Package sched is the server's pluggable admission layer: a Scheduler
 // decides which waiting request gets the next execution slot, so
-// multi-tenant fairness and priority become configurable policy over the
-// same fixed soundness machinery (guard deadlines, sealed partials, typed
-// sheds) the rest of the pipeline already proves. Three policies ship:
+// multi-tenant fairness becomes configurable policy over the same fixed
+// soundness machinery (guard deadlines, sealed partials, typed sheds) the
+// rest of the pipeline already proves. Two policies ship:
 //
 //   - fifo: byte-compatible with the pre-scheduler admission path — a slot
 //     semaphore plus a bounded global queue, first come first served;
 //   - wfq: weighted-fair queueing across tenants — each backlogged tenant
 //     receives execution slots in proportion to its configured weight, so
-//     one bulk-batch tenant can no longer starve interactive users;
-//   - priority: strict priority classes (interactive > batch > background)
-//     with per-class queue caps, FIFO within a class.
+//     one bulk-batch tenant can no longer starve interactive users.
 //
-// The wfq and priority policies add per-tenant token-bucket quotas and
+// The wfq policy adds per-tenant token-bucket quotas and queue caps, and
 // deadline-aware queue control: a request whose remaining deadline can no
 // longer cover the observed p50 service time is shed immediately with
 // computed Retry-After guidance instead of timing out in queue and wasting
@@ -21,10 +19,12 @@
 package sched
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -35,9 +35,8 @@ import (
 
 // Policy names accepted by New and ParsePolicy.
 const (
-	PolicyFIFO     = "fifo"
-	PolicyWFQ      = "wfq"
-	PolicyPriority = "priority"
+	PolicyFIFO = "fifo"
+	PolicyWFQ  = "wfq"
 )
 
 // ParsePolicy validates a policy name.
@@ -45,47 +44,10 @@ func ParsePolicy(s string) (string, error) {
 	switch s {
 	case "", PolicyFIFO:
 		return PolicyFIFO, nil
-	case PolicyWFQ, PolicyPriority:
+	case PolicyWFQ:
 		return s, nil
 	default:
-		return "", fmt.Errorf("sched: unknown policy %q (want fifo, wfq, or priority)", s)
-	}
-}
-
-// Class is a strict priority level. Lower values dispatch first.
-type Class int
-
-const (
-	Interactive Class = iota
-	Batch
-	Background
-	numClasses
-)
-
-func (c Class) String() string {
-	switch c {
-	case Interactive:
-		return "interactive"
-	case Batch:
-		return "batch"
-	case Background:
-		return "background"
-	default:
-		return fmt.Sprintf("class(%d)", int(c))
-	}
-}
-
-// ParseClass resolves a class name; ok is false for anything else.
-func ParseClass(s string) (Class, bool) {
-	switch s {
-	case "interactive":
-		return Interactive, true
-	case "batch":
-		return Batch, true
-	case "background":
-		return Background, true
-	default:
-		return 0, false
+		return "", fmt.Errorf("sched: unknown policy %q (want fifo or wfq)", s)
 	}
 }
 
@@ -95,9 +57,6 @@ type TenantConfig struct {
 	// Weight is the tenant's WFQ share (<= 0 means 1). A weight-4 tenant
 	// receives 4x the slots of a weight-1 tenant while both are backlogged.
 	Weight float64 `json:"weight,omitempty"`
-	// Class names the tenant's default priority class ("" = per-route
-	// default: interactive for /v1/analyze, batch for /v1/batch).
-	Class string `json:"class,omitempty"`
 	// Rate is the token-bucket refill in requests/second (0 = no quota);
 	// Burst is the bucket capacity (0 = max(Rate, 1)).
 	Rate  float64 `json:"rate,omitempty"`
@@ -109,33 +68,32 @@ type TenantConfig struct {
 
 // Table maps tenant IDs to their configs. The "*" entry, when present,
 // configures unknown tenants; otherwise they get the zero TenantConfig
-// (weight 1, route-default class, no quota).
+// (weight 1, no quota).
 type Table struct {
 	Tenants map[string]TenantConfig
 	Default TenantConfig
 }
 
-// ParseTable decodes the -tenants JSON object:
+// ParseTable decodes the -tenants JSON object; anything after it other
+// than whitespace is an error:
 //
-//	{"pro": {"weight": 4, "class": "interactive", "rate": 50, "burst": 100},
-//	 "bulk": {"weight": 1, "class": "batch", "queue_cap": 8},
+//	{"pro": {"weight": 4, "rate": 50, "burst": 100},
+//	 "bulk": {"weight": 1, "queue_cap": 8},
 //	 "*": {"weight": 1}}
 func ParseTable(data []byte) (Table, error) {
 	var raw map[string]TenantConfig
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&raw); err != nil {
 		return Table{}, fmt.Errorf("sched: tenants config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Table{}, errors.New("sched: tenants config: trailing data after the JSON object")
 	}
 	t := Table{Tenants: map[string]TenantConfig{}}
 	for name, cfg := range raw {
 		if cfg.Weight < 0 || cfg.Rate < 0 || cfg.Burst < 0 || cfg.QueueCap < 0 {
 			return Table{}, fmt.Errorf("sched: tenant %q: weight, rate, burst and queue_cap must be non-negative", name)
-		}
-		if cfg.Class != "" {
-			if _, ok := ParseClass(cfg.Class); !ok {
-				return Table{}, fmt.Errorf("sched: tenant %q: unknown class %q (want interactive, batch, or background)", name, cfg.Class)
-			}
 		}
 		if name == "*" {
 			t.Default = cfg
@@ -185,11 +143,8 @@ type Config struct {
 	// requests waiting for a slot across all tenants.
 	Slots      int
 	QueueDepth int
-	// Tenants configures per-tenant weights, classes, quotas and caps.
+	// Tenants configures per-tenant weights, quotas and caps.
 	Tenants Table
-	// ClassCaps bounds queued requests per priority class for the priority
-	// policy (0 entries default to QueueDepth).
-	ClassCaps map[Class]int
 	// MaxRetryAfter clamps computed Retry-After guidance (0 = 30s).
 	MaxRetryAfter time.Duration
 	// Metrics receives scheduler series; nil disables publication.
@@ -203,11 +158,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Request is one admission attempt. The caller fills Tenant, Class and
-// Deadline; the scheduler fills the accounting fields during Acquire.
+// Request is one admission attempt. The caller fills Tenant and Deadline;
+// the scheduler fills the accounting fields during Acquire.
 type Request struct {
 	Tenant string
-	Class  Class
 	// Deadline is the request's effective completion deadline; the zero
 	// time disables deadline-aware shedding for this request.
 	Deadline time.Time
@@ -228,7 +182,6 @@ type Request struct {
 const (
 	ReasonQueueFull       = "queue-full"
 	ReasonTenantQueueFull = "tenant-queue-full"
-	ReasonClassQueueFull  = "class-queue-full"
 	ReasonQuota           = "quota"
 	ReasonDeadline        = "deadline-unmeetable"
 )
@@ -267,7 +220,7 @@ var ErrDraining = errors.New("sched: draining, not accepting new work")
 // for concurrent use. Every successful Acquire must be paired with exactly
 // one Release.
 type Scheduler interface {
-	// Name reports the policy name (fifo, wfq, priority).
+	// Name reports the policy name (fifo, wfq).
 	Name() string
 	// Acquire blocks until req is granted a slot or refused: a *ShedError
 	// (bounded queue, quota, or unmeetable deadline), ErrDraining, or the
@@ -280,14 +233,6 @@ type Scheduler interface {
 	BeginDrain()
 	// Snapshot reports live per-tenant queue state for /debug/statusz.
 	Snapshot() Snapshot
-}
-
-// DispatchGater is implemented by schedulers that pace work dispatched on
-// behalf of an admitted request (the batch pool's priority-aware hook).
-// The returned gate runs before each unit of work; it must be bounded and
-// may refuse with the context's error.
-type DispatchGater interface {
-	JobGate(req *Request) func(context.Context) error
 }
 
 // Snapshot is a point-in-time scheduler view, the /debug/statusz
@@ -303,7 +248,6 @@ type Snapshot struct {
 // TenantSnapshot is one tenant's live admission state.
 type TenantSnapshot struct {
 	Tenant   string  `json:"tenant"`
-	Class    string  `json:"class,omitempty"`
 	Weight   float64 `json:"weight"`
 	Queued   int     `json:"queued"`
 	InFlight int     `json:"inflight"`
@@ -323,14 +267,10 @@ func New(policy string, cfg Config) (Scheduler, error) {
 	if cfg.Slots <= 0 || cfg.QueueDepth <= 0 {
 		return nil, fmt.Errorf("sched: Slots and QueueDepth must be positive (got %d, %d)", cfg.Slots, cfg.QueueDepth)
 	}
-	switch p {
-	case PolicyFIFO:
+	if p == PolicyFIFO {
 		return newFIFO(cfg), nil
-	case PolicyWFQ:
-		return newCore(cfg, &wfqOrder{}), nil
-	default:
-		return newCore(cfg, &priorityOrder{}), nil
 	}
+	return newCore(cfg), nil
 }
 
 // sortTenantSnapshots orders snapshots by name for stable statusz output.

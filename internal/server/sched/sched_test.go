@@ -14,19 +14,21 @@ import (
 )
 
 func TestParsePolicy(t *testing.T) {
-	for in, want := range map[string]string{"": PolicyFIFO, "fifo": PolicyFIFO, "wfq": PolicyWFQ, "priority": PolicyPriority} {
+	for in, want := range map[string]string{"": PolicyFIFO, "fifo": PolicyFIFO, "wfq": PolicyWFQ} {
 		got, err := ParsePolicy(in)
 		if err != nil || got != want {
 			t.Errorf("ParsePolicy(%q) = %q, %v; want %q", in, got, err, want)
 		}
 	}
-	if _, err := ParsePolicy("lifo"); err == nil {
-		t.Error("ParsePolicy accepted an unknown policy")
+	for _, in := range []string{"lifo", "priority"} {
+		if _, err := ParsePolicy(in); err == nil {
+			t.Errorf("ParsePolicy accepted unknown policy %q", in)
+		}
 	}
 }
 
 func TestParseTable(t *testing.T) {
-	tb, err := ParseTable([]byte(`{"pro":{"weight":4,"class":"interactive","rate":50,"burst":100},"bulk":{"weight":1,"queue_cap":8},"*":{"weight":2}}`))
+	tb, err := ParseTable([]byte(`{"pro":{"weight":4,"rate":50,"burst":100},"bulk":{"weight":1,"queue_cap":8},"*":{"weight":2}}` + "\n\t "))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +41,11 @@ func TestParseTable(t *testing.T) {
 	for name, bad := range map[string]string{
 		"unknown-field":   `{"pro":{"wieght":4}}`,
 		"negative-weight": `{"pro":{"weight":-1}}`,
-		"bad-class":       `{"pro":{"class":"vip"}}`,
+		"removed-class":   `{"pro":{"class":"interactive"}}`,
 		"not-json":        `{{`,
+		"trailing-object": `{"pro":{"weight":4}} {"evil":{"weight":-9}}`,
+		"trailing-text":   `{"pro":{"weight":4}} trailing`,
+		"trailing-brace":  `{"pro":{"weight":4}}}`,
 	} {
 		if _, err := ParseTable([]byte(bad)); err == nil {
 			t.Errorf("%s: ParseTable accepted %q", name, bad)
@@ -83,7 +88,7 @@ func newSched(t *testing.T, policy string, cfg Config) Scheduler {
 }
 
 func TestImmediateGrantAndShed(t *testing.T) {
-	for _, policy := range []string{PolicyFIFO, PolicyWFQ, PolicyPriority} {
+	for _, policy := range []string{PolicyFIFO, PolicyWFQ} {
 		t.Run(policy, func(t *testing.T) {
 			m := obs.NewMetrics()
 			s := newSched(t, policy, Config{Slots: 1, QueueDepth: 1, Metrics: m})
@@ -182,43 +187,6 @@ func TestWFQGrantRatio(t *testing.T) {
 	}
 }
 
-func TestPriorityDispatchOrder(t *testing.T) {
-	s := newSched(t, PolicyPriority, Config{Slots: 1, QueueDepth: 16})
-	hold := &Request{Class: Interactive}
-	mustAcquire(t, s, hold)
-
-	var mu sync.Mutex
-	var order []Class
-	var wg sync.WaitGroup
-	// Enqueue lowest class first so FIFO order would invert priority.
-	for i, class := range []Class{Background, Batch, Interactive} {
-		wg.Add(1)
-		go func(class Class) {
-			defer wg.Done()
-			req := &Request{Class: class}
-			if err := s.Acquire(context.Background(), req); err != nil {
-				t.Errorf("class %v: %v", class, err)
-				return
-			}
-			mu.Lock()
-			order = append(order, class)
-			mu.Unlock()
-			s.Release(req)
-		}(class)
-		waitQueued(t, s, i+1) // each enqueue in turn, so order is known
-	}
-	waitQueued(t, s, 3)
-	s.Release(hold)
-	wg.Wait()
-
-	want := []Class{Interactive, Batch, Background}
-	for i, class := range want {
-		if order[i] != class {
-			t.Fatalf("dispatch order = %v, want %v", order, want)
-		}
-	}
-}
-
 func TestTokenBucketQuota(t *testing.T) {
 	table, err := ParseTable([]byte(`{"capped":{"rate":0.001,"burst":1}}`))
 	if err != nil {
@@ -263,15 +231,14 @@ func TestDeadlineUnmeetableShed(t *testing.T) {
 	s.Release(ok)
 }
 
+// TestTenantAndClassQueueCaps pins the per-tenant queue cap under wfq: a
+// tenant at its cap is shed with tenant-queue-full.
 func TestTenantAndClassQueueCaps(t *testing.T) {
 	table, err := ParseTable([]byte(`{"small":{"queue_cap":1}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSched(t, PolicyPriority, Config{
-		Slots: 1, QueueDepth: 16, Tenants: table,
-		ClassCaps: map[Class]int{Background: 1},
-	})
+	s := newSched(t, PolicyWFQ, Config{Slots: 1, QueueDepth: 16, Tenants: table})
 	hold := &Request{}
 	mustAcquire(t, s, hold)
 
@@ -281,17 +248,11 @@ func TestTenantAndClassQueueCaps(t *testing.T) {
 	if err := s.Acquire(context.Background(), &Request{Tenant: "small"}); !errors.As(err, &shed) || shed.Reason != ReasonTenantQueueFull {
 		t.Fatalf("tenant-capped Acquire = %v, want tenant-queue-full", err)
 	}
-
-	go s.Acquire(context.Background(), &Request{Class: Background}) //nolint:errcheck
-	waitQueued(t, s, 2)
-	if err := s.Acquire(context.Background(), &Request{Class: Background}); !errors.As(err, &shed) || shed.Reason != ReasonClassQueueFull {
-		t.Fatalf("class-capped Acquire = %v, want class-queue-full", err)
-	}
-	s.BeginDrain() // flush the two parked waiters
+	s.BeginDrain() // flush the parked waiter
 }
 
 func TestDrainFlushesWaiters(t *testing.T) {
-	for _, policy := range []string{PolicyFIFO, PolicyWFQ, PolicyPriority} {
+	for _, policy := range []string{PolicyFIFO, PolicyWFQ} {
 		t.Run(policy, func(t *testing.T) {
 			s := newSched(t, policy, Config{Slots: 1, QueueDepth: 8})
 			hold := &Request{}
@@ -312,7 +273,7 @@ func TestDrainFlushesWaiters(t *testing.T) {
 }
 
 func TestCancelWhileQueued(t *testing.T) {
-	for _, policy := range []string{PolicyFIFO, PolicyWFQ, PolicyPriority} {
+	for _, policy := range []string{PolicyFIFO, PolicyWFQ} {
 		t.Run(policy, func(t *testing.T) {
 			s := newSched(t, policy, Config{Slots: 1, QueueDepth: 8})
 			hold := &Request{}
@@ -342,7 +303,7 @@ func TestCancelWhileQueued(t *testing.T) {
 // sched.dispatch fault site: an injected panic at the moment of grant
 // unwinds with the slot already back in the pool.
 func TestDispatchFaultReleasesSlot(t *testing.T) {
-	for _, policy := range []string{PolicyFIFO, PolicyWFQ, PolicyPriority} {
+	for _, policy := range []string{PolicyFIFO, PolicyWFQ} {
 		t.Run(policy, func(t *testing.T) {
 			s := newSched(t, policy, Config{Slots: 1, QueueDepth: 2})
 			faultinject.Arm(&faultinject.Plan{Site: faultinject.SiteSchedDispatch, After: 1, Action: faultinject.Panic})
@@ -383,66 +344,4 @@ func TestUnknownTenantsPoolAsOther(t *testing.T) {
 	for _, req := range reqs {
 		s.Release(req)
 	}
-}
-
-// TestJobGateYieldsToHigherClasses covers the batch pool's priority-aware
-// dispatch hook: a slot-holding background request's gate passes instantly
-// on an empty queue, yields a bounded few milliseconds while interactive
-// work is queued, and honors cancellation — it never blocks on the queued
-// waiters' progress (they need the very slot the gated batch holds).
-func TestJobGateYieldsToHigherClasses(t *testing.T) {
-	s := newSched(t, PolicyPriority, Config{Slots: 1, QueueDepth: 8})
-	g, ok := s.(DispatchGater)
-	if !ok {
-		t.Fatal("priority scheduler does not implement DispatchGater")
-	}
-	if fifo := newSched(t, PolicyFIFO, Config{Slots: 1, QueueDepth: 8}); func() bool {
-		_, ok := fifo.(DispatchGater)
-		return ok
-	}() {
-		t.Fatal("fifo scheduler unexpectedly implements DispatchGater (no classes to gate on)")
-	}
-
-	bg := &Request{Class: Background}
-	mustAcquire(t, s, bg)
-	gate := g.JobGate(bg)
-
-	// Empty queue: no yield.
-	t0 := time.Now()
-	if err := gate(context.Background()); err != nil {
-		t.Fatalf("gate on empty queue: %v", err)
-	}
-	if d := time.Since(t0); d > 100*time.Millisecond {
-		t.Errorf("gate on empty queue took %v, want immediate", d)
-	}
-
-	// Interactive work queued behind the held slot: the gate yields, but
-	// returns on its own within the bound instead of deadlocking.
-	ia := &Request{Class: Interactive}
-	done := make(chan error, 1)
-	go func() { done <- s.Acquire(context.Background(), ia) }()
-	waitQueued(t, s, 1)
-	t0 = time.Now()
-	if err := gate(context.Background()); err != nil {
-		t.Fatalf("gate with interactive queued: %v", err)
-	}
-	switch d := time.Since(t0); {
-	case d < 2*time.Millisecond:
-		t.Errorf("gate returned in %v with interactive work queued, want a yield pause", d)
-	case d > time.Second:
-		t.Errorf("gate yield took %v, want bounded (few ms)", d)
-	}
-
-	// A cancelled job context short-circuits the yield loop.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := gate(ctx); err == nil {
-		t.Error("gate ignored a cancelled context")
-	}
-
-	s.Release(bg)
-	if err := <-done; err != nil {
-		t.Fatalf("queued interactive waiter: %v", err)
-	}
-	s.Release(ia)
 }

@@ -19,11 +19,9 @@ const otherTenant = "other"
 // mutex-guarded queue core; the queueing fields (queue, vfinish, tokens)
 // are owned by the core and guarded by its mutex.
 type tenantState struct {
-	name     string
-	cfg      TenantConfig
-	weight   float64
-	class    Class // configured default class; classSet says whether it applies
-	classSet bool
+	name   string
+	cfg    TenantConfig
+	weight float64
 
 	queuedN   atomic.Int64
 	inflightN atomic.Int64
@@ -31,38 +29,23 @@ type tenantState struct {
 	shed      atomic.Int64
 
 	// Queue core state, guarded by core.mu.
-	queue       []*waiter
-	queuedClass [numClasses]int
-	vfinish     float64
-	tokens      float64
-	lastRefill  time.Time
+	queue      []*waiter
+	vfinish    float64
+	tokens     float64
+	lastRefill time.Time
 
-	// gQueued caches the per-class sched_queue_depth gauge handles.
-	gQueued [numClasses]*obs.Gauge
+	// gQueued caches the tenant's sched_queue_depth gauge handle.
+	gQueued *obs.Gauge
 }
 
 func (t *tenantState) noteAdmit() { t.inflightN.Add(1); t.admitted.Add(1) }
 func (t *tenantState) noteDone()  { t.inflightN.Add(-1) }
 func (t *tenantState) noteShed()  { t.shed.Add(1) }
 
-// classFor resolves the request's priority class: the tenant's configured
-// class wins, else the caller's route default carried on the request.
-func (t *tenantState) classFor(req Class) Class {
-	if t.classSet {
-		return t.class
-	}
-	return req
-}
-
 func newTenantState(name string, cfg TenantConfig) *tenantState {
 	t := &tenantState{name: name, cfg: cfg, weight: cfg.Weight, lastRefill: time.Now()}
 	if t.weight <= 0 {
 		t.weight = 1
-	}
-	if cfg.Class != "" {
-		if c, ok := ParseClass(cfg.Class); ok {
-			t.class, t.classSet = c, true
-		}
 	}
 	if cfg.Rate > 0 {
 		t.tokens = cfg.burst()
@@ -141,18 +124,14 @@ func (b *tenantBook) snapshot() []TenantSnapshot {
 	defer b.mu.Unlock()
 	out := make([]TenantSnapshot, 0, len(b.m))
 	for _, t := range b.m {
-		s := TenantSnapshot{
+		out = append(out, TenantSnapshot{
 			Tenant:   t.name,
 			Weight:   t.weight,
 			Queued:   int(t.queuedN.Load()),
 			InFlight: int(t.inflightN.Load()),
 			Admitted: t.admitted.Load(),
 			Shed:     t.shed.Load(),
-		}
-		if t.classSet {
-			s.Class = t.class.String()
-		}
-		out = append(out, s)
+		})
 	}
 	sortTenantSnapshots(out)
 	return out

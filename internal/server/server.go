@@ -84,17 +84,13 @@ type Config struct {
 	// populate it, so cached facts are always from clean completions.
 	FactCache *determinacy.FactCache
 	// SchedPolicy selects the admission scheduler: "fifo" (default,
-	// byte-compatible with the pre-scheduler admission path), "wfq"
-	// (weighted-fair queueing across tenants), or "priority" (strict
-	// priority classes). See internal/server/sched.
+	// byte-compatible with the pre-scheduler admission path) or "wfq"
+	// (weighted-fair queueing across tenants). See internal/server/sched.
 	SchedPolicy string
-	// Tenants configures per-tenant weights, priority classes, token-bucket
-	// quotas and queue caps for the wfq/priority policies (cmd/detserve
-	// -tenants). The zero Table treats every tenant alike at weight 1.
+	// Tenants configures per-tenant weights, token-bucket quotas and queue
+	// caps for the wfq policy (cmd/detserve -tenants). The zero Table
+	// treats every tenant alike at weight 1.
 	Tenants sched.Table
-	// ClassCaps bounds queued requests per priority class under the
-	// priority policy (0 entries default to QueueDepth).
-	ClassCaps map[sched.Class]int
 	// StreamHeartbeat is the keepalive interval for ?stream= responses:
 	// while an analysis is running, the server emits a heartbeat line
 	// (NDJSON {"type":"heartbeat"} or an SSE comment) so idle-timeout
@@ -168,7 +164,7 @@ type Server struct {
 	start   time.Time
 
 	// sched is the pluggable admission layer: it owns the execution slots,
-	// the bounded queues, and every fairness/priority/quota decision.
+	// the bounded queues, and every fairness and quota decision.
 	sched sched.Scheduler
 
 	// wg tracks admitted requests so Drain can wait for them.
@@ -194,7 +190,7 @@ type Server struct {
 	cRequests, cQuarantined *obs.Counter
 	hLatency, hQueueWait    map[string]*obs.Histogram
 	// tenantLatency enables server_tenant_request_seconds{tenant=...}
-	// histograms (wfq/priority policies only: under fifo every tenant is
+	// histograms (wfq policy only: under fifo every tenant is
 	// anonymous and the series would duplicate server_request_seconds).
 	tenantLatency bool
 
@@ -245,7 +241,6 @@ func New(cfg Config) *Server {
 		Slots:         cfg.MaxInFlight,
 		QueueDepth:    cfg.QueueDepth,
 		Tenants:       cfg.Tenants,
-		ClassCaps:     cfg.ClassCaps,
 		MaxRetryAfter: cfg.MaxTimeout,
 		Metrics:       m,
 	})

@@ -209,8 +209,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintln(w)
 	for _, ts := range snap.Tenants {
-		fmt.Fprintf(w, "  tenant=%s weight=%g class=%s queued=%d inflight=%d admitted=%d shed=%d\n",
-			ts.Tenant, ts.Weight, ts.Class, ts.Queued, ts.InFlight, ts.Admitted, ts.Shed)
+		fmt.Fprintf(w, "  tenant=%s weight=%g queued=%d inflight=%d admitted=%d shed=%d\n",
+			ts.Tenant, ts.Weight, ts.Queued, ts.InFlight, ts.Admitted, ts.Shed)
 	}
 	if s.cluster != nil {
 		cs := s.cluster.Snapshot()
