@@ -15,6 +15,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -467,4 +469,49 @@ func BenchmarkTable1JQuery10GuardLive(b *testing.B) {
 		b.Fatal(row.Err)
 	}
 	b.ReportMetric(boolMetric(row.Baseline.Completed && row.Spec.Completed && row.DetDOM.Completed), "all-ok")
+}
+
+// factsSink keeps BenchmarkResultFacts' renders from being optimized away.
+var factsSink []determinacy.Fact
+
+// BenchmarkResultFacts times Result.Facts alone, on analyses made before
+// the timer starts: examples/js/counter.js at seed 1, and 200 programs
+// from perfbench serve's generator config (seeds 700000+), rendered all
+// together per op.
+func BenchmarkResultFacts(b *testing.B) {
+	src, err := os.ReadFile(filepath.Join("examples", "js", "counter.js"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	counter, err := determinacy.Analyze(string(src), determinacy.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var serve []*determinacy.Result
+	for i := 0; i < 200; i++ {
+		gen := workload.RandomProgram(workload.GenConfig{
+			Seed: 700_000 + uint64(i), MaxStmts: 40, WithProto: true, WithEval: true, WithForIn: true,
+		})
+		res, err := determinacy.Analyze(gen, determinacy.Options{Seed: uint64(i), MaxFlushes: 1000, Out: io.Discard})
+		if err != nil {
+			b.Fatal(err)
+		}
+		serve = append(serve, res)
+	}
+	run := func(b *testing.B, rs []*determinacy.Result) {
+		n := 0
+		for _, r := range rs {
+			n += r.NumFacts()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, r := range rs {
+				factsSink = r.Facts()
+			}
+		}
+		b.ReportMetric(float64(n), "facts/op")
+	}
+	b.Run("counter", func(b *testing.B) { run(b, []*determinacy.Result{counter}) })
+	b.Run("serve200", func(b *testing.B) { run(b, serve) })
 }

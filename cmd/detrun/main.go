@@ -194,9 +194,11 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		fs := res.Facts()
+		var fs []determinacy.Fact
 		if *detOnly {
 			fs = res.DeterminateFacts()
+		} else {
+			fs = res.Facts()
 		}
 		for _, f := range fs {
 			fmt.Println(f)

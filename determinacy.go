@@ -698,33 +698,50 @@ func (w *writerBuffer) Write(p []byte) (int, error) {
 
 func (w *writerBuffer) String() string { return string(w.b) }
 
-// Facts returns every recorded fact in stable order.
+// Facts returns every recorded fact in stable order, nil when there are
+// none.
 func (r *Result) Facts() []Fact {
-	var out []Fact
-	for _, f := range r.store.Sorted() {
-		out = append(out, r.renderFact(f))
-	}
-	return out
+	return r.render(func(*facts.Fact) bool { return true })
 }
 
 // DeterminateFacts returns only the determinate facts.
 func (r *Result) DeterminateFacts() []Fact {
-	var out []Fact
-	for _, f := range r.store.Sorted() {
-		if f.Det {
-			out = append(out, r.renderFact(f))
-		}
-	}
-	return out
+	return r.render(func(f *facts.Fact) bool { return f.Det })
 }
 
 // FactsAtLine returns the facts whose program point lies on a source line.
 func (r *Result) FactsAtLine(line int) []Fact {
-	var out []Fact
-	for _, f := range r.store.Sorted() {
-		if in := r.mod.InstrAt(f.Instr); in != nil && in.IPos().Line == line {
-			out = append(out, r.renderFact(f))
+	return r.render(func(f *facts.Fact) bool {
+		in := r.mod.InstrAt(f.Instr)
+		return in != nil && in.IPos().Line == line
+	})
+}
+
+// render renders the facts keep accepts, in stable order, with one
+// facts.Renderer: each program point and context is formatted once however
+// many facts share it.
+func (r *Result) render(keep func(*facts.Fact) bool) []Fact {
+	sorted := r.store.Sorted()
+	n := 0
+	for _, f := range sorted {
+		if keep(f) {
+			n++
 		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Fact, 0, n)
+	rr := facts.NewRenderer(r.mod)
+	for _, f := range sorted {
+		if !keep(f) {
+			continue
+		}
+		point, line, col := rr.Point(f.Instr)
+		out = append(out, Fact{
+			Line: line, Col: col, Point: point, Context: rr.Context(f),
+			Determinate: f.Det, Value: f.Val.String(),
+		})
 	}
 	return out
 }
@@ -735,29 +752,6 @@ func (r *Result) NumDeterminate() int   { return r.store.NumDeterminate() }
 func (r *Result) Store() *facts.Store   { return r.store }
 func (r *Result) Module() *ir.Module    { return r.mod }
 func (r *Result) Program() *ast.Program { return r.prog }
-
-func (r *Result) renderFact(f *facts.Fact) Fact {
-	out := Fact{Determinate: f.Det, Value: f.Val.String()}
-	if in := r.mod.InstrAt(f.Instr); in != nil {
-		out.Line = in.IPos().Line
-		out.Col = in.IPos().Col
-		out.Point = ir.InstrString(in)
-	}
-	ctx := ""
-	for i, e := range f.Ctx {
-		if i > 0 {
-			ctx += "→"
-		}
-		if in := r.mod.InstrAt(e.Site); in != nil {
-			ctx += fmt.Sprintf("L%d_%d", in.IPos().Line, e.Seq)
-		}
-	}
-	if f.Seq > 0 {
-		ctx += fmt.Sprintf("(occ %d)", f.Seq)
-	}
-	out.Context = ctx
-	return out
-}
 
 // ---------------------------------------------------------------------------
 // Clients

@@ -295,13 +295,14 @@ func conflictDetail(keys []string, s1, s2 *facts.Store, mod *ir.Module) string {
 		return nil
 	}
 	var b strings.Builder
+	rr := facts.NewRenderer(mod)
 	for _, k := range keys {
 		fmt.Fprintf(&b, "  key %s\n", k)
 		if f := find(s1, k); f != nil {
-			fmt.Fprintf(&b, "    run A: %s\n", facts.RenderFact(mod, f))
+			fmt.Fprintf(&b, "    run A: %s\n", rr.AppendFact(nil, f))
 		}
 		if f := find(s2, k); f != nil {
-			fmt.Fprintf(&b, "    run B: %s\n", facts.RenderFact(mod, f))
+			fmt.Fprintf(&b, "    run B: %s\n", rr.AppendFact(nil, f))
 		}
 	}
 	return b.String()

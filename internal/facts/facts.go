@@ -11,8 +11,8 @@
 package facts
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -128,28 +128,6 @@ func (s Snapshot) EquivalentAcrossRuns(o Snapshot) bool {
 		return o.Kind == VObject
 	}
 	return s.Equal(o)
-}
-
-func (s Snapshot) String() string {
-	switch s.Kind {
-	case VUndefined:
-		return "undefined"
-	case VNull:
-		return "null"
-	case VBool:
-		return fmt.Sprint(s.Bool)
-	case VNumber:
-		return fmt.Sprint(s.Num)
-	case VString:
-		return fmt.Sprintf("%q", s.Str)
-	case VFunction:
-		if s.Native != "" {
-			return "native:" + s.Native
-		}
-		return fmt.Sprintf("fn#%d", s.FnIndex)
-	default:
-		return fmt.Sprintf("obj#%d", s.Alloc)
-	}
 }
 
 // Fact is one determinacy fact.
@@ -387,66 +365,24 @@ func (s *Store) DeterminateAt(instr ir.ID) (Snapshot, bool) {
 	return val, found
 }
 
-// Render formats facts for display, resolving instruction IDs to source
-// lines via the module. Facts render like the paper:
-//
-//	⟦ point@14 ⟧ 16.0→4.0 = 23
-func Render(m *ir.Module, fs []*Fact) string {
-	var b strings.Builder
-	for _, f := range fs {
-		b.WriteString(RenderFact(m, f))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// RenderFact formats one fact.
-func RenderFact(m *ir.Module, f *Fact) string {
-	var b strings.Builder
-	b.WriteString("[[ ")
-	if in := m.InstrAt(f.Instr); in != nil {
-		fmt.Fprintf(&b, "%s @%s", ir.InstrString(in), in.IPos())
-	} else {
-		fmt.Fprintf(&b, "#%d", f.Instr)
-	}
-	b.WriteString(" ]] ")
-	if len(f.Ctx) == 0 {
-		b.WriteString("·")
-	}
-	for i, e := range f.Ctx {
-		if i > 0 {
-			b.WriteString("→")
-		}
-		if in := m.InstrAt(e.Site); in != nil {
-			fmt.Fprintf(&b, "L%d_%d", in.IPos().Line, e.Seq)
-		} else {
-			fmt.Fprintf(&b, "%d_%d", e.Site, e.Seq)
-		}
-	}
-	if f.Seq > 0 {
-		fmt.Fprintf(&b, " (occ %d)", f.Seq)
-	}
-	if f.Det {
-		fmt.Fprintf(&b, " = %s", f.Val)
-	} else {
-		b.WriteString(" = ?")
-	}
-	return b.String()
-}
-
-// Sorted returns facts ordered by instruction, then context key, for stable
-// golden output.
+// Sorted returns facts ordered by instruction, then context key, then
+// occurrence, for stable golden output. It compares the context part of
+// the store's own keys rather than rendering each fact's context again.
 func (s *Store) Sorted() []*Fact {
-	out := s.All()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Instr != out[j].Instr {
-			return out[i].Instr < out[j].Instr
-		}
-		ki, kj := out[i].Ctx.Key(), out[j].Ctx.Key()
-		if ki != kj {
-			return ki < kj
-		}
-		return out[i].Seq < out[j].Seq
+	type entry struct {
+		f   *Fact
+		ctx string
+	}
+	es := make([]entry, len(s.order))
+	for i, k := range s.order {
+		es[i] = entry{s.m[k], k[strings.IndexByte(k, '|')+1 : strings.LastIndexByte(k, '|')]}
+	}
+	slices.SortFunc(es, func(a, b entry) int {
+		return cmp.Or(cmp.Compare(a.f.Instr, b.f.Instr), strings.Compare(a.ctx, b.ctx), cmp.Compare(a.f.Seq, b.f.Seq))
 	})
+	out := make([]*Fact, len(es))
+	for i, e := range es {
+		out[i] = e.f
+	}
 	return out
 }

@@ -545,9 +545,11 @@ func (s *Server) runAnalyze(reqCtx context.Context, req *AnalyzeRequest, rt *req
 }
 
 func buildResponse(name string, detOnly bool, res *determinacy.Result) *AnalyzeResponse {
-	facts := res.Facts()
+	var facts []determinacy.Fact
 	if detOnly {
 		facts = res.DeterminateFacts()
+	} else {
+		facts = res.Facts()
 	}
 	if facts == nil {
 		facts = []determinacy.Fact{} // JSON [] beats null for clients

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"determinacy"
 	"determinacy/internal/guard/faultinject"
 )
 
@@ -101,19 +103,57 @@ func TestAnalyzeBasic(t *testing.T) {
 
 func TestAnalyzeFactsNeverNull(t *testing.T) {
 	// A program with no observable facts must answer [] — clients iterate
-	// the field without a null check.
+	// the field without a null check. "var x;" records no fact at all, so
+	// Result.Facts returns nil and the handler must still send [].
 	_, ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: `var x = 0;`, DetOnly: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	for _, req := range []AnalyzeRequest{
+		{Source: `var x = 0;`, DetOnly: true},
+		{Source: `var x;`},
+		{Source: `var x;`, DetOnly: true},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/analyze", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status = %d, want 200", req.Source, resp.StatusCode)
+		}
+		var raw map[string]json.RawMessage
+		err := json.NewDecoder(resp.Body).Decode(&raw)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if string(raw["facts"]) == "null" {
+			t.Errorf("%q det_only=%v: facts marshaled as null, want []", req.Source, req.DetOnly)
+		}
+		if req.Source == `var x;` && string(raw["facts"]) != "[]" {
+			t.Errorf("%q det_only=%v: facts = %s, want []", req.Source, req.DetOnly, raw["facts"])
+		}
 	}
-	defer resp.Body.Close()
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		t.Fatalf("decode: %v", err)
+}
+
+// TestAnalyzeDetOnlyMatchesFull checks that det_only answers exactly the
+// determinate facts of the full response, in the same order, and that
+// their count is num_determinate.
+func TestAnalyzeDetOnlyMatchesFull(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := AnalyzeRequest{Source: slowSrc, Seed: 3}
+	full := decodeAnalyze(t, postJSON(t, ts.URL+"/v1/analyze", req))
+	req.DetOnly = true
+	det := decodeAnalyze(t, postJSON(t, ts.URL+"/v1/analyze", req))
+
+	var want []determinacy.Fact
+	for _, f := range full.Facts {
+		if f.Determinate {
+			want = append(want, f)
+		}
 	}
-	if string(raw["facts"]) == "null" {
-		t.Error(`facts marshaled as null, want []`)
+	if len(want) == 0 || len(want) == len(full.Facts) {
+		t.Fatalf("want a mix of determinate and indeterminate facts, got %d of %d determinate", len(want), len(full.Facts))
+	}
+	if !reflect.DeepEqual(det.Facts, want) {
+		t.Errorf("det_only facts differ from the full response's determinate facts (%d vs %d)", len(det.Facts), len(want))
+	}
+	if len(det.Facts) != det.NumDeterminate || det.NumDeterminate != full.NumDeterminate {
+		t.Errorf("det_only: %d facts, num_determinate %d (full %d)", len(det.Facts), det.NumDeterminate, full.NumDeterminate)
 	}
 }
 

@@ -114,14 +114,10 @@ func snapshotsCompatible(want, got facts.Snapshot) bool {
 // Report renders mismatches for test output.
 func (c *Checker) Report(mod *ir.Module) string {
 	var b strings.Builder
+	rr := facts.NewRenderer(mod)
 	for _, m := range c.Mismatches {
-		in := mod.InstrAt(m.Instr)
-		loc := fmt.Sprintf("#%d", m.Instr)
-		if in != nil {
-			loc = fmt.Sprintf("%s @%s", ir.InstrString(in), in.IPos())
-		}
 		fmt.Fprintf(&b, "UNSOUND fact at %s ctx=%s seq=%d: predicted %s, concrete run computed %s\n",
-			loc, m.Ctx.Key(), m.Seq, m.Want, m.Got)
+			rr.AppendPoint(nil, m.Instr), m.Ctx.Key(), m.Seq, m.Want, m.Got)
 	}
 	return b.String()
 }
