@@ -58,6 +58,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "detbench: "+format+"\n", args...)
 		os.Exit(cliexit.Usage)
 	}
+	if flag.NArg() != 0 {
+		badFlag("unexpected arguments %v", flag.Args())
+	}
 	if *budget < 0 {
 		badFlag("-budget must be non-negative, got %d", *budget)
 	}

@@ -47,6 +47,9 @@ func TestRejectNonsensicalFlags(t *testing.T) {
 		{"detspec", []string{"-clone-depth", "-1", js}},
 		{"detbench", []string{"-table1", "-workers", "-1"}},
 		{"detbench", []string{"-table1", "-budget", "-1"}},
+		// A positional argument stops flag parsing: the -budget after it
+		// would otherwise be silently ignored.
+		{"detbench", []string{"-table1", "stray", "-budget", "-1"}},
 		{"detfuzz", []string{"-seeds", "0"}},
 		{"detfuzz", []string{"-resolutions", "0"}},
 		{"detfuzz", []string{"-workers", "-1"}},

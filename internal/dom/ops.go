@@ -1,6 +1,10 @@
 package dom
 
-import "fmt"
+import (
+	"fmt"
+
+	"determinacy/internal/interp"
+)
 
 // The DOM's operations are written once, over *Node and plain Go values,
 // in the ops table below. The two bindings (bind_interp.go for the concrete
@@ -40,12 +44,15 @@ const (
 	data // a property set once, to the result of run
 )
 
-// op is one DOM operation or property.
+// op is one DOM operation or property. sum is the static points-to
+// model's abstract summary: of a call for a method, of the value for a
+// getter or data property.
 type op struct {
 	on     target
 	kind   opKind
 	name   string
 	effect Effect
+	sum    interp.Summary
 	run    func(s *state, this *Node, in args) result
 }
 
@@ -143,19 +150,19 @@ func setString(set func(d *Document, n *Node, v string)) func(*state, *Node, arg
 // ops is the DOM, in install order. The order fixes allocation numbers,
 // which rendered facts print, so both bindings walk it as is.
 var ops = []op{
-	{on: onElement, name: "getElementsByTagName", effect: Read, run: func(_ *state, this *Node, in args) result {
+	{on: onElement, name: "getElementsByTagName", effect: Read, sum: interp.ReturnsNodeList, run: func(_ *state, this *Node, in args) result {
 		if this == nil {
 			return nodes(nil)
 		}
 		return nodes(this.descendants(in.str(0), nil))
 	}},
-	{on: onElement, name: "appendChild", effect: External, run: func(s *state, this *Node, in args) result {
+	{on: onElement, name: "appendChild", effect: External, sum: interp.ReturnsElement, run: func(s *state, this *Node, in args) result {
 		if child := in.node(0); this != nil && child != nil {
 			s.Doc.Append(this, child)
 		}
 		return result{kind: rArg0}
 	}},
-	{on: onElement, name: "removeChild", effect: External, run: func(s *state, this *Node, in args) result {
+	{on: onElement, name: "removeChild", effect: External, sum: interp.ReturnsElement, run: func(s *state, this *Node, in args) result {
 		if child := in.node(0); this != nil && child != nil {
 			s.Doc.Remove(this, child)
 		}
@@ -184,8 +191,8 @@ var ops = []op{
 		}
 		return null
 	}},
-	{on: onElement, name: "addEventListener", effect: External, run: listen},
-	{on: onElement, name: "attachEvent", effect: External, run: listen},
+	{on: onElement, name: "addEventListener", effect: External, sum: interp.Listens, run: listen},
+	{on: onElement, name: "attachEvent", effect: External, sum: interp.Listens, run: listen},
 	{on: onElement, name: "removeEventListener", effect: Read, run: func(*state, *Node, args) result { return undefined }},
 	// Live accessor properties. The interpreters' accessor paths do not
 	// consult effect: core aborts a counterfactual at every setter, so the
@@ -194,19 +201,19 @@ var ops = []op{
 	{on: onElement, kind: setter, name: "innerHTML", effect: External, run: setString((*Document).SetInnerHTML)},
 	{on: onElement, kind: getter, name: "id", run: getString(func(n *Node) string { return n.ID })},
 	{on: onElement, kind: setter, name: "id", effect: External, run: setString((*Document).SetID)},
-	{on: onElement, kind: getter, name: "firstChild", run: func(_ *state, this *Node, _ args) result {
+	{on: onElement, kind: getter, name: "firstChild", sum: interp.ReturnsElement, run: func(_ *state, this *Node, _ args) result {
 		if this == nil || len(this.Children) == 0 {
 			return null
 		}
 		return node(this.Children[0])
 	}},
-	{on: onElement, kind: getter, name: "parentNode", run: func(_ *state, this *Node, _ args) result {
+	{on: onElement, kind: getter, name: "parentNode", sum: interp.ReturnsElement, run: func(_ *state, this *Node, _ args) result {
 		if this == nil {
 			return null
 		}
 		return node(this.Parent)
 	}},
-	{on: onElement, kind: getter, name: "childNodes", run: func(_ *state, this *Node, _ args) result {
+	{on: onElement, kind: getter, name: "childNodes", sum: interp.ReturnsNodeList, run: func(_ *state, this *Node, _ args) result {
 		if this == nil {
 			return nodes(nil)
 		}
@@ -215,16 +222,16 @@ var ops = []op{
 	{on: onElement, kind: getter, name: "value", run: getString(func(n *Node) string { return n.Attrs["value"] })},
 	{on: onElement, kind: setter, name: "value", effect: External, run: setString(func(_ *Document, n *Node, v string) { n.Attrs["value"] = v })},
 
-	{on: onDocument, name: "getElementById", effect: Read, run: func(s *state, _ *Node, in args) result {
+	{on: onDocument, name: "getElementById", effect: Read, sum: interp.ReturnsElement, run: func(s *state, _ *Node, in args) result {
 		return node(s.Doc.ByID(in.str(0)))
 	}},
-	{on: onDocument, name: "getElementsByTagName", effect: Read, run: func(s *state, _ *Node, in args) result {
+	{on: onDocument, name: "getElementsByTagName", effect: Read, sum: interp.ReturnsNodeList, run: func(s *state, _ *Node, in args) result {
 		return nodes(s.Doc.ByTag(in.str(0)))
 	}},
-	{on: onDocument, name: "createElement", effect: External, run: func(s *state, _ *Node, in args) result {
+	{on: onDocument, name: "createElement", effect: External, sum: interp.ReturnsElement, run: func(s *state, _ *Node, in args) result {
 		return node(s.Doc.NewNode(in.str(0), ""))
 	}},
-	{on: onDocument, name: "createTextNode", effect: External, run: func(s *state, _ *Node, in args) result {
+	{on: onDocument, name: "createTextNode", effect: External, sum: interp.ReturnsElement, run: func(s *state, _ *Node, in args) result {
 		n := s.Doc.NewNode("#text", "")
 		n.Text = in.str(0)
 		return node(n)
@@ -233,25 +240,25 @@ var ops = []op{
 		s.Doc.SetInnerHTML(s.Doc.Body, s.Doc.Body.InnerHTML()+in.str(0))
 		return undefined
 	}},
-	{on: onDocument, name: "addEventListener", effect: External, run: listenGlobal},
-	{on: onDocument, name: "attachEvent", effect: External, run: listenGlobal},
+	{on: onDocument, name: "addEventListener", effect: External, sum: interp.Listens, run: listenGlobal},
+	{on: onDocument, name: "attachEvent", effect: External, sum: interp.Listens, run: listenGlobal},
 	{on: onDocument, kind: data, name: "title", run: func(s *state, _ *Node, _ args) result { return str(s.Doc.Title) }},
 	{on: onDocument, kind: data, name: "cookie", run: func(*state, *Node, args) result { return str("") }},
 	{on: onDocument, kind: data, name: "readyState", run: func(*state, *Node, args) result { return str("loading") }},
-	{on: onDocument, kind: data, name: "body", run: func(s *state, _ *Node, _ args) result { return node(s.Doc.Body) }},
-	{on: onDocument, kind: data, name: "documentElement", run: func(s *state, _ *Node, _ args) result { return node(s.Doc.Root) }},
+	{on: onDocument, kind: data, name: "body", sum: interp.ReturnsElement, run: func(s *state, _ *Node, _ args) result { return node(s.Doc.Body) }},
+	{on: onDocument, kind: data, name: "documentElement", sum: interp.ReturnsElement, run: func(s *state, _ *Node, _ args) result { return node(s.Doc.Root) }},
 
 	{on: onNavigator, kind: data, name: "userAgent", run: func(s *state, _ *Node, _ args) result { return str(s.Doc.UserAgent) }},
 	{on: onNavigator, kind: data, name: "appName", run: func(*state, *Node, args) result { return str("Netscape") }},
 	{on: onLocation, kind: data, name: "href", run: func(s *state, _ *Node, _ args) result { return str(s.Doc.URL) }},
 	{on: onLocation, kind: data, name: "protocol", run: func(*state, *Node, args) result { return str("http:") }},
 
-	{on: onWindow, name: "setTimeout", effect: External, run: func(s *state, _ *Node, in args) result { return s.timer("timeout", in) }},
-	{on: onWindow, name: "setInterval", effect: External, run: func(s *state, _ *Node, in args) result { return s.timer("interval", in) }},
+	{on: onWindow, name: "setTimeout", effect: External, sum: interp.CallsLater, run: func(s *state, _ *Node, in args) result { return s.timer("timeout", in) }},
+	{on: onWindow, name: "setInterval", effect: External, sum: interp.CallsLater, run: func(s *state, _ *Node, in args) result { return s.timer("interval", in) }},
 	{on: onWindow, name: "clearTimeout", effect: External, run: clearTimer},
 	{on: onWindow, name: "clearInterval", effect: External, run: clearTimer},
-	{on: onWindow, name: "addEventListener", effect: External, run: listenGlobal},
-	{on: onWindow, name: "attachEvent", effect: External, run: listenGlobal},
+	{on: onWindow, name: "addEventListener", effect: External, sum: interp.Listens, run: listenGlobal},
+	{on: onWindow, name: "attachEvent", effect: External, sum: interp.Listens, run: listenGlobal},
 }
 
 // nodeFields are each element wrapper's own properties, set in this order
@@ -264,8 +271,21 @@ var nodeFields = []op{
 }
 
 // globalNames names the global bound to each target's object; the element
-// prototype has none.
-var globalNames = [...]string{onDocument: "document", onNavigator: "navigator", onLocation: "location"}
+// prototype has none, and window is the global object itself.
+var globalNames = [...]string{onDocument: "document", onNavigator: "navigator", onLocation: "location", onWindow: "window"}
+
+// StaticOps calls f for each ops table entry but the setters, in install
+// order, as a static model sees it: global is bound to the object the entry
+// is installed on ("window" is the global object, "" the element
+// prototype); method tells an operation from a getter or data property;
+// sum is the abstract summary.
+func StaticOps(f func(global, name string, method bool, sum interp.Summary)) {
+	for _, o := range ops {
+		if o.kind != setter {
+			f(globalNames[o.on], o.name, o.kind == method, o.sum)
+		}
+	}
+}
 
 // binder is what the shared install walk and handler loop need from a
 // binding.

@@ -30,6 +30,26 @@ const (
 	Modeled
 )
 
+// Summary is a native's abstract pointer behaviour: how the static
+// points-to analysis (internal/pointsto) models a call to it. The zero
+// value has no pointer effect: the result is a primitive, or the native is
+// left unmodeled, as the paper's baseline leaves most of the library.
+type Summary uint8
+
+const (
+	Opaque          Summary = iota
+	CallsThis               // f.call(t, ...a) calls the receiver f
+	AppliesThis             // f.apply(t, arr) calls f with arr's elements
+	StoresArgs              // every argument flows into the receiver's elements
+	LoadsElement            // the result is one of the receiver's elements
+	CallsBack               // argument 0 is called with the receiver's elements
+	Constructs              // the result is fresh, its prototype the constructor's .prototype
+	ReturnsElement          // the result is a DOM element
+	ReturnsNodeList         // the result is a DOM node list, an array of elements
+	CallsLater              // argument 0 is called later, by a timer
+	Listens                 // argument 1 is called with an event
+)
+
 // Host is what a kernel may ask of the interpreter running it: the
 // indeterminate sources. Both interpreters implement it. Modeled and
 // console kernels run only in this package and assert *Interp.
@@ -40,13 +60,15 @@ type Host interface {
 }
 
 // Builtin is one property of the standard library: a native function with
-// its concrete kernel and determinacy policy, or a data property.
+// its concrete kernel, determinacy policy and abstract summary, or a data
+// property.
 type Builtin struct {
 	// Owner is the object the property is set on: "" for the global
 	// object, a prototype such as "Array.prototype", or the Name of an
 	// earlier global entry (a namespace or a constructor).
 	Owner, Name string
 	Policy      Policy
+	Summary     Summary
 	// Fn is the concrete kernel; nil for a data property.
 	Fn NativeFunc
 	// Val is a data property's primitive value, unless Ref names an object
@@ -58,7 +80,7 @@ type Builtin struct {
 }
 
 // Slots index the objects built-ins are installed on. The first seven are
-// the prototypes, in the order of prototypeNames; then the global object;
+// the prototypes, in the order of PrototypeNames; then the global object;
 // the rest are filled by entries that own later entries.
 const (
 	SlotObjectProto = iota
@@ -72,7 +94,8 @@ const (
 	NumSlots = 24
 )
 
-var prototypeNames = [SlotGlobal]string{"Object.prototype", "Function.prototype",
+// PrototypeNames names the prototype slots.
+var PrototypeNames = [SlotGlobal]string{"Object.prototype", "Function.prototype",
 	"Array.prototype", "String.prototype", "Number.prototype", "Boolean.prototype", "Error.prototype"}
 
 // Path is the entry's qualified name, e.g. "Math.floor" or "parseInt".
@@ -135,7 +158,7 @@ var Builtins = []Builtin{
 	{Owner: "Math", Name: "PI", Val: NumberVal(math.Pi)},
 	{Owner: "Math", Name: "E", Val: NumberVal(math.E)},
 
-	{Name: "Object", Policy: Modeled, Fn: func(h Host, _ Value, args []Value) (Value, error) {
+	{Name: "Object", Policy: Modeled, Summary: Constructs, Fn: func(h Host, _ Value, args []Value) (Value, error) {
 		if a := arg(args, 0); a.Kind == Object {
 			return a, nil
 		}
@@ -184,14 +207,14 @@ var Builtins = []Builtin{
 		return UndefinedVal, h.(*Interp).typeError("the Function constructor is not supported; use eval")
 	}},
 	{Owner: "Function", Name: "prototype", Ref: "Function.prototype"},
-	{Owner: "Function.prototype", Name: "call", Policy: Modeled, Fn: func(h Host, this Value, args []Value) (Value, error) {
+	{Owner: "Function.prototype", Name: "call", Policy: Modeled, Summary: CallsThis, Fn: func(h Host, this Value, args []Value) (Value, error) {
 		rest := args
 		if len(rest) > 0 {
 			rest = rest[1:]
 		}
 		return h.(*Interp).CallFunction(this, arg(args, 0), rest)
 	}},
-	{Owner: "Function.prototype", Name: "apply", Policy: Modeled, Fn: func(h Host, this Value, args []Value) (Value, error) {
+	{Owner: "Function.prototype", Name: "apply", Policy: Modeled, Summary: AppliesThis, Fn: func(h Host, this Value, args []Value) (Value, error) {
 		var rest []Value
 		if a := arg(args, 1); a.Kind == Object {
 			rest = a.O.elements(0, a.O.ArrayLength())
@@ -199,7 +222,7 @@ var Builtins = []Builtin{
 		return h.(*Interp).CallFunction(this, arg(args, 0), rest)
 	}},
 
-	{Name: "Array", Policy: Modeled, Fn: func(h Host, _ Value, args []Value) (Value, error) {
+	{Name: "Array", Policy: Modeled, Summary: Constructs, Fn: func(h Host, _ Value, args []Value) (Value, error) {
 		it := h.(*Interp)
 		if len(args) == 1 && args[0].Kind == Number {
 			a := it.NewArray(nil)
@@ -213,7 +236,7 @@ var Builtins = []Builtin{
 		a := arg(args, 0)
 		return BoolVal(a.Kind == Object && a.O.Class == "Array"), nil
 	}},
-	{Owner: "Array.prototype", Name: "push", Policy: Modeled, Fn: func(_ Host, this Value, args []Value) (Value, error) {
+	{Owner: "Array.prototype", Name: "push", Policy: Modeled, Summary: StoresArgs, Fn: func(_ Host, this Value, args []Value) (Value, error) {
 		if this.Kind != Object {
 			return UndefinedVal, nil
 		}
@@ -225,7 +248,7 @@ var Builtins = []Builtin{
 		this.O.Set("length", NumberVal(float64(n)))
 		return NumberVal(float64(n)), nil
 	}},
-	{Owner: "Array.prototype", Name: "pop", Policy: Modeled, Fn: func(_ Host, this Value, _ []Value) (Value, error) {
+	{Owner: "Array.prototype", Name: "pop", Policy: Modeled, Summary: LoadsElement, Fn: func(_ Host, this Value, _ []Value) (Value, error) {
 		if this.Kind != Object {
 			return UndefinedVal, nil
 		}
@@ -280,13 +303,13 @@ var Builtins = []Builtin{
 		}
 		return ObjVal(h.(*Interp).NewArray(elems)), nil
 	}},
-	{Owner: "Array.prototype", Name: "forEach", Policy: Modeled, Fn: func(h Host, this Value, args []Value) (Value, error) {
+	{Owner: "Array.prototype", Name: "forEach", Policy: Modeled, Summary: CallsBack, Fn: func(h Host, this Value, args []Value) (Value, error) {
 		if this.Kind != Object {
 			return UndefinedVal, nil
 		}
 		return UndefinedVal, h.(*Interp).eachElement(this, arg(args, 0), func(Value, Value) {})
 	}},
-	{Owner: "Array.prototype", Name: "map", Policy: Modeled, Fn: func(h Host, this Value, args []Value) (Value, error) {
+	{Owner: "Array.prototype", Name: "map", Policy: Modeled, Summary: CallsBack, Fn: func(h Host, this Value, args []Value) (Value, error) {
 		it := h.(*Interp)
 		if this.Kind != Object {
 			return ObjVal(it.NewArray(nil)), nil
@@ -298,7 +321,7 @@ var Builtins = []Builtin{
 		}
 		return ObjVal(it.NewArray(elems)), nil
 	}},
-	{Owner: "Array.prototype", Name: "filter", Policy: Modeled, Fn: func(h Host, this Value, args []Value) (Value, error) {
+	{Owner: "Array.prototype", Name: "filter", Policy: Modeled, Summary: CallsBack, Fn: func(h Host, this Value, args []Value) (Value, error) {
 		it := h.(*Interp)
 		if this.Kind != Object {
 			return ObjVal(it.NewArray(nil)), nil
@@ -314,7 +337,7 @@ var Builtins = []Builtin{
 		}
 		return ObjVal(it.NewArray(elems)), nil
 	}},
-	{Owner: "Array.prototype", Name: "shift", Policy: Modeled, Fn: func(_ Host, this Value, _ []Value) (Value, error) {
+	{Owner: "Array.prototype", Name: "shift", Policy: Modeled, Summary: LoadsElement, Fn: func(_ Host, this Value, _ []Value) (Value, error) {
 		if this.Kind != Object {
 			return UndefinedVal, nil
 		}
@@ -461,15 +484,15 @@ var Builtins = []Builtin{
 	{Owner: "Error.prototype", Name: "name", Val: StringVal("Error")},
 	{Owner: "Error.prototype", Name: "message", Val: StringVal("")},
 	{Owner: "Error.prototype", Name: "toString", Fn: toStringKernel},
-	{Name: "Error", Policy: Modeled, Fn: errorCtor("Error")},
+	{Name: "Error", Policy: Modeled, Summary: Constructs, Fn: errorCtor("Error")},
 	{Owner: "Error", Name: "prototype", Ref: "Error.prototype"},
-	{Name: "TypeError", Policy: Modeled, Fn: errorCtor("TypeError")},
+	{Name: "TypeError", Policy: Modeled, Summary: Constructs, Fn: errorCtor("TypeError")},
 	{Owner: "TypeError", Name: "prototype", Ref: "Error.prototype"},
-	{Name: "ReferenceError", Policy: Modeled, Fn: errorCtor("ReferenceError")},
+	{Name: "ReferenceError", Policy: Modeled, Summary: Constructs, Fn: errorCtor("ReferenceError")},
 	{Owner: "ReferenceError", Name: "prototype", Ref: "Error.prototype"},
-	{Name: "RangeError", Policy: Modeled, Fn: errorCtor("RangeError")},
+	{Name: "RangeError", Policy: Modeled, Summary: Constructs, Fn: errorCtor("RangeError")},
 	{Owner: "RangeError", Name: "prototype", Ref: "Error.prototype"},
-	{Name: "SyntaxError", Policy: Modeled, Fn: errorCtor("SyntaxError")},
+	{Name: "SyntaxError", Policy: Modeled, Summary: Constructs, Fn: errorCtor("SyntaxError")},
 	{Owner: "SyntaxError", Name: "prototype", Ref: "Error.prototype"},
 
 	{Name: "parseInt", Fn: func(_ Host, _ Value, args []Value) (Value, error) {
@@ -529,7 +552,7 @@ func init() {
 		owners[b.Owner] = true
 	}
 	slots := map[string]int{"": SlotGlobal, "global": SlotGlobal, "{}": -1}
-	for k, name := range prototypeNames {
+	for k, name := range PrototypeNames {
 		slots[name] = k
 	}
 	next := SlotGlobal + 1
@@ -558,7 +581,7 @@ func init() {
 // Builtins in order.
 func (it *Interp) setupRuntime() {
 	var objs [NumSlots]*Obj
-	for k := range prototypeNames {
+	for k := range PrototypeNames {
 		// Their Data field carries protoMarker so their properties are
 		// treated as non-enumerable by for-in.
 		objs[k] = &Obj{Class: "Object", Data: protoMarker}

@@ -2,9 +2,107 @@ package pointsto
 
 import (
 	"strconv"
+	"strings"
 
+	"determinacy/internal/dom"
+	"determinacy/internal/interp"
 	"determinacy/internal/ir"
 )
+
+// setupBuiltins builds the abstract global environment from the two tables
+// the runtimes install: interp.Builtins, then the DOM op table. Each native
+// becomes an abstract object carrying its declared Summary; each object
+// reference, a field link, and X.prototype also the back-link
+// X.prototype.constructor; the global object, the prototypes and the
+// namespace objects become special objects. The DOM is shallow: one
+// abstract element stands for all elements and one node list for all
+// lists, matching the coarse DOM treatment of the paper's baseline [30].
+func (a *analysis) setupBuiltins() {
+	special := func(name string) ObjID {
+		return a.newObject(&Object{Kind: KSpecial, Name: name})
+	}
+	native := func(owner ObjID, name string, sum interp.Summary) ObjID {
+		o := a.newObject(&Object{Kind: KNative, Name: name, sum: sum})
+		a.addObj(a.fieldNode(owner, name), o)
+		return o
+	}
+
+	var slots [interp.NumSlots]ObjID
+	for k, name := range interp.PrototypeNames {
+		slots[k] = special(strings.TrimSuffix(name, ".prototype"))
+		if k != interp.SlotObjectProto {
+			a.addObj(a.protoNode(slots[k]), slots[interp.SlotObjectProto])
+		}
+	}
+	a.globalObj = special("Global")
+	a.addObj(a.protoNode(a.globalObj), slots[interp.SlotObjectProto])
+	slots[interp.SlotGlobal] = a.globalObj
+	a.objectProto, a.functionProto, a.arrayProto = slots[interp.SlotObjectProto], slots[interp.SlotFunctionProto], slots[interp.SlotArrayProto]
+
+	for i := range interp.Builtins {
+		b := &interp.Builtins[i]
+		owner, slot, ref := b.Slots()
+		var o ObjID
+		switch {
+		case b.Fn != nil:
+			o = native(slots[owner], b.Name, b.Summary)
+			if b.IsEval() {
+				a.evalObj = o
+			}
+		case ref >= 0:
+			o = slots[ref]
+			a.addObj(a.fieldNode(slots[owner], b.Name), o)
+			if b.Name == "prototype" {
+				a.addObj(a.fieldNode(o, "constructor"), slots[owner])
+				a.ctorProto[slots[owner]] = o
+			}
+		case b.Ref != "":
+			o = special(capitalize(b.Name) + "NS")
+			a.addObj(a.fieldNode(slots[owner], b.Name), o)
+		default:
+			continue // a primitive data property
+		}
+		if slot >= 0 {
+			slots[slot] = o
+		}
+	}
+	native(a.arrayProto, unshift, interp.StoresArgs)
+
+	a.domElement, a.domNodeList, a.domEvent = special("DOMElement"), special("DOMNodeList"), special("DOMEvent")
+	a.addObj(a.protoNode(a.domNodeList), a.arrayProto)
+	a.addObj(a.wildNode(a.domNodeList), a.domElement)
+	a.addObj(a.fieldNode(a.domEvent, "target"), a.domElement)
+	owners := map[string]ObjID{"": a.domElement}
+	dom.StaticOps(func(global, name string, method bool, sum interp.Summary) {
+		owner, ok := owners[global]
+		if !ok {
+			// The first entry on an object binds its global; window
+			// is the global object itself.
+			owner = a.globalObj
+			if global != "window" {
+				owner = special(capitalize(global))
+			}
+			owners[global] = owner
+			a.addObj(a.fieldNode(a.globalObj, global), owner)
+		}
+		switch {
+		case method:
+			native(owner, name, sum)
+		case sum == interp.ReturnsElement:
+			a.addObj(a.fieldNode(owner, name), a.domElement)
+		case sum == interp.ReturnsNodeList:
+			a.addObj(a.fieldNode(owner, name), a.domNodeList)
+		}
+	})
+}
+
+// unshift is Array.prototype.unshift, the one native the static model has
+// and the runtimes lack. The baseline's wildcard reads of Array.prototype
+// reach it, so it is part of the Table 1 behaviour: without it the
+// completing cells move (jQuery 1.0 spec 8677 → 8394 propagations).
+const unshift = "unshift"
+
+func capitalize(s string) string { return strings.ToUpper(s[:1]) + s[1:] }
 
 // processFunction translates a function body into constraints, once. It is
 // invoked when a function first becomes reachable: at startup for the top
@@ -61,14 +159,14 @@ func (a *analysis) instr(fn *ir.Function, in ir.Instr) {
 		a.addObj(a.regNode(fn, in.Dst), fo)
 	case *ir.MakeObject:
 		o := a.allocObject(in.ID, "Object")
-		a.addObj(a.protoNode(o), a.protos["Object"])
+		a.addObj(a.protoNode(o), a.objectProto)
 		for _, p := range in.Props {
 			a.addCopy(a.regNode(fn, p.Val), a.fieldNode(o, p.Key))
 		}
 		a.addObj(a.regNode(fn, in.Dst), o)
 	case *ir.MakeArray:
 		o := a.allocObject(in.ID, "Array")
-		a.addObj(a.protoNode(o), a.protos["Array"])
+		a.addObj(a.protoNode(o), a.arrayProto)
 		for i, e := range in.Elems {
 			a.addCopy(a.regNode(fn, e), a.fieldNode(o, strconv.Itoa(i)))
 		}
@@ -174,9 +272,9 @@ func (a *analysis) funcObject(site ir.ID, fn *ir.Function) ObjID {
 	}
 	fo := a.newObject(&Object{Kind: KFunc, Site: site, Fn: fn})
 	a.funcObjOf[site] = fo
-	a.addObj(a.protoNode(fo), a.protos["Function"])
+	a.addObj(a.protoNode(fo), a.functionProto)
 	po := a.newObject(&Object{Kind: KProto, Site: site, Name: fn.Name + ".prototype"})
-	a.addObj(a.protoNode(po), a.protos["Object"])
+	a.addObj(a.protoNode(po), a.objectProto)
 	a.addObj(a.fieldNode(fo, "prototype"), po)
 	a.addObj(a.fieldNode(po, "constructor"), fo)
 	return fo
@@ -311,73 +409,73 @@ func paramSlotIdx(fn *ir.Function, i int) int {
 	return i
 }
 
-// wireNative models the pointer behaviour of builtins. Unmodeled natives
-// return primitives and have no pointer effects — the standard baseline
-// treatment (string semantics are exactly what the analysis cannot see).
+// wireNative models a call to a builtin by its declared Summary. Opaque
+// natives return primitives and have no pointer effects — the standard
+// baseline treatment (string semantics are exactly what the analysis
+// cannot see). eval is opaque too: static analysis cannot see eval'd
+// code, and the site is recorded in Result.EvalSites.
 func (a *analysis) wireNative(ci *callInfo, obj *Object) {
-	switch obj.Name {
-	case "call":
+	switch obj.sum {
+	case interp.CallsThis:
 		// f.call(this, ...args): the receiver of the .call is the function.
 		if ci.this == ir.NoReg {
 			return
 		}
-		derived := &callInfo{site: ci.site, fn: ci.fn, dst: ci.dst, this: ir.NoReg, resolved: map[ObjID]bool{}}
+		derived := ci.derived()
 		if len(ci.args) > 0 {
 			derived.this = ci.args[0]
 			derived.args = ci.args[1:]
 		}
 		a.addConstraint(a.regNode(ci.fn, ci.this), &callC{ci: derived})
-	case "apply":
+	case interp.AppliesThis:
 		// f.apply(this, arr): argument values are approximated by the
 		// array's fields flowing to every parameter (coarse but sound for
 		// the object graph).
 		if ci.this == ir.NoReg {
 			return
 		}
-		derived := &callInfo{site: ci.site, fn: ci.fn, dst: ci.dst, this: ir.NoReg, resolved: map[ObjID]bool{}}
+		derived := ci.derived()
 		if len(ci.args) > 0 {
 			derived.this = ci.args[0]
 		}
 		a.addConstraint(a.regNode(ci.fn, ci.this), &applyC{ci: derived, arr: argReg(ci, 1)})
-	case "push", "unshift":
+	case interp.StoresArgs:
 		if ci.this != ir.NoReg {
 			for _, arg := range ci.args {
 				a.addConstraint(a.regNode(ci.fn, ci.this), &storeC{wild: true, src: a.regNode(ci.fn, arg)})
 			}
 		}
-	case "pop", "shift":
+	case interp.LoadsElement:
 		if ci.this != ir.NoReg {
 			a.addConstraint(a.regNode(ci.fn, ci.this), &loadC{wild: true, dst: a.regNode(ci.fn, ci.dst)})
 		}
-	case "forEach", "map", "filter":
+	case interp.CallsBack:
 		if ci.this != ir.NoReg && len(ci.args) > 0 {
-			a.addConstraint(a.regNode(ci.fn, ci.args[0]), &callbackC{
-				elems: a.regNode(ci.fn, ci.this), caller: ci.fn,
-			})
+			a.addConstraint(a.regNode(ci.fn, ci.args[0]), &callbackC{elems: a.regNode(ci.fn, ci.this)})
 		}
-	case "getElementById", "createElement", "createTextNode", "appendChild", "removeChild":
-		a.addObj(a.regNode(ci.fn, ci.dst), a.protos["DOMElement"])
-	case "getElementsByTagName":
-		a.addObj(a.regNode(ci.fn, ci.dst), a.protos["DOMNodeList"])
-	case "setTimeout", "setInterval":
+	case interp.ReturnsElement:
+		a.addObj(a.regNode(ci.fn, ci.dst), a.domElement)
+	case interp.ReturnsNodeList:
+		a.addObj(a.regNode(ci.fn, ci.dst), a.domNodeList)
+	case interp.CallsLater:
 		if len(ci.args) > 0 {
-			derived := &callInfo{site: ci.site, fn: ci.fn, dst: ci.dst, this: ir.NoReg, resolved: map[ObjID]bool{}}
-			a.addConstraint(a.regNode(ci.fn, ci.args[0]), &callC{ci: derived})
+			a.addConstraint(a.regNode(ci.fn, ci.args[0]), &callC{ci: ci.derived()})
 		}
-	case "addEventListener", "attachEvent":
+	case interp.Listens:
 		if len(ci.args) > 1 {
-			derived := &callInfo{site: ci.site, fn: ci.fn, dst: ci.dst, this: ir.NoReg,
-				args: nil, resolved: map[ObjID]bool{}}
-			a.addConstraint(a.regNode(ci.fn, ci.args[1]), &eventHandlerC{ci: derived})
+			a.addConstraint(a.regNode(ci.fn, ci.args[1]), &eventHandlerC{ci: ci.derived()})
 		}
-	case "Object", "Array", "Error", "TypeError", "ReferenceError", "RangeError", "SyntaxError":
+	case interp.Constructs:
 		o := a.allocObject(ci.site, obj.Name)
-		a.addObj(a.protoNode(o), a.protoForCtor(obj.Name))
+		a.addObj(a.protoNode(o), a.ctorProto[obj.ID])
 		a.addObj(a.regNode(ci.fn, ci.dst), o)
-	case "eval":
-		// Static analysis cannot see eval'd code; the site is recorded in
-		// Result.EvalSites.
 	}
+}
+
+// derived is a call a native makes at ci's site, with no receiver or
+// arguments until the caller sets them.
+func (ci *callInfo) derived() *callInfo {
+	return &callInfo{site: ci.site, fn: ci.fn, dst: ci.dst, this: ir.NoReg, resolved: map[ObjID]bool{}}
 }
 
 func argReg(ci *callInfo, i int) int {
@@ -385,17 +483,6 @@ func argReg(ci *callInfo, i int) int {
 		return int(ci.args[i])
 	}
 	return -1
-}
-
-func (a *analysis) protoForCtor(name string) ObjID {
-	switch name {
-	case "Array":
-		return a.protos["Array"]
-	case "Object":
-		return a.protos["Object"]
-	default:
-		return a.protos["Error"]
-	}
 }
 
 // applyC wires f.apply: functions arriving at the node are invoked with
@@ -434,8 +521,7 @@ func (c *applyC) apply(a *analysis, o ObjID) {
 
 // callbackC invokes array-iteration callbacks with the array's contents.
 type callbackC struct {
-	elems  int // node holding the array objects
-	caller *ir.Function
+	elems int // node holding the array objects
 }
 
 func (c *callbackC) apply(a *analysis, o ObjID) {
@@ -447,14 +533,12 @@ func (c *callbackC) apply(a *analysis, o ObjID) {
 	a.processFunction(callee)
 	if len(callee.Params) > 0 {
 		slot := paramSlotIdx(callee, 0)
-		a.addConstraint(c.elemsNode(a), &loadC{wild: true, dst: a.varNode(callee, slot)})
+		a.addConstraint(c.elems, &loadC{wild: true, dst: a.varNode(callee, slot)})
 	}
 	if callee.ThisSlot >= 0 {
 		a.addObj(a.varNode(callee, callee.ThisSlot), a.globalObj)
 	}
 }
-
-func (c *callbackC) elemsNode(a *analysis) int { return c.elems }
 
 // eventHandlerC invokes DOM event handlers with an opaque event object.
 type eventHandlerC struct {
@@ -473,9 +557,9 @@ func (c *eventHandlerC) apply(a *analysis, o ObjID) {
 	callee := obj.Fn
 	a.processFunction(callee)
 	if len(callee.Params) > 0 {
-		a.addObj(a.varNode(callee, paramSlotIdx(callee, 0)), a.protos["DOMEvent"])
+		a.addObj(a.varNode(callee, paramSlotIdx(callee, 0)), a.domEvent)
 	}
 	if callee.ThisSlot >= 0 {
-		a.addObj(a.varNode(callee, callee.ThisSlot), a.protos["DOMElement"])
+		a.addObj(a.varNode(callee, callee.ThisSlot), a.domElement)
 	}
 }

@@ -26,6 +26,7 @@ import (
 
 	"determinacy/internal/guard"
 	"determinacy/internal/guard/faultinject"
+	"determinacy/internal/interp"
 	"determinacy/internal/ir"
 	"determinacy/internal/obs"
 )
@@ -52,6 +53,8 @@ type Object struct {
 	Site ir.ID        // allocation site for KAlloc/KFunc/KProto
 	Fn   *ir.Function // for KFunc
 	Name string       // for KNative/KSpecial and diagnostics
+
+	sum interp.Summary // for KNative: how a call to it is modeled
 }
 
 func (o *Object) String() string {
@@ -245,9 +248,12 @@ type analysis struct {
 
 	callSites map[ir.ID]*callInfo
 
-	globalObj ObjID
-	protos    map[string]ObjID
-	evalObj   ObjID
+	// The builtin objects the constraints refer to, and each modeled
+	// constructor's .prototype.
+	globalObj, evalObj                     ObjID
+	objectProto, functionProto, arrayProto ObjID
+	domElement, domNodeList, domEvent      ObjID
+	ctorProto                              map[ObjID]ObjID
 
 	worklist    []int
 	worklistHWM int
@@ -312,7 +318,7 @@ func Analyze(mod *ir.Module, opts Options) *Result {
 		funcObjOf:  map[ir.ID]ObjID{},
 		allocObjOf: map[ir.ID]ObjID{},
 		callSites:  map[ir.ID]*callInfo{},
-		protos:     map[string]ObjID{},
+		ctorProto:  map[ObjID]ObjID{},
 		tracer:     opts.Tracer,
 	}
 	start := time.Now()

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"determinacy/internal/interp"
 	"determinacy/internal/ir"
 	"determinacy/internal/pointsto"
 )
@@ -228,43 +227,30 @@ func TestPointsToGlobals(t *testing.T) {
 	}
 }
 
-// TestModelCoversBuiltins guards the hand-written builtin model against
-// the runtime's table: every native function in interp.Builtins must
-// resolve to an abstract object, on the global object or under its owner
-// (a namespace, a constructor, or <Ctor>.prototype).
-func TestModelCoversBuiltins(t *testing.T) {
-	_, res := analyze(t, "")
-	owners := func(owner string) []*pointsto.Object {
-		ctor, isProto := strings.CutSuffix(owner, ".prototype")
-		objs := res.PointsToGlobal(ctor)
-		if !isProto {
-			return objs
-		}
-		var protos []*pointsto.Object
-		for _, c := range objs {
-			protos = append(protos, res.FieldObjects(c, "prototype")...)
-		}
-		return protos
+// TestNativeSummaries checks the pointer behaviour each declared summary
+// gives a native: a call on each program's last line must resolve to want.
+// The last line runs in a function of its own, so no register it uses is
+// shared with the set-up lines.
+func TestNativeSummaries(t *testing.T) {
+	cases := []struct {
+		name, src, want string
+	}{
+		{"StoresArgs", "var a = [];\na.push(function f() {});\n(function use() { a[0](); })();", "f"},
+		{"LoadsElement", "var a = [function f() {}];\n(function use() { a.pop()(); })();", "f"},
+		{"LoadsElement shift", "var a = [function f() {}];\n(function use() { a.shift()(); })();", "f"},
+		{"static-only unshift", "var a = [];\na.unshift(function f() {});\n(function use() { a[0](); })();", "f"},
+		{"CallsBack", "[function f() {}].map(function cb(x) {\nx(); });", "f"},
+		{"Constructs Array", "var a = Array();\n(function use() { a.push(1); })();", "native:push"},
+		{"Constructs Error", "var e = new TypeError(\"x\");\n(function use() { e.toString(); })();", "native:toString"},
+		{"ReturnsElement", "var e = document.createElement(\"div\");\n(function use() { e.setAttribute(\"id\", \"x\"); })();", "native:setAttribute"},
+		{"ReturnsNodeList", "var l = document.getElementsByTagName(\"a\");\n(function use() { l[0].getAttribute(\"x\"); })();", "native:getAttribute"},
+		{"element getter", "var e = document.body.firstChild;\n(function use() { e.removeChild(null); })();", "native:removeChild"},
 	}
-	checked := 0
-	for i := range interp.Builtins {
-		b := &interp.Builtins[i]
-		if b.Fn == nil {
-			continue
+	for _, c := range cases {
+		mod, res := analyze(t, c.src)
+		line := strings.Count(c.src, "\n") + 1
+		if cs := calleesAtLine(mod, res, line); !cs[c.want] {
+			t.Errorf("%s: callees at line %d = %v, want %s", c.name, line, cs, c.want)
 		}
-		checked++
-		objs := res.PointsToGlobal(b.Name)
-		if b.Owner != "" {
-			objs = nil
-			for _, o := range owners(b.Owner) {
-				objs = append(objs, res.FieldObjects(o, b.Name)...)
-			}
-		}
-		if len(objs) == 0 {
-			t.Errorf("builtin %s has no abstract object", b.Path())
-		}
-	}
-	if checked == 0 {
-		t.Fatal("interp.Builtins has no native functions")
 	}
 }
