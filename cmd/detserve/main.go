@@ -67,8 +67,7 @@ func main() {
 		traceCap  = flag.Int("trace-events", 0, "retained trace events per request (0 = default 4096)")
 		noTrace   = flag.Bool("no-trace", false, "disable per-request tracing (requests run on the zero-alloc nil-tracer path)")
 		factDir   = flag.String("factcache", "", "directory for the on-disk fact DB (L2 under the compile cache); warm re-submissions of an unchanged program serve memoized facts")
-		schedPol  = flag.String("scheduler", "fifo", "admission scheduler: fifo (first come first served) or wfq (weighted-fair across tenants)")
-		tenants   = flag.String("tenants", "", `per-tenant scheduling config, JSON or @file: {"pro":{"weight":4,"rate":50},"bulk":{"weight":1,"queue_cap":8},"*":{"weight":1}}`)
+		tenants   = flag.String("tenants", "", `per-tenant weighted-fair admission config, JSON or @file (none = first come, first served): {"pro":{"weight":4,"rate":50},"bulk":{"weight":1,"queue_cap":8},"*":{"weight":1}}`)
 		heartbeat = flag.Duration("stream-heartbeat", 15*time.Second, "keepalive interval on ?stream= responses (0 = disabled)")
 		peers     = flag.String("peers", "", `cluster topology, JSON or @file: {"self":"a","peers":{"a":"http://host-a:8420","b":"http://host-b:8420"}}; requests route to content-hash owners with full local fallback`)
 		showVer   = flag.Bool("version", false, "print version and exit")
@@ -106,10 +105,6 @@ func main() {
 	}
 	if *heartbeat < 0 {
 		badFlag("-stream-heartbeat must be non-negative, got %v", *heartbeat)
-	}
-	policy, polErr := sched.ParsePolicy(*schedPol)
-	if polErr != nil {
-		badFlag("%v", polErr)
 	}
 	tenantTable, tErr := sched.ParseTableFlag(*tenants)
 	if tErr != nil {
@@ -158,7 +153,6 @@ func main() {
 		TraceEventCap:    *traceCap,
 		DisableTracing:   *noTrace,
 		FactCache:        fc,
-		SchedPolicy:      policy,
 		Tenants:          tenantTable,
 		StreamHeartbeat:  streamHB,
 		Cluster:          router,
@@ -226,7 +220,7 @@ func main() {
 	// concurrently with the HTTP shutdown that waits on those responses.
 	srv.BeginDrain()
 	drained := make(chan bool, 1)
-	go func() { drained <- srv.Drain(*drain) }()
+	go func() { drained <- srv.Drain() }()
 	shCtx, cancel := context.WithTimeout(context.Background(), *drain+5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shCtx); err != nil {

@@ -12,9 +12,9 @@ import (
 )
 
 // TestDetserveSchedulerFlagValidation pins the serving CLI's admission
-// flags to the exit-code contract: a bad -scheduler, malformed or missing
-// -tenants or -peers config (trailing data included), and a negative
-// -stream-heartbeat are usage errors
+// flags to the exit-code contract: the removed -scheduler flag, malformed
+// or missing -tenants or -peers config (trailing data included), and a
+// negative -stream-heartbeat are usage errors
 // (exit 2 with a diagnostic on stderr), never a listener that starts with
 // a half-applied config.
 func TestDetserveSchedulerFlagValidation(t *testing.T) {
@@ -25,9 +25,8 @@ func TestDetserveSchedulerFlagValidation(t *testing.T) {
 	bin := build(t, dir, "detserve")
 
 	cases := [][]string{
-		{"-scheduler", "bogus"},
-		{"-scheduler", "WFQ"},      // policies are lowercase tokens, not case-folded
-		{"-scheduler", "priority"}, // removed policy
+		{"-scheduler", "fifo"}, // one scheduler: the flag is gone
+		{"-scheduler", "wfq"},
 		{"-tenants", `{not json`},
 		{"-tenants", `{"pro":{"weight":-1}}`},
 		{"-tenants", `{"pro":{"weight":1,"tier":"x"}}`}, // unknown field
@@ -81,7 +80,6 @@ func TestDetserveSchedulerFlagsAccepted(t *testing.T) {
 	defer logFile.Close()
 	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
-		"-scheduler", "wfq",
 		"-tenants", "@"+tenants,
 		"-stream-heartbeat", "5s",
 		"-drain", "2s")
@@ -107,6 +105,6 @@ func TestDetserveSchedulerFlagsAccepted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := cmd.Wait(); err != nil {
-		t.Fatalf("detserve with wfq tenant config exited non-zero: %v\noutput:\n%s", err, output())
+		t.Fatalf("detserve with a tenant config exited non-zero: %v\noutput:\n%s", err, output())
 	}
 }

@@ -195,8 +195,9 @@ type FlightEntry struct {
 	// (empty for locally served ones).
 	Peer string `json:"peer,omitempty"`
 
-	// Tenant identifies the admitted request under the wfq scheduler
-	// policy; empty under fifo, where admission is tenant-blind.
+	// Tenant is the admitted request's effective tenant: a configured
+	// tenant, or "other" for everyone else (every request when the server
+	// has no tenant table).
 	Tenant string `json:"tenant,omitempty"`
 
 	Steps           int `json:"steps,omitempty"`

@@ -326,7 +326,7 @@ func TestServerFaultCampaign(t *testing.T) {
 // combined contract: in-flight requests answer (clean or sealed partial),
 // refused ones get typed 503s, and Drain returns within its budget.
 func TestServerDrainDuringCampaignLoad(t *testing.T) {
-	s := New(Config{MaxInFlight: 2, QueueDepth: 2, MaxTimeout: 5 * time.Minute, DefaultTimeout: 5 * time.Minute})
+	s := New(Config{MaxInFlight: 2, QueueDepth: 2, MaxTimeout: 5 * time.Minute, DefaultTimeout: 5 * time.Minute, DrainTimeout: 100 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -356,7 +356,7 @@ console.log(a);
 	waitInFlight(t, s, 2)
 
 	t0 := time.Now()
-	clean := s.Drain(100 * time.Millisecond)
+	clean := s.Drain()
 	if clean {
 		t.Error("Drain reported clean for 50M-iteration runs in 100ms")
 	}

@@ -21,8 +21,8 @@ func waitInFlight(t *testing.T, s *Server, n int) {
 }
 
 func TestDrainCleanWhenIdle(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	if !s.Drain(time.Second) {
+	s, _ := newTestServer(t, Config{DrainTimeout: time.Second})
+	if !s.Drain() {
 		t.Fatal("idle server did not drain within budget")
 	}
 	if !s.Draining() {
@@ -64,7 +64,7 @@ func TestBeginDrainRefusesNewWork(t *testing.T) {
 }
 
 func TestDrainWaitsForInFlightWithinBudget(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{DrainTimeout: 10 * time.Second})
 	done := make(chan AnalyzeResponse, 1)
 	go func() {
 		resp := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: slowSrc})
@@ -73,7 +73,7 @@ func TestDrainWaitsForInFlightWithinBudget(t *testing.T) {
 	waitInFlight(t, s, 1)
 
 	// The ~100ms run fits comfortably in a 10s budget: clean drain.
-	if !s.Drain(10 * time.Second) {
+	if !s.Drain() {
 		t.Fatal("drain force-cancelled a run that should have finished in budget")
 	}
 	out := <-done
@@ -85,7 +85,7 @@ func TestDrainWaitsForInFlightWithinBudget(t *testing.T) {
 func TestDrainForceCancelSealsPartial(t *testing.T) {
 	// A run that would take minutes gets force-cancelled when the drain
 	// budget expires — and must still answer 200 with sound partial facts.
-	s, ts := newTestServer(t, Config{MaxTimeout: 5 * time.Minute, DefaultTimeout: 5 * time.Minute})
+	s, ts := newTestServer(t, Config{MaxTimeout: 5 * time.Minute, DefaultTimeout: 5 * time.Minute, DrainTimeout: 50 * time.Millisecond})
 	long := strings.Replace(slowSrc, "i < 3000", "i < 50000000", 1)
 	done := make(chan AnalyzeResponse, 1)
 	go func() {
@@ -94,7 +94,7 @@ func TestDrainForceCancelSealsPartial(t *testing.T) {
 	}()
 	waitInFlight(t, s, 1)
 
-	if s.Drain(50 * time.Millisecond) {
+	if s.Drain() {
 		t.Fatal("Drain reported clean finish for a 50M-iteration run in 50ms")
 	}
 	select {
@@ -116,7 +116,7 @@ func TestDrainForceCancelSealsPartial(t *testing.T) {
 func TestDrainReleasesQueuedWaiters(t *testing.T) {
 	// Requests waiting in the admission queue when drain begins must get a
 	// 503, not hang until their client gives up.
-	s, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 4, MaxTimeout: 5 * time.Minute, DefaultTimeout: 5 * time.Minute})
+	s, ts := newTestServer(t, Config{MaxInFlight: 1, QueueDepth: 4, MaxTimeout: 5 * time.Minute, DefaultTimeout: 5 * time.Minute, DrainTimeout: 50 * time.Millisecond})
 	long := strings.Replace(slowSrc, "i < 3000", "i < 50000000", 1)
 
 	holder := make(chan AnalyzeResponse, 1)
@@ -148,7 +148,7 @@ func TestDrainReleasesQueuedWaiters(t *testing.T) {
 		t.Fatal("queued waiter hung through BeginDrain")
 	}
 
-	if s.Drain(50 * time.Millisecond) {
+	if s.Drain() {
 		t.Fatal("Drain reported clean while the long run was still in flight")
 	}
 	select {

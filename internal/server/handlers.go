@@ -19,6 +19,7 @@ import (
 	"determinacy/internal/obs"
 	"determinacy/internal/parser"
 	"determinacy/internal/server/sched"
+	"determinacy/internal/version"
 )
 
 // AnalyzeRequest is the /v1/analyze body. Only Source is required.
@@ -287,13 +288,8 @@ func (s *Server) schedRequest(r *http.Request, timeoutMS int64) *sched.Request {
 
 // noteAdmitted records the admitted request's effective tenant into its
 // flight-recorder entry, and observes its per-tenant latency histogram on
-// completion. Both only under the wfq policy:
-// under fifo every request is anonymous and the entries (and metric
-// families) stay byte-identical to the pre-scheduler server.
+// completion.
 func (s *Server) noteAdmitted(rt *reqTrace, sreq *sched.Request, t0 time.Time) func() {
-	if !s.tenantLatency {
-		return func() {}
-	}
 	if rt != nil {
 		rt.entry.Tenant = sreq.Tenant
 	}
@@ -674,7 +670,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rt *reqTrac
 		br := BatchResult{Name: name}
 		switch {
 		case out.err != nil:
-			body := classifyBatchError(out.err)
+			_, body := s.classifyRunError(out.err)
 			if body.Kind == "panic" {
 				anyPanic = true
 				if firstPanic == nil {
@@ -718,26 +714,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rt *reqTrac
 	s.writeJSON(w, http.StatusOK, bresp)
 }
 
-// classifyBatchError maps one batch entry's failure to its wire form.
-func classifyBatchError(err error) ErrorBody {
-	var re *determinacy.RunError
-	var perr *parser.Error
-	switch {
-	case errors.As(err, &re):
-		return ErrorBody{Kind: "panic", Message: re.Error(), Phase: re.Phase, Instr: re.Instr, Pos: re.Pos}
-	case errors.Is(err, determinacy.ErrParseDepth):
-		return ErrorBody{Kind: "parse-depth", Message: err.Error()}
-	case errors.As(err, &perr):
-		return ErrorBody{Kind: "parse", Message: err.Error()}
-	case errors.Is(err, determinacy.ErrUncaughtException):
-		return ErrorBody{Kind: "uncaught-exception", Message: err.Error()}
-	case guard.ContextReason(err) != guard.DegradeNone:
-		return ErrorBody{Kind: "interrupted", Message: err.Error()}
-	default:
-		return ErrorBody{Kind: "internal", Message: err.Error()}
-	}
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Gauge("server_uptime_seconds").Set(time.Since(s.start).Seconds())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -752,7 +728,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{
 		"status":           "ok",
-		"version":          s.cfg.Version,
+		"version":          version.String(),
 		"uptime_ms":        time.Since(s.start).Milliseconds(),
 		"draining":         s.draining.Load(),
 		"inflight":         s.sched.Snapshot().InFlight,

@@ -58,7 +58,7 @@ func overloadTotal(t *testing.T) int {
 }
 
 // TestOverloadFairnessCampaign drives >= 500 concurrent requests from
-// three tenants with 5:2:1 weights through a one-slot wfq server and
+// three tenants with 5:2:1 weights through a one-slot server and
 // checks the fairness contract end to end:
 //
 //   - while every tenant is backlogged, grants interleave in weight
@@ -80,7 +80,6 @@ func TestOverloadFairnessCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, ts := newTestServer(t, Config{
-		SchedPolicy: sched.PolicyWFQ,
 		Tenants:     table,
 		MaxInFlight: 1,
 		QueueDepth:  4 * total,
@@ -218,7 +217,7 @@ func TestOverloadFairnessCampaign(t *testing.T) {
 		case "gold", "silver", "bronze":
 			grants = append(grants, grant{e.Tenant, e.Start.Add(time.Duration(e.ElapsedUS) * time.Microsecond)})
 		case "":
-			t.Fatal("a 200 entry has no tenant attribution under wfq")
+			t.Fatal("a 200 entry has no tenant attribution")
 		}
 	}
 	sort.Slice(grants, func(i, j int) bool { return grants[i].end.Before(grants[j].end) })
@@ -241,9 +240,6 @@ func TestOverloadFairnessCampaign(t *testing.T) {
 
 	// The scheduler's own accounting agrees with the client-side view.
 	snap := s.sched.Snapshot()
-	if snap.Policy != sched.PolicyWFQ {
-		t.Errorf("snapshot policy = %q, want wfq", snap.Policy)
-	}
 	byName := map[string]sched.TenantSnapshot{}
 	for _, tsnap := range snap.Tenants {
 		byName[tsnap.Tenant] = tsnap
@@ -277,11 +273,10 @@ func TestOverloadFairnessCampaign(t *testing.T) {
 }
 
 // TestOverloadChaosCampaign replays seeded fault plans over the two
-// scheduler sites while bursts of multi-tenant traffic contend for slots,
-// for both the wfq and fifo policies. The invariant: every response
-// is clean, a sound partial, a typed 429, or the injected fault's
-// structured 500 — and after each round the server still serves, holds no
-// slots, and leaks no goroutines.
+// scheduler sites while bursts of multi-tenant traffic contend for slots.
+// The invariant: every response is clean, a sound partial, a typed 429,
+// or the injected fault's structured 500 — and after each round the
+// server still serves, holds no slots, and leaks no goroutines.
 func TestOverloadChaosCampaign(t *testing.T) {
 	base := runtime.NumGoroutine()
 	table, err := sched.ParseTable([]byte(`{"gold":{"weight":5},"silver":{"weight":2},"bronze":{"weight":1}}`))
@@ -294,14 +289,9 @@ func TestOverloadChaosCampaign(t *testing.T) {
 	const rounds = 8
 	const burst = 24
 	for round := 0; round < rounds; round++ {
-		policy := sched.PolicyWFQ
-		if round%2 == 1 {
-			policy = sched.PolicyFIFO
-		}
 		site := sites[round/2%2]
-		t.Run(fmt.Sprintf("round%d-%s-%s", round, policy, site), func(t *testing.T) {
+		t.Run(fmt.Sprintf("round%d-%s", round, site), func(t *testing.T) {
 			s, ts := newTestServer(t, Config{
-				SchedPolicy: policy,
 				Tenants:     table,
 				MaxInFlight: 2,
 				QueueDepth:  8,
@@ -393,13 +383,13 @@ func TestOverloadChaosCampaign(t *testing.T) {
 	}
 }
 
-// TestDeadlineAwareShed proves deadline-aware queue control: once the
-// observed p50 service time exceeds a request's remaining budget, the
-// scheduler sheds it immediately with retry guidance instead of letting
-// it burn a slot to seal a near-empty partial.
+// TestDeadlineAwareShed proves deadline-aware queue control on a server
+// with no tenant table: once the observed p50 service time exceeds a
+// request's remaining budget, the scheduler sheds it immediately with
+// retry guidance instead of letting it burn a slot to seal a near-empty
+// partial.
 func TestDeadlineAwareShed(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		SchedPolicy: sched.PolicyWFQ,
 		MaxInFlight: 1,
 		QueueDepth:  8,
 	})
@@ -438,4 +428,89 @@ func TestDeadlineAwareShed(t *testing.T) {
 		t.Fatalf("feasible request: status %d, want 200", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestNoTableAdmitsInArrivalOrder pins admission on a server with no
+// tenant table: every request resolves to the shared "other" tenant, and
+// with one slot the queued requests run first come, first served. Each
+// request's analysis starts only after the previous one released the
+// slot, so the server-side start of its first trace span orders grants.
+func TestNoTableAdmitsInArrivalOrder(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		MaxInFlight:    1,
+		QueueDepth:     8,
+		DefaultTimeout: 5 * time.Minute,
+		MaxTimeout:     5 * time.Minute,
+	})
+	long := strings.Replace(slowSrc, "i < 3000", "i < 50000000", 1)
+	holdCtx, releaseSlot := context.WithCancel(context.Background())
+	holderDone := make(chan struct{})
+	go func() {
+		defer close(holderDone)
+		resp, err := postJSONTenant(t, holdCtx, ts.URL+"/v1/analyze", "", AnalyzeRequest{Source: long}, nil)
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitInFlight(t, s, 1)
+
+	// Enqueue one request at a time, each under a different tenant ID
+	// and with its own program, so arrival order is known.
+	const n = 5
+	ids := make([]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			src := fmt.Sprintf("var x = %d; console.log(x + 1);", i)
+			resp, err := postJSONTenant(t, context.Background(), ts.URL+"/v1/analyze", fmt.Sprintf("t%d", i), AnalyzeRequest{Source: src}, nil)
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: status %d, want 200", i, resp.StatusCode)
+			}
+			ids[i] = resp.Header.Get("X-Request-ID")
+		}(i)
+		deadline := time.Now().Add(5 * time.Second)
+		for s.sched.Snapshot().Queued < i+1 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if q := s.sched.Snapshot().Queued; q != i+1 {
+			t.Fatalf("queued = %d after request %d, want %d", q, i, i+1)
+		}
+	}
+	releaseSlot()
+	<-holderDone
+	wg.Wait()
+
+	started := map[string]time.Time{}
+	for _, e := range s.flight.Entries() {
+		if len(e.Phases) == 0 {
+			continue
+		}
+		first := e.Phases[0].StartUS
+		for _, sp := range e.Phases {
+			if sp.StartUS < first {
+				first = sp.StartUS
+			}
+		}
+		started[e.TraceID] = e.Start.Add(time.Duration(first) * time.Microsecond)
+		if e.Tenant != "other" {
+			t.Errorf("entry %s: tenant %q, want every request pooled as \"other\"", e.TraceID, e.Tenant)
+		}
+	}
+	for i := 1; i < n; i++ {
+		prev, ok1 := started[ids[i-1]]
+		cur, ok2 := started[ids[i]]
+		if !ok1 || !ok2 {
+			t.Fatalf("flight recorder lacks requests %d or %d (ids %q, %q)", i-1, i, ids[i-1], ids[i])
+		}
+		if !prev.Before(cur) {
+			t.Errorf("request %d started analysis at %v, not after request %d at %v: grants are not in arrival order", i, cur, i-1, prev)
+		}
+	}
 }

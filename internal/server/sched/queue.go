@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 	"determinacy/internal/obs"
 )
 
-// waiter states, transitioned under core.mu.
+// waiter states, transitioned under Scheduler.mu.
 const (
 	stQueued = iota
 	stGranted
@@ -32,9 +33,11 @@ type waiter struct {
 	state int
 }
 
-// core is the mutex-guarded wfq policy: bounded per-tenant queues,
-// token-bucket quotas, deadline-aware shedding with computed Retry-After
-// guidance, and weighted-fair dispatch order.
+// Scheduler admits requests to execution slots: bounded per-tenant
+// queues, token-bucket quotas, deadline-aware shedding with computed
+// Retry-After guidance, and weighted-fair dispatch order. It is safe for
+// concurrent use; every successful Acquire must be paired with exactly one
+// Release.
 //
 // The order is start-time-fair virtual-clock queueing: each queued
 // request gets a virtual finish time vfinish = max(vtime, tenant.vfinish)
@@ -43,8 +46,10 @@ type waiter struct {
 // stay backlogged, their completed-request counts converge to the ratio
 // of their weights; the max() term forgives idle periods, so a tenant
 // returning after quiet time starts at the current clock instead of a
-// banked advantage.
-type core struct {
+// banked advantage. With no tenant table every request shares the one
+// "other" tenant, so finish times rise strictly with arrival and dispatch
+// is first come, first served.
+type Scheduler struct {
 	cfg Config
 
 	mu       sync.Mutex
@@ -52,7 +57,9 @@ type core struct {
 	inflight int
 	queued   int
 	draining bool
-	tenants  *tenantBook
+	// tenants holds each configured tenant's state, created on first use,
+	// plus the shared "other" state.
+	tenants map[string]*tenantState
 	// active tracks tenants with non-empty queues.
 	active map[*tenantState]bool
 	// vtime is the virtual clock.
@@ -62,14 +69,14 @@ type core struct {
 
 	m                  *obs.Metrics
 	gInFlight, gQueued *obs.Gauge
-	cShedLegacy        *obs.Counter
+	cShed              *obs.Counter
 }
 
-func newCore(cfg Config) *core {
-	c := &core{
+func newScheduler(cfg Config) *Scheduler {
+	c := &Scheduler{
 		cfg:     cfg,
 		free:    cfg.Slots,
-		tenants: newTenantBook(cfg),
+		tenants: map[string]*tenantState{},
 		active:  map[*tenantState]bool{},
 		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
 		m:       cfg.Metrics,
@@ -77,22 +84,20 @@ func newCore(cfg Config) *core {
 	if m := cfg.Metrics; m != nil {
 		c.gInFlight = m.Gauge("server_inflight")
 		c.gQueued = m.Gauge("server_queue_depth")
-		c.cShedLegacy = m.Counter("server_shed_total")
+		c.cShed = m.Counter("server_shed_total")
 		m.Help("sched_queue_depth", "Queued admission waiters by tenant.")
 		m.Help("sched_sheds_total", "Requests shed by the admission scheduler, by reason.")
 	}
 	return c
 }
 
-func (c *core) Name() string { return PolicyWFQ }
-
-func (c *core) Acquire(ctx context.Context, req *Request) error {
+// Acquire blocks until req is granted a slot or refused: a *ShedError
+// (bounded queue, quota, or unmeetable deadline), ErrDraining, or the
+// context's error when the caller went away while queued.
+func (c *Scheduler) Acquire(ctx context.Context, req *Request) error {
 	if faultinject.Armed() {
 		faultinject.Hit(faultinject.SiteSchedEnqueue)
 	}
-	t := c.tenants.get(req.Tenant)
-	req.tenant = t
-	req.Tenant = t.name // effective identity: unknown tenants pool as "other"
 	now := time.Now()
 
 	c.mu.Lock()
@@ -100,6 +105,9 @@ func (c *core) Acquire(ctx context.Context, req *Request) error {
 		c.mu.Unlock()
 		return ErrDraining
 	}
+	t := c.tenantLocked(req.Tenant)
+	req.tenant = t
+	req.Tenant = t.name // effective identity: unknown tenants pool as "other"
 	if ok, wait := t.takeToken(now); !ok {
 		err := c.shedLocked(t, ReasonQuota, wait)
 		c.mu.Unlock()
@@ -132,7 +140,7 @@ func (c *core) Acquire(ctx context.Context, req *Request) error {
 		err := c.shedLocked(t, ReasonQueueFull, 0)
 		c.mu.Unlock()
 		return err
-	case int(t.queuedN.Load()) >= c.tenantCap(t):
+	case t.queuedN >= c.tenantCap(t):
 		err := c.shedLocked(t, ReasonTenantQueueFull, 0)
 		c.mu.Unlock()
 		return err
@@ -140,7 +148,7 @@ func (c *core) Acquire(ctx context.Context, req *Request) error {
 	w := &waiter{req: req, t: t, enq: now, ready: make(chan error, 1)}
 	c.pushLocked(w)
 	c.queued++
-	t.queuedN.Add(1)
+	t.queuedN++
 	c.setQueueGaugesLocked(t)
 	c.mu.Unlock()
 
@@ -179,7 +187,7 @@ func (c *core) Acquire(ctx context.Context, req *Request) error {
 // fireDispatch marks the grant complete and fires the sched.dispatch
 // fault site on the admitted goroutine. An injected panic releases the
 // slot before unwinding so injected faults can never leak pool capacity.
-func (c *core) fireDispatch(req *Request) error {
+func (c *Scheduler) fireDispatch(req *Request) error {
 	if faultinject.Armed() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -192,7 +200,8 @@ func (c *core) fireDispatch(req *Request) error {
 	return nil
 }
 
-func (c *core) Release(req *Request) {
+// Release returns req's slot and dispatches the next waiter.
+func (c *Scheduler) Release(req *Request) {
 	t := req.tenant
 	c.mu.Lock()
 	c.free++
@@ -209,7 +218,7 @@ func (c *core) Release(req *Request) {
 // dispatchLocked grants free slots to queued waiters in fair order,
 // shedding queued requests whose deadline became unmeetable while they
 // waited (their slot goes to the next waiter instead of being wasted).
-func (c *core) dispatchLocked() {
+func (c *Scheduler) dispatchLocked() {
 	for c.free > 0 {
 		w := c.nextLocked()
 		if w == nil {
@@ -233,7 +242,9 @@ func (c *core) dispatchLocked() {
 	}
 }
 
-func (c *core) BeginDrain() {
+// BeginDrain refuses new admissions and fails every queued waiter with
+// ErrDraining. Idempotent.
+func (c *Scheduler) BeginDrain() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.draining {
@@ -251,23 +262,53 @@ func (c *core) BeginDrain() {
 	}
 }
 
-func (c *core) Snapshot() Snapshot {
+// Snapshot reports live per-tenant queue state for /debug/statusz.
+func (c *Scheduler) Snapshot() Snapshot {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	snap := Snapshot{
-		Policy:   PolicyWFQ,
 		InFlight: c.inflight,
 		Queued:   c.queued,
 		P50MS:    float64(c.svc.p50().Microseconds()) / 1000,
+		Tenants:  make([]TenantSnapshot, 0, len(c.tenants)),
 	}
-	c.mu.Unlock()
-	snap.Tenants = c.tenants.snapshot()
+	for _, t := range c.tenants {
+		snap.Tenants = append(snap.Tenants, TenantSnapshot{
+			Tenant:   t.name,
+			Weight:   t.weight,
+			Queued:   t.queuedN,
+			InFlight: t.inflightN,
+			Admitted: t.admitted,
+			Shed:     t.shed,
+		})
+	}
+	sort.Slice(snap.Tenants, func(i, j int) bool { return snap.Tenants[i].Tenant < snap.Tenants[j].Tenant })
 	return snap
+}
+
+// tenantLocked resolves a tenant ID to its state: configured tenants get
+// their own, everyone else shares "other" under the table's default
+// config.
+func (c *Scheduler) tenantLocked(name string) *tenantState {
+	if !c.cfg.Tenants.known(name) {
+		name = otherTenant
+	}
+	t, ok := c.tenants[name]
+	if !ok {
+		cfg := c.cfg.Tenants.Default
+		if name != otherTenant {
+			cfg = c.cfg.Tenants.config(name)
+		}
+		t = newTenantState(name, cfg)
+		c.tenants[name] = t
+	}
+	return t
 }
 
 // shedLocked accounts a refusal and builds its typed error. wait, when
 // positive, is the reason-specific Retry-After (quota refill, deadline
 // guidance); zero falls back to the live queue estimate.
-func (c *core) shedLocked(t *tenantState, reason string, wait time.Duration) *ShedError {
+func (c *Scheduler) shedLocked(t *tenantState, reason string, wait time.Duration) *ShedError {
 	t.noteShed()
 	c.countShedLocked(reason)
 	if wait <= 0 {
@@ -282,7 +323,7 @@ func (c *core) shedLocked(t *tenantState, reason string, wait time.Duration) *Sh
 // estimateRetryLocked computes shed guidance from live queue depth and
 // observed service time, plus jitter so a synchronized thundering herd of
 // shed clients does not return in lockstep.
-func (c *core) estimateRetryLocked(p50 time.Duration) time.Duration {
+func (c *Scheduler) estimateRetryLocked(p50 time.Duration) time.Duration {
 	if p50 <= 0 {
 		p50 = time.Second
 	}
@@ -294,7 +335,7 @@ func (c *core) estimateRetryLocked(p50 time.Duration) time.Duration {
 	return est
 }
 
-func (c *core) tenantCap(t *tenantState) int {
+func (c *Scheduler) tenantCap(t *tenantState) int {
 	if t.cfg.QueueCap > 0 {
 		return t.cfg.QueueCap
 	}
@@ -303,27 +344,27 @@ func (c *core) tenantCap(t *tenantState) int {
 
 // dequeueAccountingLocked unwinds a waiter's queue-side counters and
 // gauges (it left the queue: granted, shed, drained, or cancelled).
-func (c *core) dequeueAccountingLocked(w *waiter) {
+func (c *Scheduler) dequeueAccountingLocked(w *waiter) {
 	c.queued--
-	w.t.queuedN.Add(-1)
+	w.t.queuedN--
 	c.setQueueGaugesLocked(w.t)
 }
 
-func (c *core) countShedLocked(reason string) {
+func (c *Scheduler) countShedLocked(reason string) {
 	if c.m == nil {
 		return
 	}
-	c.cShedLegacy.Inc()
+	c.cShed.Inc()
 	c.m.Counter(fmt.Sprintf("sched_sheds_total{reason=%q}", reason)).Inc()
 }
 
-func (c *core) setInFlightLocked() {
+func (c *Scheduler) setInFlightLocked() {
 	if c.gInFlight != nil {
 		c.gInFlight.Set(float64(c.inflight))
 	}
 }
 
-func (c *core) setQueueGaugesLocked(t *tenantState) {
+func (c *Scheduler) setQueueGaugesLocked(t *tenantState) {
 	if c.m == nil {
 		return
 	}
@@ -331,12 +372,12 @@ func (c *core) setQueueGaugesLocked(t *tenantState) {
 	if t.gQueued == nil {
 		t.gQueued = c.m.Gauge(fmt.Sprintf("sched_queue_depth{tenant=%q}", t.name))
 	}
-	t.gQueued.Set(float64(t.queuedN.Load()))
+	t.gQueued.Set(float64(t.queuedN))
 }
 
 // pushLocked enqueues w behind its tenant's earlier waiters, charging the
 // tenant one virtual unit at its weight.
-func (c *core) pushLocked(w *waiter) {
+func (c *Scheduler) pushLocked(w *waiter) {
 	t := w.t
 	w.vfinish = c.chargeLocked(t)
 	t.queue = append(t.queue, w)
@@ -345,7 +386,7 @@ func (c *core) pushLocked(w *waiter) {
 
 // chargeLocked advances t's virtual finish time by one request at its
 // weight and returns it.
-func (c *core) chargeLocked(t *tenantState) float64 {
+func (c *Scheduler) chargeLocked(t *tenantState) float64 {
 	base := c.vtime
 	if t.vfinish > base {
 		base = t.vfinish
@@ -356,7 +397,7 @@ func (c *core) chargeLocked(t *tenantState) float64 {
 
 // nextLocked pops the earliest-finishing queue head, nil when no tenant
 // is backlogged.
-func (c *core) nextLocked() *waiter {
+func (c *Scheduler) nextLocked() *waiter {
 	var best *tenantState
 	for t := range c.active {
 		if best == nil || t.queue[0].vfinish < best.queue[0].vfinish ||
@@ -384,7 +425,7 @@ func (c *core) nextLocked() *waiter {
 // the same tenant are left as charged: a cancelled request costs its
 // tenant one virtual unit, which keeps cancellation from being a way to
 // jump the fair queue.
-func (c *core) removeLocked(w *waiter) {
+func (c *Scheduler) removeLocked(w *waiter) {
 	t := w.t
 	for i, q := range t.queue {
 		if q == w {

@@ -1,17 +1,17 @@
-// Package sched is the server's pluggable admission layer: a Scheduler
-// decides which waiting request gets the next execution slot, so
-// multi-tenant fairness becomes configurable policy over the same fixed
+// Package sched is the server's admission layer: the Scheduler decides
+// which waiting request gets the next execution slot, over the same fixed
 // soundness machinery (guard deadlines, sealed partials, typed sheds) the
-// rest of the pipeline already proves. Two policies ship:
+// rest of the pipeline already proves.
 //
-//   - fifo: byte-compatible with the pre-scheduler admission path — a slot
-//     semaphore plus a bounded global queue, first come first served;
-//   - wfq: weighted-fair queueing across tenants — each backlogged tenant
-//     receives execution slots in proportion to its configured weight, so
-//     one bulk-batch tenant can no longer starve interactive users.
+// Dispatch is weighted-fair queueing across tenants: each backlogged
+// tenant receives execution slots in proportion to its configured weight,
+// so one bulk-batch tenant cannot starve interactive users. With no tenant
+// table every request resolves to the one shared "other" tenant at weight
+// 1, and dispatch is first come, first served behind the global queue
+// bound.
 //
-// The wfq policy adds per-tenant token-bucket quotas and queue caps, and
-// deadline-aware queue control: a request whose remaining deadline can no
+// Tenants may also carry token-bucket quotas and queue caps. Every request
+// gets deadline-aware queue control: one whose remaining deadline can no
 // longer cover the observed p50 service time is shed immediately with
 // computed Retry-After guidance instead of timing out in queue and wasting
 // a slot. Every shed is a typed *ShedError — the server renders it as a
@@ -20,36 +20,16 @@ package sched
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"determinacy/internal/obs"
 )
-
-// Policy names accepted by New and ParsePolicy.
-const (
-	PolicyFIFO = "fifo"
-	PolicyWFQ  = "wfq"
-)
-
-// ParsePolicy validates a policy name.
-func ParsePolicy(s string) (string, error) {
-	switch s {
-	case "", PolicyFIFO:
-		return PolicyFIFO, nil
-	case PolicyWFQ:
-		return s, nil
-	default:
-		return "", fmt.Errorf("sched: unknown policy %q (want fifo or wfq)", s)
-	}
-}
 
 // TenantConfig is one tenant's admission policy. The JSON shape is the
 // -tenants flag format.
@@ -216,29 +196,9 @@ func (e *ShedError) ScaleRetryAfter(factor float64, max time.Duration) {
 // ErrDraining refuses admission while the server drains.
 var ErrDraining = errors.New("sched: draining, not accepting new work")
 
-// Scheduler admits requests to execution slots. Implementations are safe
-// for concurrent use. Every successful Acquire must be paired with exactly
-// one Release.
-type Scheduler interface {
-	// Name reports the policy name (fifo, wfq).
-	Name() string
-	// Acquire blocks until req is granted a slot or refused: a *ShedError
-	// (bounded queue, quota, or unmeetable deadline), ErrDraining, or the
-	// context's error when the caller went away while queued.
-	Acquire(ctx context.Context, req *Request) error
-	// Release returns req's slot and dispatches the next waiter.
-	Release(req *Request)
-	// BeginDrain refuses new admissions and fails every queued waiter with
-	// ErrDraining. Idempotent.
-	BeginDrain()
-	// Snapshot reports live per-tenant queue state for /debug/statusz.
-	Snapshot() Snapshot
-}
-
 // Snapshot is a point-in-time scheduler view, the /debug/statusz
 // "scheduler" payload.
 type Snapshot struct {
-	Policy   string           `json:"policy"`
 	InFlight int              `json:"inflight"`
 	Queued   int              `json:"queued"`
 	P50MS    float64          `json:"p50_service_ms,omitempty"`
@@ -255,25 +215,10 @@ type TenantSnapshot struct {
 	Shed     int64   `json:"shed"`
 }
 
-// New builds the named policy. Policy names come from ParsePolicy; an
-// unknown name is an error so CLI validation can reject it before a
-// listener binds.
-func New(policy string, cfg Config) (Scheduler, error) {
-	p, err := ParsePolicy(policy)
-	if err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
+// New builds a scheduler; Slots and QueueDepth must be positive.
+func New(cfg Config) (*Scheduler, error) {
 	if cfg.Slots <= 0 || cfg.QueueDepth <= 0 {
 		return nil, fmt.Errorf("sched: Slots and QueueDepth must be positive (got %d, %d)", cfg.Slots, cfg.QueueDepth)
 	}
-	if p == PolicyFIFO {
-		return newFIFO(cfg), nil
-	}
-	return newCore(cfg), nil
-}
-
-// sortTenantSnapshots orders snapshots by name for stable statusz output.
-func sortTenantSnapshots(ts []TenantSnapshot) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Tenant < ts[j].Tenant })
+	return newScheduler(cfg.withDefaults()), nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,20 +13,6 @@ import (
 	"determinacy/internal/guard/faultinject"
 	"determinacy/internal/obs"
 )
-
-func TestParsePolicy(t *testing.T) {
-	for in, want := range map[string]string{"": PolicyFIFO, "fifo": PolicyFIFO, "wfq": PolicyWFQ} {
-		got, err := ParsePolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %q, %v; want %q", in, got, err, want)
-		}
-	}
-	for _, in := range []string{"lifo", "priority"} {
-		if _, err := ParsePolicy(in); err == nil {
-			t.Errorf("ParsePolicy accepted unknown policy %q", in)
-		}
-	}
-}
 
 func TestParseTable(t *testing.T) {
 	tb, err := ParseTable([]byte(`{"pro":{"weight":4,"rate":50,"burst":100},"bulk":{"weight":1,"queue_cap":8},"*":{"weight":2}}` + "\n\t "))
@@ -71,38 +58,70 @@ func TestParseTableFlag(t *testing.T) {
 }
 
 // mustAcquire acquires or fails the test.
-func mustAcquire(t *testing.T, s Scheduler, req *Request) {
+func mustAcquire(t *testing.T, s *Scheduler, req *Request) {
 	t.Helper()
 	if err := s.Acquire(context.Background(), req); err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
 }
 
-func newSched(t *testing.T, policy string, cfg Config) Scheduler {
+func newSched(t *testing.T, cfg Config) *Scheduler {
 	t.Helper()
-	s, err := New(policy, cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
+// admissionMode is one of the scheduler's two ways of ordering waiters.
+// With no tenant table every request pools as "other" at weight 1, so
+// dispatch is first come, first served ("fifo"); with a table, named
+// tenants queue by weighted virtual finish time ("wfq"). Slot, shed,
+// drain, cancel and fault behaviour must hold under both.
+type admissionMode struct {
+	name   string
+	table  string // tenant table JSON; "" for none
+	tenant string // tenant ID the mode's requests carry
+}
+
+var admissionModes = []admissionMode{
+	{name: "fifo"},
+	{name: "wfq", table: `{"gold":{"weight":4},"bulk":{"weight":1}}`, tenant: "gold"},
+}
+
+// sched builds a scheduler from cfg with the mode's tenant table.
+func (m admissionMode) sched(t *testing.T, cfg Config) *Scheduler {
+	t.Helper()
+	if m.table != "" {
+		table, err := ParseTable([]byte(m.table))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Tenants = table
+	}
+	return newSched(t, cfg)
+}
+
+// req is a fresh request from the mode's tenant.
+func (m admissionMode) req() *Request { return &Request{Tenant: m.tenant} }
+
 func TestImmediateGrantAndShed(t *testing.T) {
-	for _, policy := range []string{PolicyFIFO, PolicyWFQ} {
-		t.Run(policy, func(t *testing.T) {
+	for _, mode := range admissionModes {
+		t.Run(mode.name, func(t *testing.T) {
 			m := obs.NewMetrics()
-			s := newSched(t, policy, Config{Slots: 1, QueueDepth: 1, Metrics: m})
-			hold := &Request{}
+			s := mode.sched(t, Config{Slots: 1, QueueDepth: 1, Metrics: m})
+			hold := mode.req()
 			mustAcquire(t, s, hold)
 
 			// Fill the queue, then overflow it.
-			queued := &Request{}
+			queued := mode.req()
 			done := make(chan error, 1)
 			go func() { done <- s.Acquire(context.Background(), queued) }()
 			waitQueued(t, s, 1)
 
 			var shed *ShedError
-			if err := s.Acquire(context.Background(), &Request{}); !errors.As(err, &shed) {
+			if err := s.Acquire(context.Background(), mode.req()); !errors.As(err, &shed) {
 				t.Fatalf("overflow Acquire = %v, want *ShedError", err)
 			}
 			if m.Counter("server_shed_total").Value() != 1 {
@@ -124,7 +143,7 @@ func TestImmediateGrantAndShed(t *testing.T) {
 	}
 }
 
-func waitQueued(t *testing.T, s Scheduler, n int) {
+func waitQueued(t *testing.T, s *Scheduler, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
@@ -144,7 +163,7 @@ func TestWFQGrantRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSched(t, PolicyWFQ, Config{Slots: 1, QueueDepth: 64, Tenants: table})
+	s := newSched(t, Config{Slots: 1, QueueDepth: 64, Tenants: table})
 	hold := &Request{Tenant: "gold"}
 	mustAcquire(t, s, hold)
 
@@ -192,7 +211,7 @@ func TestTokenBucketQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSched(t, PolicyWFQ, Config{Slots: 2, QueueDepth: 4, Tenants: table})
+	s := newSched(t, Config{Slots: 2, QueueDepth: 4, Tenants: table})
 	first := &Request{Tenant: "capped"}
 	mustAcquire(t, s, first)
 
@@ -212,7 +231,7 @@ func TestTokenBucketQuota(t *testing.T) {
 }
 
 func TestDeadlineUnmeetableShed(t *testing.T) {
-	s := newSched(t, PolicyWFQ, Config{Slots: 1, QueueDepth: 4})
+	s := newSched(t, Config{Slots: 1, QueueDepth: 4})
 	// Warm the service-time window to ~20ms.
 	for i := 0; i < 3; i++ {
 		req := &Request{}
@@ -231,14 +250,14 @@ func TestDeadlineUnmeetableShed(t *testing.T) {
 	s.Release(ok)
 }
 
-// TestTenantAndClassQueueCaps pins the per-tenant queue cap under wfq: a
+// TestTenantAndClassQueueCaps pins the per-tenant queue cap: a
 // tenant at its cap is shed with tenant-queue-full.
 func TestTenantAndClassQueueCaps(t *testing.T) {
 	table, err := ParseTable([]byte(`{"small":{"queue_cap":1}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newSched(t, PolicyWFQ, Config{Slots: 1, QueueDepth: 16, Tenants: table})
+	s := newSched(t, Config{Slots: 1, QueueDepth: 16, Tenants: table})
 	hold := &Request{}
 	mustAcquire(t, s, hold)
 
@@ -252,19 +271,19 @@ func TestTenantAndClassQueueCaps(t *testing.T) {
 }
 
 func TestDrainFlushesWaiters(t *testing.T) {
-	for _, policy := range []string{PolicyFIFO, PolicyWFQ} {
-		t.Run(policy, func(t *testing.T) {
-			s := newSched(t, policy, Config{Slots: 1, QueueDepth: 8})
-			hold := &Request{}
+	for _, mode := range admissionModes {
+		t.Run(mode.name, func(t *testing.T) {
+			s := mode.sched(t, Config{Slots: 1, QueueDepth: 8})
+			hold := mode.req()
 			mustAcquire(t, s, hold)
 			done := make(chan error, 1)
-			go func() { done <- s.Acquire(context.Background(), &Request{}) }()
+			go func() { done <- s.Acquire(context.Background(), mode.req()) }()
 			waitQueued(t, s, 1)
 			s.BeginDrain()
 			if err := <-done; !errors.Is(err, ErrDraining) {
 				t.Fatalf("queued waiter during drain: %v, want ErrDraining", err)
 			}
-			if err := s.Acquire(context.Background(), &Request{}); !errors.Is(err, ErrDraining) {
+			if err := s.Acquire(context.Background(), mode.req()); !errors.Is(err, ErrDraining) {
 				t.Fatalf("post-drain Acquire: %v, want ErrDraining", err)
 			}
 			s.Release(hold)
@@ -273,14 +292,14 @@ func TestDrainFlushesWaiters(t *testing.T) {
 }
 
 func TestCancelWhileQueued(t *testing.T) {
-	for _, policy := range []string{PolicyFIFO, PolicyWFQ} {
-		t.Run(policy, func(t *testing.T) {
-			s := newSched(t, policy, Config{Slots: 1, QueueDepth: 8})
-			hold := &Request{}
+	for _, mode := range admissionModes {
+		t.Run(mode.name, func(t *testing.T) {
+			s := mode.sched(t, Config{Slots: 1, QueueDepth: 8})
+			hold := mode.req()
 			mustAcquire(t, s, hold)
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
-			go func() { done <- s.Acquire(ctx, &Request{}) }()
+			go func() { done <- s.Acquire(ctx, mode.req()) }()
 			waitQueued(t, s, 1)
 			cancel()
 			if err := <-done; !errors.Is(err, context.Canceled) {
@@ -292,7 +311,7 @@ func TestCancelWhileQueued(t *testing.T) {
 				t.Fatalf("queued = %d after cancellation, want 0", snap.Queued)
 			}
 			s.Release(hold)
-			next := &Request{}
+			next := mode.req()
 			mustAcquire(t, s, next)
 			s.Release(next)
 		})
@@ -303,9 +322,9 @@ func TestCancelWhileQueued(t *testing.T) {
 // sched.dispatch fault site: an injected panic at the moment of grant
 // unwinds with the slot already back in the pool.
 func TestDispatchFaultReleasesSlot(t *testing.T) {
-	for _, policy := range []string{PolicyFIFO, PolicyWFQ} {
-		t.Run(policy, func(t *testing.T) {
-			s := newSched(t, policy, Config{Slots: 1, QueueDepth: 2})
+	for _, mode := range admissionModes {
+		t.Run(mode.name, func(t *testing.T) {
+			s := mode.sched(t, Config{Slots: 1, QueueDepth: 2})
 			faultinject.Arm(&faultinject.Plan{Site: faultinject.SiteSchedDispatch, After: 1, Action: faultinject.Panic})
 			defer faultinject.Disarm()
 			func() {
@@ -314,13 +333,13 @@ func TestDispatchFaultReleasesSlot(t *testing.T) {
 						t.Error("armed dispatch fault did not fire")
 					}
 				}()
-				_ = s.Acquire(context.Background(), &Request{})
+				_ = s.Acquire(context.Background(), mode.req())
 			}()
 			if snap := s.Snapshot(); snap.InFlight != 0 {
 				t.Fatalf("inflight = %d after injected dispatch panic, want 0 (slot leaked)", snap.InFlight)
 			}
 			// The slot must still be grantable.
-			req := &Request{}
+			req := mode.req()
 			mustAcquire(t, s, req)
 			s.Release(req)
 		})
@@ -328,7 +347,7 @@ func TestDispatchFaultReleasesSlot(t *testing.T) {
 }
 
 func TestUnknownTenantsPoolAsOther(t *testing.T) {
-	s := newSched(t, PolicyWFQ, Config{Slots: 4, QueueDepth: 4})
+	s := newSched(t, Config{Slots: 4, QueueDepth: 4})
 	reqs := make([]*Request, 3)
 	for i, id := range []string{"mallory-1", "mallory-2", ""} {
 		reqs[i] = &Request{Tenant: id}
@@ -343,5 +362,68 @@ func TestUnknownTenantsPoolAsOther(t *testing.T) {
 	}
 	for _, req := range reqs {
 		s.Release(req)
+	}
+}
+
+// TestNoTableGrantsInArrivalOrder pins the order a scheduler with no
+// tenant table hands out its one slot: every request pools as "other" at
+// weight 1, so waiters are granted first come, first served.
+func TestNoTableGrantsInArrivalOrder(t *testing.T) {
+	s := newSched(t, Config{Slots: 1, QueueDepth: 8})
+	hold := &Request{}
+	mustAcquire(t, s, hold)
+
+	const n = 6
+	var mu sync.Mutex
+	var order []int
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := &Request{}
+			if err := s.Acquire(context.Background(), req); err != nil {
+				t.Errorf("waiter %d: %v", i, err)
+				return
+			}
+			// The next grant happens only after this Release, so the
+			// append order is the grant order.
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			s.Release(req)
+		}(i)
+		waitQueued(t, s, i+1)
+	}
+	s.Release(hold)
+	wg.Wait()
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("grant order = %v, want arrival order 0..%d", order, n-1)
+		}
+	}
+	if len(order) != n {
+		t.Fatalf("granted %d of %d waiters", len(order), n)
+	}
+}
+
+// TestP50DoesNotAllocate pins the service-time median, which runs on
+// every admission and every dispatch, to zero heap allocations.
+func TestP50DoesNotAllocate(t *testing.T) {
+	var w svcWindow
+	for i := 0; i < 100; i++ {
+		w.observe(time.Duration(i*7919%101) * time.Millisecond)
+	}
+	var got time.Duration
+	if allocs := testing.AllocsPerRun(100, func() { got = w.p50() }); allocs != 0 {
+		t.Fatalf("p50 allocates %v times per call, want 0", allocs)
+	}
+	// The ring holds the last 64 observations; check the median against a
+	// plain sort of the same values.
+	want := make([]time.Duration, 0, len(w.buf))
+	want = append(want, w.buf[:w.n]...)
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	if got != want[len(want)/2] {
+		t.Fatalf("p50 = %v, want %v", got, want[len(want)/2])
 	}
 }

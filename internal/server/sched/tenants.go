@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"determinacy/internal/obs"
@@ -14,21 +12,17 @@ import (
 // cardinality past the configured set plus one.
 const otherTenant = "other"
 
-// tenantState is one tenant's live admission state. The counters are
-// atomic so the lock-free fifo policy shares the type with the
-// mutex-guarded queue core; the queueing fields (queue, vfinish, tokens)
-// are owned by the core and guarded by its mutex.
+// tenantState is one tenant's live admission state: its counters, its
+// queue, its virtual finish time and its token bucket, all guarded by the
+// owning Scheduler's mutex.
 type tenantState struct {
 	name   string
 	cfg    TenantConfig
 	weight float64
 
-	queuedN   atomic.Int64
-	inflightN atomic.Int64
-	admitted  atomic.Int64
-	shed      atomic.Int64
+	queuedN, inflightN int
+	admitted, shed     int64
 
-	// Queue core state, guarded by core.mu.
 	queue      []*waiter
 	vfinish    float64
 	tokens     float64
@@ -38,9 +32,9 @@ type tenantState struct {
 	gQueued *obs.Gauge
 }
 
-func (t *tenantState) noteAdmit() { t.inflightN.Add(1); t.admitted.Add(1) }
-func (t *tenantState) noteDone()  { t.inflightN.Add(-1) }
-func (t *tenantState) noteShed()  { t.shed.Add(1) }
+func (t *tenantState) noteAdmit() { t.inflightN++; t.admitted++ }
+func (t *tenantState) noteDone()  { t.inflightN-- }
+func (t *tenantState) noteShed()  { t.shed++ }
 
 func newTenantState(name string, cfg TenantConfig) *tenantState {
 	t := &tenantState{name: name, cfg: cfg, weight: cfg.Weight, lastRefill: time.Now()}
@@ -87,56 +81,6 @@ func (t *tenantState) takeToken(now time.Time) (ok bool, wait time.Duration) {
 	return false, time.Duration((1 - t.tokens) / t.cfg.Rate * float64(time.Second))
 }
 
-// tenantBook lazily materializes tenantState per configured tenant (plus
-// the shared "other" state) for all policies.
-type tenantBook struct {
-	mu  sync.Mutex
-	cfg Config
-	m   map[string]*tenantState
-}
-
-func newTenantBook(cfg Config) *tenantBook {
-	return &tenantBook{cfg: cfg, m: map[string]*tenantState{}}
-}
-
-// get resolves a tenant ID to its state: configured tenants get their own,
-// everyone else shares "other" under the table's default config.
-func (b *tenantBook) get(name string) *tenantState {
-	if !b.cfg.Tenants.known(name) {
-		name = otherTenant
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t, ok := b.m[name]
-	if !ok {
-		cfg := b.cfg.Tenants.Default
-		if name != otherTenant {
-			cfg = b.cfg.Tenants.config(name)
-		}
-		t = newTenantState(name, cfg)
-		b.m[name] = t
-	}
-	return t
-}
-
-func (b *tenantBook) snapshot() []TenantSnapshot {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]TenantSnapshot, 0, len(b.m))
-	for _, t := range b.m {
-		out = append(out, TenantSnapshot{
-			Tenant:   t.name,
-			Weight:   t.weight,
-			Queued:   int(t.queuedN.Load()),
-			InFlight: int(t.inflightN.Load()),
-			Admitted: t.admitted.Load(),
-			Shed:     t.shed.Load(),
-		})
-	}
-	sortTenantSnapshots(out)
-	return out
-}
-
 // svcWindow is a bounded ring of observed service times; p50 drives
 // deadline-aware shedding and Retry-After guidance.
 type svcWindow struct {
@@ -157,19 +101,19 @@ func (w *svcWindow) observe(d time.Duration) {
 }
 
 // p50 reports the window's median (0 when empty). Callers hold the
-// scheduler mutex; the copy-and-select over <=64 entries is negligible
-// next to an analysis run.
+// scheduler mutex. It runs on every admission and every dispatch, so it
+// sorts a stack copy of the ring instead of allocating.
 func (w *svcWindow) p50() time.Duration {
 	if w.n == 0 {
 		return 0
 	}
-	tmp := make([]time.Duration, w.n)
-	copy(tmp, w.buf[:w.n])
+	tmp := w.buf
+	s := tmp[:w.n]
 	// Insertion sort: n <= 64.
-	for i := 1; i < len(tmp); i++ {
-		for j := i; j > 0 && tmp[j] < tmp[j-1]; j-- {
-			tmp[j], tmp[j-1] = tmp[j-1], tmp[j]
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-	return tmp[len(tmp)/2]
+	return s[len(s)/2]
 }

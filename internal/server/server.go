@@ -32,7 +32,6 @@ import (
 	"determinacy/internal/cluster"
 	"determinacy/internal/obs"
 	"determinacy/internal/server/sched"
-	"determinacy/internal/version"
 )
 
 // Config tunes the service. Zero values select the documented defaults.
@@ -61,13 +60,9 @@ type Config struct {
 	BreakerThreshold int
 	// CacheEntries bounds the shared compile cache (0 = progcache default).
 	CacheEntries int
-	// Workers bounds the /v1/batch worker pool (0 = GOMAXPROCS).
-	Workers int
 	// Metrics receives every server/pool/cache series (nil = fresh
 	// registry, readable via /metrics either way).
 	Metrics *obs.Metrics
-	// Version is echoed by /healthz (empty = internal/version.String()).
-	Version string
 	// FlightEntries bounds the flight recorder's request-summary ring
 	// served at /debug/statusz (0 = obs.DefaultFlightEntries).
 	FlightEntries int
@@ -83,13 +78,11 @@ type Config struct {
 	// byte-identical responses; partial/degraded/errored runs never
 	// populate it, so cached facts are always from clean completions.
 	FactCache *determinacy.FactCache
-	// SchedPolicy selects the admission scheduler: "fifo" (default,
-	// byte-compatible with the pre-scheduler admission path) or "wfq"
-	// (weighted-fair queueing across tenants). See internal/server/sched.
+	// Deprecated: ignored; there is one admission scheduler.
 	SchedPolicy string
 	// Tenants configures per-tenant weights, token-bucket quotas and queue
-	// caps for the wfq policy (cmd/detserve -tenants). The zero Table
-	// treats every tenant alike at weight 1.
+	// caps (cmd/detserve -tenants). The zero Table pools every request as
+	// one tenant at weight 1: first come, first served.
 	Tenants sched.Table
 	// StreamHeartbeat is the keepalive interval for ?stream= responses:
 	// while an analysis is running, the server emits a heartbeat line
@@ -136,9 +129,6 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = obs.NewMetrics()
 	}
-	if c.Version == "" {
-		c.Version = version.String()
-	}
 	if c.FlightEntries <= 0 {
 		c.FlightEntries = obs.DefaultFlightEntries
 	}
@@ -163,9 +153,9 @@ type Server struct {
 	pool    *batch.Pool
 	start   time.Time
 
-	// sched is the pluggable admission layer: it owns the execution slots,
-	// the bounded queues, and every fairness and quota decision.
-	sched sched.Scheduler
+	// sched is the admission layer: it owns the execution slots, the
+	// bounded queues, and every fairness and quota decision.
+	sched *sched.Scheduler
 
 	// wg tracks admitted requests so Drain can wait for them.
 	wg sync.WaitGroup
@@ -189,10 +179,6 @@ type Server struct {
 	gDraining, gBreaker     *obs.Gauge
 	cRequests, cQuarantined *obs.Counter
 	hLatency, hQueueWait    map[string]*obs.Histogram
-	// tenantLatency enables server_tenant_request_seconds{tenant=...}
-	// histograms (wfq policy only: under fifo every tenant is
-	// anonymous and the series would duplicate server_request_seconds).
-	tenantLatency bool
 
 	// flight retains the last FlightEntries request summaries for
 	// /debug/statusz and /debug/tracez.
@@ -231,13 +217,7 @@ func routedHistograms(m *obs.Metrics, base string, buckets []float64) map[string
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	m := cfg.Metrics
-	policy, err := sched.ParsePolicy(cfg.SchedPolicy)
-	if err != nil {
-		// Config is programmatic here; cmd/detserve validates the flag
-		// before this point, so a bad name is a caller bug.
-		panic(err)
-	}
-	scheduler, err := sched.New(policy, sched.Config{
+	scheduler, err := sched.New(sched.Config{
 		Slots:         cfg.MaxInFlight,
 		QueueDepth:    cfg.QueueDepth,
 		Tenants:       cfg.Tenants,
@@ -251,19 +231,18 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		metrics: m,
 		cache:   determinacy.NewCache(cfg.CacheEntries).WithMetrics(m),
-		pool:    batch.New(cfg.Workers).WithMetrics(m),
+		pool:    batch.New(0).WithMetrics(m),
 		start:   time.Now(),
 		sched:   scheduler,
 		flight:  obs.NewFlightRecorder(cfg.FlightEntries),
 
-		gDraining:     m.Gauge("server_draining"),
-		gBreaker:      m.Gauge("server_breaker_open"),
-		cRequests:     m.Counter("server_requests_total"),
-		cQuarantined:  m.Counter("server_quarantined_requests_total"),
-		hLatency:      routedHistograms(m, "server_request_seconds", latencyBuckets),
-		hQueueWait:    routedHistograms(m, "server_queue_wait_seconds", latencyBuckets),
-		tenantLatency: policy != sched.PolicyFIFO,
-		cluster:       cfg.Cluster,
+		gDraining:    m.Gauge("server_draining"),
+		gBreaker:     m.Gauge("server_breaker_open"),
+		cRequests:    m.Counter("server_requests_total"),
+		cQuarantined: m.Counter("server_quarantined_requests_total"),
+		hLatency:     routedHistograms(m, "server_request_seconds", latencyBuckets),
+		hQueueWait:   routedHistograms(m, "server_queue_wait_seconds", latencyBuckets),
+		cluster:      cfg.Cluster,
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	m.Gauge("server_max_inflight").Set(float64(cfg.MaxInFlight))
@@ -272,7 +251,7 @@ func New(cfg Config) *Server {
 	m.Help("server_queue_wait_seconds", "Admission-queue wait by route.")
 	m.Help("server_phase_seconds", "Per-request pipeline-phase latency, derived from trace spans.")
 	m.Help("server_requests_total", "Requests received, before admission.")
-	m.Help("server_shed_total", "Requests shed with 429 (admission queue full).")
+	m.Help("server_shed_total", "Requests shed with 429 by the admission scheduler.")
 	m.Help("server_quarantined_requests_total", "Requests whose analysis panicked and was quarantined.")
 	s.mux = s.routes()
 	return s
@@ -287,14 +266,10 @@ func (s *Server) Metrics() *obs.Metrics { return s.metrics }
 // Draining reports whether drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// DrainBudget reports the configured graceful-drain budget (the effective
-// value of Config.DrainTimeout).
-func (s *Server) DrainBudget() time.Duration { return s.cfg.DrainTimeout }
-
-// acquire admits a request through the configured scheduler: an execution
-// slot immediately if policy allows, else a bounded queue wait, else a
-// typed refusal (*sched.ShedError, sched.ErrDraining, or the context's
-// error). hWait is the route's queue-wait histogram; it observes exactly
+// acquire admits a request through the scheduler: an execution slot
+// immediately if one is free and nobody waits, else a bounded queue wait,
+// else a typed refusal (*sched.ShedError, sched.ErrDraining, or the
+// context's error). hWait is the route's queue-wait histogram; it observes exactly
 // the requests that actually waited, as the pre-scheduler path did. Every
 // admitted request must release(req).
 func (s *Server) acquire(ctx context.Context, req *sched.Request, hWait *obs.Histogram) error {
@@ -364,19 +339,20 @@ func (s *Server) BeginDrain() {
 }
 
 // Drain performs the graceful-shutdown sequence: BeginDrain, then wait up
-// to budget for admitted requests to finish on their own; past the budget
+// to Config.DrainTimeout for admitted requests to finish on their own;
+// past the budget
 // every in-flight run is force-cancelled — the guard checkpoints stop it
 // within microseconds and it responds with a sound partial — and Drain
 // waits for those responses. Returns true when everything finished within
 // the budget, false when the force-cancel was needed.
-func (s *Server) Drain(budget time.Duration) bool {
+func (s *Server) Drain() bool {
 	s.BeginDrain()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
 		close(done)
 	}()
-	t := time.NewTimer(budget)
+	t := time.NewTimer(s.cfg.DrainTimeout)
 	defer t.Stop()
 	select {
 	case <-done:

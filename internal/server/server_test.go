@@ -14,6 +14,7 @@ import (
 
 	"determinacy"
 	"determinacy/internal/guard/faultinject"
+	"determinacy/internal/version"
 )
 
 // slowSrc runs long enough (~100ms) that a request holding an execution
@@ -448,7 +449,7 @@ func TestAdmitPanicRecoveredByMiddleware(t *testing.T) {
 }
 
 func TestHealthzEchoesVersion(t *testing.T) {
-	_, ts := newTestServer(t, Config{Version: "test-build-1 (go0.0)"})
+	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +464,7 @@ func TestHealthzEchoesVersion(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Status != "ok" || out.Version != "test-build-1 (go0.0)" || out.Draining {
+	if out.Status != "ok" || out.Version != version.String() || out.Draining {
 		t.Fatalf("healthz = %+v", out)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"determinacy/internal/guard"
 	"determinacy/internal/obs"
+	"determinacy/internal/version"
 )
 
 // Terminal outcomes recorded per request in the flight recorder. Every
@@ -178,7 +179,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	entries := s.flight.Entries()
 	snap := s.sched.Snapshot()
 	summary := map[string]any{
-		"version":        s.cfg.Version,
+		"version":        version.String(),
 		"uptime_ms":      time.Since(s.start).Milliseconds(),
 		"draining":       s.draining.Load(),
 		"breaker_open":   s.breakerOpen.Load(),
@@ -200,10 +201,10 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintf(w, "detserve %s  uptime=%s  draining=%v  breaker_open=%v  inflight=%d  queued=%d  goroutines=%d\n",
-		s.cfg.Version, time.Since(s.start).Round(time.Millisecond),
+		version.String(), time.Since(s.start).Round(time.Millisecond),
 		s.draining.Load(), s.breakerOpen.Load(), snap.InFlight, snap.Queued, runtime.NumGoroutine())
 	fmt.Fprintf(w, "requests=%d  recorded=%d  retained=%d\n\n", s.cRequests.Value(), s.flight.Total(), len(entries))
-	fmt.Fprintf(w, "scheduler=%s", snap.Policy)
+	fmt.Fprint(w, "scheduler")
 	if snap.P50MS > 0 {
 		fmt.Fprintf(w, "  p50_service=%.1fms", snap.P50MS)
 	}
