@@ -38,13 +38,14 @@ func newConcrete(mod *ir.Module) *interp.Interp {
 
 // ---------------------------------------------------------------------------
 // Table 1: pointer-analysis scalability per jQuery version. One bench per
-// row; metrics report the three configurations' propagation work and flush
-// counts.
+// row, its three cells run one after another (Workers: 1) so the row
+// benches here measure serial work; metrics report the three
+// configurations' propagation work and flush counts.
 
 func benchTable1(b *testing.B, v workload.JQueryVersion) {
 	var row experiment.Table1Row
 	for i := 0; i < b.N; i++ {
-		row = experiment.RunTable1Version(v, experiment.Config{})
+		row = experiment.RunTable1Version(v, experiment.Config{Workers: 1})
 	}
 	if row.Err != nil {
 		b.Fatal(row.Err)
@@ -80,7 +81,7 @@ func BenchmarkTable1JQuery10Traced(b *testing.B) {
 	var rt *obs.RequestTrace
 	for i := 0; i < b.N; i++ {
 		rt = obs.NewRequestTrace("bench", obs.DefaultTraceEventCap)
-		row = experiment.RunTable1Version(workload.JQ10, experiment.Config{Tracer: rt})
+		row = experiment.RunTable1Version(workload.JQ10, experiment.Config{Tracer: rt, Workers: 1})
 	}
 	if row.Err != nil {
 		b.Fatal(row.Err)
@@ -456,14 +457,11 @@ func BenchmarkPointsToBaselineJQ10(b *testing.B) {
 // measured delta against BenchmarkTable1JQuery10 (target: < 3%).
 
 func BenchmarkTable1JQuery10GuardLive(b *testing.B) {
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
 	defer cancel()
 	var row experiment.Table1Row
 	for i := 0; i < b.N; i++ {
-		row = experiment.RunTable1Version(workload.JQ10, experiment.Config{
-			Ctx:      ctx,
-			Deadline: time.Now().Add(time.Hour),
-		})
+		row = experiment.RunTable1Version(workload.JQ10, experiment.Config{Ctx: ctx, Workers: 1})
 	}
 	if row.Err != nil {
 		b.Fatal(row.Err)

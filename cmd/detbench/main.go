@@ -16,11 +16,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
+	"determinacy"
 	"determinacy/internal/cliexit"
 	"determinacy/internal/experiment"
-	"determinacy/internal/factcache"
 	"determinacy/internal/obs"
 	"determinacy/internal/version"
 )
@@ -30,7 +29,7 @@ func main() {
 		table1      = flag.Bool("table1", false, "reproduce Table 1")
 		evalst      = flag.Bool("eval", false, "reproduce the §5.2 eval study")
 		all         = flag.Bool("all", false, "run everything")
-		budget      = flag.Int("budget", 0, "points-to work budget (0 = default)")
+		budget      = flag.Int("budget", 0, "points-to work budget in propagations (0 = 60,000)")
 		seed        = flag.Uint64("seed", 0, "PRNG seed for the dynamic runs")
 		workers     = flag.Int("workers", 0, "concurrent analysis jobs (0 = GOMAXPROCS, 1 = serial); output is byte-identical for every setting")
 		metricsJSON = flag.String("metrics-json", "", `also write experiment metrics as JSON to this file ("-" = stdout); EXPERIMENTS.md numbers regenerate from this dump`)
@@ -76,7 +75,7 @@ func main() {
 	}
 	cfg := experiment.Config{Budget: *budget, Seed: *seed, Workers: *workers, Metrics: m}
 	if *factDir != "" {
-		fc, err := factcache.Open(*factDir)
+		fc, err := determinacy.OpenFactCache(*factDir)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "detbench:", err)
 			os.Exit(cliexit.Error)
@@ -89,7 +88,6 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 		cfg.Ctx = ctx
-		cfg.Deadline = time.Now().Add(*timeout)
 	}
 
 	if *table1 || *all {

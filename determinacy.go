@@ -335,7 +335,7 @@ func (f *FactCache) WithMetrics(m *Metrics) *FactCache {
 }
 
 // Internal exposes the underlying cache for in-module embedders (the
-// experiment harness, the diffcheck memo oracle).
+// diffcheck memo oracle and tests read its statistics).
 func (f *FactCache) Internal() *factcache.Cache { return f.c }
 
 // factSig canonicalizes the fact-shaping options into a cache signature.
@@ -638,6 +638,9 @@ func (c *Cache) CompileHit(name, src string) (*Program, bool, error) {
 	}
 	return &Program{prog: prog, mod: mod}, hit, nil
 }
+
+// Module returns the Program's lowered module; callers must not modify it.
+func (p *Program) Module() *ir.Module { return p.mod }
 
 // AnalyzeProgram runs the instrumented analysis over a compiled Program
 // (see Cache.Compile). The Program is not modified and may be reused.

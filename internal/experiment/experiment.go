@@ -9,20 +9,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
+	"determinacy"
 	"determinacy/internal/ast"
 	"determinacy/internal/batch"
-	"determinacy/internal/batch/progcache"
-	"determinacy/internal/core"
-	"determinacy/internal/dom"
-	"determinacy/internal/factcache"
-	"determinacy/internal/facts"
-	"determinacy/internal/ir"
 	"determinacy/internal/obs"
-	"determinacy/internal/parser"
 	"determinacy/internal/pointsto"
 	"determinacy/internal/specialize"
 	"determinacy/internal/workload"
@@ -31,12 +24,8 @@ import (
 // Config tunes the experiments.
 type Config struct {
 	// Budget is the points-to work budget standing in for the paper's
-	// 10-minute timeout. 0 means the default of 2,000,000 propagations.
+	// 10-minute timeout. 0 means the default of 60,000 propagations.
 	Budget int
-	// MaxFlushes stops the dynamic analysis (paper: 1000).
-	MaxFlushes int
-	// HandlerLimit bounds DOM event handler invocations per run.
-	HandlerLimit int
 	// Seed drives the runs' PRNG.
 	Seed uint64
 	// Tracer observes every dynamic run and solver invocation performed by
@@ -48,27 +37,25 @@ type Config struct {
 	// rows, study counts, formatted tables — is byte-identical across
 	// settings.
 	Workers int
-	// Cache is the shared compilation cache; when nil, withDefaults
-	// installs a fresh one, so the baseline/spec/detdom cells of one
-	// jQuery version compile its source once.
-	Cache *progcache.Cache
 	// Metrics, when non-nil, additionally receives pool utilization
 	// (batch_pool_*) and compile-cache hit-rate (progcache_*) series.
 	Metrics *obs.Metrics
 	// Ctx cancels the whole study cooperatively: in-flight cells stop at
 	// their next interpreter/solver checkpoint and unstarted cells are
-	// skipped with a ctx-wrapped error in their row. nil means no
-	// cancellation.
+	// skipped with a ctx-wrapped error in their row. Its deadline, if any,
+	// also bounds each cell's dynamic run and solve by wall clock. nil means
+	// no cancellation.
 	Ctx context.Context
-	// Deadline bounds each cell's dynamic run and solve by wall clock
-	// (zero = none).
-	Deadline time.Time
 	// FactCache, when non-nil, memoizes completed dynamic runs in the
-	// on-disk fact database (L2 under the compile cache): repeated
+	// on-disk fact database (see determinacy.Options.FactCache): repeated
 	// experiment sweeps over the same workloads serve facts, statistics and
 	// handler counts from cache, byte-identical to a cold run. Runs stopped
 	// at the flush cap (or failing outright) never populate it.
-	FactCache *factcache.Cache
+	FactCache *determinacy.FactCache
+
+	// cache is the study's compile cache, so the baseline/spec/detdom cells
+	// of one jQuery version compile its source once.
+	cache *determinacy.Cache
 }
 
 func (c Config) withDefaults() Config {
@@ -78,14 +65,11 @@ func (c Config) withDefaults() Config {
 		// the unspecialized ones (~300k); see EXPERIMENTS.md.
 		c.Budget = 60_000
 	}
-	if c.MaxFlushes == 0 {
-		c.MaxFlushes = 1000
+	if c.Ctx == nil {
+		c.Ctx = context.Background()
 	}
-	if c.HandlerLimit == 0 {
-		c.HandlerLimit = 8
-	}
-	if c.Cache == nil {
-		c.Cache = progcache.New(0).WithMetrics(c.Metrics)
+	if c.cache == nil {
+		c.cache = determinacy.NewCache(0).WithMetrics(c.Metrics)
 	}
 	return c
 }
@@ -95,147 +79,57 @@ func (c Config) pool() *batch.Pool {
 	return batch.New(c.Workers).WithMetrics(c.Metrics)
 }
 
-// compile routes front-end work through the shared cache.
-func (c Config) compile(file, src string) (*ast.Program, *ir.Module, error) {
-	if c.Cache != nil {
-		return c.Cache.Compile(file, src)
-	}
-	prog, err := parser.Parse(file, src)
-	if err != nil {
-		return nil, nil, err
-	}
-	mod, err := ir.Lower(prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prog, mod, nil
-}
-
-// DynamicRun is the result of one instrumented execution against the DOM.
-type DynamicRun struct {
-	Prog        *ast.Program
-	Mod         *ir.Module // the run's layer: the compiled module plus its eval code
-	Store       *facts.Store
-	Stats       core.Stats
-	FlushLimit  bool // the run was stopped at the flush cap
-	RunErr      error
-	HandlersRan int
+// solve runs the budgeted points-to analysis on p under the study's
+// context and its deadline.
+func (c Config) solve(p *determinacy.Program) (*pointsto.Result, error) {
+	deadline, _ := c.Ctx.Deadline()
+	return pointsto.AnalyzeGuarded(p.Module(), pointsto.Options{
+		Budget: c.Budget, Tracer: c.Tracer, Ctx: c.Ctx, Deadline: deadline,
+	})
 }
 
 // experimentNow is the fixed Date.now the experiments run under: the
 // PLDI'13 week; any fixed instant works.
 const experimentNow = 1371161337000
 
-// dynamicSig is the fact-cache signature of one experiment dynamic run.
-func dynamicSig(detDOM bool, cfg Config) factcache.Sig {
-	return factcache.Sig{
-		Seed:        cfg.Seed,
-		NowBits:     factcache.NumSigBits(experimentNow),
-		WithDOM:     true,
-		DetDOM:      detDOM,
-		RunHandlers: cfg.HandlerLimit,
-		MaxFlushes:  cfg.MaxFlushes,
-	}
-}
+// errDynamicRun marks a RunDynamic failure of the program itself, as
+// opposed to a front-end error.
+var errDynamicRun = errors.New("dynamic run")
 
-// discardCapture tees the (discarded) console output into a bounded buffer
-// so a cached run replays it; see factcache.MaxOutputBytes.
-type discardCapture struct {
-	b        []byte
-	overflow bool
-}
-
-func (w *discardCapture) Write(p []byte) (int, error) {
-	if len(w.b)+len(p) > factcache.MaxOutputBytes {
-		w.overflow = true
-	} else {
-		w.b = append(w.b, p...)
-	}
-	return len(p), nil
-}
-
-// RunDynamic executes src under the instrumented interpreter with the DOM
-// emulation, driving registered event handlers afterwards. With
-// cfg.FactCache set, a completed run (no error, no flush-cap stop, no
-// runtime eval) is memoized and an identical re-submission is served from
+// RunDynamic compiles src through the study's compile cache and runs the
+// library's analysis on it with the DOM emulation, driving up to 8
+// registered event handlers afterwards and stopping at 1000 heap flushes
+// (paper §5.1). A run stopped at the flush cap is a sealed partial Result
+// (Degraded = DegradeFlushCap); any other failure of the program — an
+// uncaught exception, the step budget, a deadline or cancellation — is an
+// error that wraps the cause after "dynamic run: ". With cfg.FactCache set,
+// a completed run is memoized and an identical re-submission is served from
 // the cache byte-identically.
-func RunDynamic(src string, detDOM bool, cfg Config) (*DynamicRun, error) {
+func RunDynamic(src string, detDOM bool, cfg Config) (*determinacy.Result, error) {
 	cfg = cfg.withDefaults()
-	prog, mod, err := cfg.compile("workload.js", src)
+	p, err := cfg.cache.Compile("workload.js", src)
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-
-	var (
-		key     factcache.Key
-		rec     *factcache.Recorder
-		capture *discardCapture
-	)
-	coreOut := io.Writer(io.Discard)
-	if cfg.FactCache != nil {
-		key = factcache.KeyFor("workload.js", src, dynamicSig(detDOM, cfg))
-		if hit, ok := cfg.FactCache.Lookup(key); ok {
-			return &DynamicRun{
-				Prog: prog, Mod: mod, Store: hit.Store,
-				Stats: hit.Stats, HandlersRan: hit.HandlersRan,
-			}, nil
-		}
-		cfg.FactCache.Diff(key, mod)
-		rec = factcache.NewRecorder()
-		capture = &discardCapture{}
-		coreOut = capture
+	deadline, _ := cfg.Ctx.Deadline()
+	res, err := determinacy.AnalyzeProgramContext(cfg.Ctx, p, determinacy.Options{
+		Seed:             cfg.Seed,
+		Now:              experimentNow,
+		WithDOM:          true,
+		DeterministicDOM: detDOM,
+		RunHandlers:      8,
+		MaxFlushes:       1000,
+		Tracer:           cfg.Tracer,
+		Deadline:         deadline,
+		FactCache:        cfg.FactCache,
+	})
+	if err == nil && res.Partial && res.Degraded != determinacy.DegradeFlushCap {
+		err = res.Stopped
 	}
-
-	store := facts.NewStore()
-	coreOpts := core.Options{
-		Seed:       cfg.Seed,
-		Now:        experimentNow,
-		MaxFlushes: cfg.MaxFlushes,
-		Out:        coreOut,
-		Tracer:     cfg.Tracer,
-		Ctx:        cfg.Ctx,
-		Deadline:   cfg.Deadline,
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errDynamicRun, err)
 	}
-	if rec != nil {
-		coreOpts.OnEnterFunc = rec.OnEnter
-	}
-	a := core.New(mod, store, coreOpts)
-	doc := dom.NewDocument(dom.Options{})
-	binding := dom.InstallCore(a, doc, detDOM)
-
-	out := &DynamicRun{Prog: prog, Mod: a.Mod, Store: store}
-	_, runErr := a.Run()
-	if runErr == nil || errors.Is(runErr, core.ErrFlushLimit) {
-		n, herr := binding.RunHandlers(cfg.HandlerLimit)
-		out.HandlersRan = n
-		if runErr == nil {
-			runErr = herr
-		}
-	}
-	if errors.Is(runErr, core.ErrFlushLimit) {
-		out.FlushLimit = true
-		runErr = nil
-	}
-	out.RunErr = runErr
-	out.Stats = a.Stats()
-
-	if cfg.FactCache != nil {
-		switch {
-		case out.RunErr != nil:
-			cfg.FactCache.Skip("error")
-		case out.FlushLimit:
-			// A flush-cap stop is a partial execution: its facts are sound
-			// but not what an uncapped run produces — never cache it.
-			cfg.FactCache.Skip("partial")
-		case a.Mod.NumInstrs > mod.NumInstrs:
-			cfg.FactCache.Skip("eval")
-		case capture.overflow:
-			cfg.FactCache.Skip("output-cap")
-		default:
-			cfg.FactCache.Store(key, mod, store, rec, capture.b, out.Stats, out.HandlersRan)
-		}
-	}
-	return out, nil
+	return res, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -244,7 +138,10 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*DynamicRun, error) {
 // Table1Cell is one configuration outcome: completed-within-budget plus the
 // dynamic analysis' heap flush count (the parenthesized numbers in Table 1).
 type Table1Cell struct {
-	Completed    bool
+	Completed bool
+	// Flushes counts the heap flushes the execution made; the final flush
+	// that seals a run stopped at the cap is not one of them, so a capped
+	// run reports 1001, the flush that tripped the cap of 1000 included.
 	Flushes      int
 	FlushLimit   bool
 	Propagations int
@@ -283,8 +180,16 @@ type Table1Row struct {
 // FormatTable1's rendering of them — are byte-identical to a serial run
 // for every worker count.
 func RunTable1(cfg Config) []Table1Row {
-	cfg = cfg.withDefaults()
-	versions := workload.JQueryVersions
+	return runTable1(workload.JQueryVersions, cfg.withDefaults())
+}
+
+// RunTable1Version runs the one row of Table 1 for v, like RunTable1
+// (used by benchmarks).
+func RunTable1Version(v workload.JQueryVersion, cfg Config) Table1Row {
+	return runTable1([]workload.JQueryVersion{v}, cfg.withDefaults())[0]
+}
+
+func runTable1(versions []workload.JQueryVersion, cfg Config) []Table1Row {
 	type cellOut struct {
 		cell Table1Cell
 		err  error
@@ -310,8 +215,7 @@ func RunTable1(cfg Config) []Table1Row {
 	for ri, v := range versions {
 		row := Table1Row{Version: v}
 		base, spec, det := outs[ri*kinds], outs[ri*kinds+1], outs[ri*kinds+2]
-		// Keep the serial path's error precedence: the first failing stage
-		// sets Err and the later cells stay zero.
+		// The first failing stage sets Err and the later cells stay zero.
 		switch {
 		case base.err != nil:
 			row.Err = base.err
@@ -327,49 +231,14 @@ func RunTable1(cfg Config) []Table1Row {
 	return rows
 }
 
-// RunTable1Version runs a single row serially (used by benchmarks).
-func RunTable1Version(v workload.JQueryVersion, cfg Config) Table1Row {
-	return runTable1Row(v, cfg.withDefaults())
-}
-
-func runTable1Row(v workload.JQueryVersion, cfg Config) Table1Row {
-	row := Table1Row{Version: v}
-	src := workload.JQuery(v)
-
-	cell, err := baselineCell(src, cfg)
-	if err != nil {
-		row.Err = err
-		return row
-	}
-	row.Baseline = cell
-
-	// Spec and Spec+DetDOM: dynamic facts, specialization, then points-to
-	// on the specialized program.
-	for _, detDOM := range []bool{false, true} {
-		cell, err := specCell(src, detDOM, cfg)
-		if err != nil {
-			row.Err = err
-			return row
-		}
-		if detDOM {
-			row.DetDOM = cell
-		} else {
-			row.Spec = cell
-		}
-	}
-	return row
-}
-
 // baselineCell runs the plain points-to analysis on the original program.
 func baselineCell(src string, cfg Config) (Table1Cell, error) {
-	_, mod, err := cfg.compile("jquery.js", src)
+	p, err := cfg.cache.Compile("jquery.js", src)
 	if err != nil {
 		return Table1Cell{}, err
 	}
 	start := time.Now()
-	base, err := pointsto.AnalyzeGuarded(mod, pointsto.Options{
-		Budget: cfg.Budget, Tracer: cfg.Tracer, Ctx: cfg.Ctx, Deadline: cfg.Deadline,
-	})
+	base, err := cfg.solve(p)
 	if err != nil {
 		return Table1Cell{}, err
 	}
@@ -382,29 +251,28 @@ func baselineCell(src string, cfg Config) (Table1Cell, error) {
 	}, nil
 }
 
+// specCell runs the Spec or Spec+DetDOM configuration: dynamic facts,
+// specialization, then points-to on the specialized program.
 func specCell(src string, detDOM bool, cfg Config) (Table1Cell, error) {
 	dyn, err := RunDynamic(src, detDOM, cfg)
 	if err != nil {
 		return Table1Cell{}, err
 	}
-	if dyn.RunErr != nil {
-		return Table1Cell{}, fmt.Errorf("dynamic run: %w", dyn.RunErr)
+	cell := Table1Cell{
+		Flushes:    dyn.Stats.HeapFlushes - dyn.Stats.FlushReasons["partial-seal"],
+		FlushLimit: dyn.Degraded == determinacy.DegradeFlushCap,
 	}
-	cell := Table1Cell{Flushes: dyn.Stats.HeapFlushes, FlushLimit: dyn.FlushLimit}
-	res, err := specialize.Specialize(dyn.Prog, dyn.Mod, dyn.Store, specialize.Options{})
+	spec, err := dyn.Specialize(determinacy.SpecializeOptions{})
 	if err != nil {
 		return cell, err
 	}
-	cell.SpecStats = res.Stats
-	specSrc := ast.Print(res.Program)
-	_, mod, err := cfg.compile("jquery-spec.js", specSrc)
+	cell.SpecStats = spec.Stats
+	p, err := cfg.cache.Compile("jquery-spec.js", spec.Source)
 	if err != nil {
 		return cell, fmt.Errorf("specialized output does not compile: %w", err)
 	}
 	start := time.Now()
-	pt, err := pointsto.AnalyzeGuarded(mod, pointsto.Options{
-		Budget: cfg.Budget, Tracer: cfg.Tracer, Ctx: cfg.Ctx, Deadline: cfg.Deadline,
-	})
+	pt, err := cfg.solve(p)
 	if err != nil {
 		return cell, err
 	}
@@ -550,42 +418,38 @@ func RunEvalStudy(detDOM bool, cfg Config) *EvalStudy {
 func evalOne(b workload.EvalBenchmark, detDOM bool, cfg Config) EvalOutcome {
 	out := EvalOutcome{Name: b.Name}
 	dyn, err := RunDynamic(b.Source, detDOM, cfg)
-	if err != nil {
-		out.Err = err
-		return out
-	}
-	if dyn.RunErr != nil {
+	if errors.Is(err, errDynamicRun) {
 		// The benchmark cannot be run (missing code / unsupported DOM API),
 		// mirroring the paper's four disregarded programs.
-		out.Runnable = false
+		return out
+	}
+	if err != nil {
+		out.Err = err
 		return out
 	}
 	out.Runnable = true
-	out.SyntacticHandled = syntacticBaselineHandles(dyn.Prog)
+	out.SyntacticHandled = syntacticBaselineHandles(dyn.Program())
 
-	res, err := specialize.Specialize(dyn.Prog, dyn.Mod, dyn.Store, specialize.Options{EliminateEval: true})
+	spec, err := dyn.Specialize(determinacy.SpecializeOptions{EliminateEval: true})
 	if err != nil {
 		out.Err = err
 		return out
 	}
-	out.Sites = res.EvalSites
+	out.Sites = spec.EvalSites
 
-	specSrc := ast.Print(res.Program)
-	_, mod, err := cfg.compile("spec.js", specSrc)
+	p, err := cfg.cache.Compile("spec.js", spec.Source)
 	if err != nil {
 		out.Err = fmt.Errorf("specialized output does not compile: %w", err)
 		return out
 	}
-	pt, err := pointsto.AnalyzeGuarded(mod, pointsto.Options{
-		Budget: cfg.Budget, Tracer: cfg.Tracer, Ctx: cfg.Ctx, Deadline: cfg.Deadline,
-	})
+	pt, err := cfg.solve(p)
 	if err != nil {
 		out.Err = err
 		return out
 	}
 	out.Handled = len(pt.EvalSites) == 0 && !pt.BudgetExceeded && pt.Interrupted == nil
 	if !out.Handled {
-		out.Reason = worstReason(res.EvalSites)
+		out.Reason = worstReason(spec.EvalSites)
 	}
 	return out
 }

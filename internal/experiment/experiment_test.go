@@ -1,10 +1,15 @@
 package experiment_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"determinacy"
+	"determinacy/internal/dom"
 	"determinacy/internal/experiment"
+	"determinacy/internal/interp"
+	"determinacy/internal/ir"
 	"determinacy/internal/workload"
 )
 
@@ -72,6 +77,31 @@ func TestTable1Shape(t *testing.T) {
 		t.Errorf("1.3: both Spec and DetDOM should hit the flush cap")
 	}
 
+	// A run stopped at the flush cap is sealed with one final
+	// "partial-seal" flush, which Table 1 leaves out: a capped cell
+	// reports the 1001 flushes its execution made, printed ">1000".
+	for _, c := range []struct {
+		v      workload.JQueryVersion
+		detDOM bool
+		cell   experiment.Table1Cell
+	}{{workload.JQ12, false, r12.Spec}, {workload.JQ13, false, r13.Spec}, {workload.JQ13, true, r13.DetDOM}} {
+		name := fmt.Sprintf("%s/detdom=%v", c.v, c.detDOM)
+		if c.cell.Flushes != 1001 || c.cell.FlushStr() != ">1000" {
+			t.Errorf("%s: capped cell reports %d flushes (%s), want 1001 (>1000)", name, c.cell.Flushes, c.cell.FlushStr())
+		}
+		dyn, err := experiment.RunDynamic(workload.JQuery(c.v), c.detDOM, experiment.Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if seals := dyn.Stats.FlushReasons["partial-seal"]; seals != 1 || dyn.Degraded != determinacy.DegradeFlushCap {
+			t.Errorf("%s: capped run has %d partial-seal flushes, degraded %q; want 1, %q",
+				name, seals, dyn.Degraded, determinacy.DegradeFlushCap)
+		}
+		if dyn.Stats.HeapFlushes != c.cell.Flushes+1 {
+			t.Errorf("%s: run made %d heap flushes, cell reports %d", name, dyn.Stats.HeapFlushes, c.cell.Flushes)
+		}
+	}
+
 	// The headline speedup: specialization cuts the points-to work on 1.0
 	// by a large factor.
 	if r10.Spec.Propagations*4 >= r10.Baseline.Propagations {
@@ -125,15 +155,70 @@ func TestEvalStudyCounts(t *testing.T) {
 }
 
 // TestSpecializedJQueryStillRuns checks semantic preservation end to end:
-// the specialized jQuery 1.0 workload must execute without errors under the
-// concrete interpreter and DOM.
+// for each of Table 1's dynamic configurations, the original workload and
+// its specialization must both run without error under the concrete
+// interpreter with the DOM and 8 event handlers, and leave the same
+// non-callable globals behind. In -short mode only jQuery 1.0 without the
+// determinate-DOM assumption runs.
 func TestSpecializedJQueryStillRuns(t *testing.T) {
-	dyn, err := experiment.RunDynamic(workload.JQuery(workload.JQ10), false, experiment.Config{})
-	if err != nil || dyn.RunErr != nil {
-		t.Fatalf("dynamic: %v / %v", err, dyn.RunErr)
+	versions, detDOMs := workload.JQueryVersions, []bool{false, true}
+	if testing.Short() {
+		versions, detDOMs = []workload.JQueryVersion{workload.JQ10}, []bool{false}
 	}
-	if dyn.Stats.HeapFlushes == 0 {
-		t.Error("expected some heap flushes on the conservative DOM")
+	finalState := func(name, src string) map[string]string {
+		t.Helper()
+		mod, err := ir.Compile(name, src)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		// The experiments' fixed Date.now; the seed is Config's zero value.
+		it := interp.New(mod, interp.Options{Now: 1371161337000})
+		binding := dom.Install(it, dom.NewDocument(dom.Options{}))
+		if _, err := it.Run(); err != nil {
+			t.Fatalf("%s: run: %v", name, err)
+		}
+		if _, err := binding.RunHandlers(8); err != nil {
+			t.Fatalf("%s: handlers: %v", name, err)
+		}
+		out := map[string]string{}
+		for _, k := range it.Global.OwnKeys() {
+			v, _ := it.Global.Get(k)
+			if v.IsCallable() {
+				continue // clones add function globals by design
+			}
+			out[k] = interp.ToString(v)
+		}
+		return out
+	}
+	for _, v := range versions {
+		for _, detDOM := range detDOMs {
+			name := fmt.Sprintf("%s/detdom=%v", v, detDOM)
+			src := workload.JQuery(v)
+			dyn, err := experiment.RunDynamic(src, detDOM, experiment.Config{})
+			if err != nil {
+				t.Fatalf("%s: dynamic: %v", name, err)
+			}
+			spec, err := dyn.Specialize(determinacy.SpecializeOptions{})
+			if err != nil {
+				t.Fatalf("%s: specialize: %v", name, err)
+			}
+			orig := finalState("jquery.js", src)
+			got := finalState("jquery-spec.js", spec.Source)
+			if len(orig) == 0 {
+				t.Errorf("%s: no non-callable globals to compare", name)
+			}
+			for k, want := range orig {
+				if g, ok := got[k]; !ok || g != want {
+					t.Errorf("%s: global %s = %q after specialization (present %v), original %q", name, k, g, ok, want)
+				}
+			}
+			for k := range got {
+				if _, ok := orig[k]; !ok {
+					t.Errorf("%s: specialization adds global %s", name, k)
+				}
+			}
+			t.Logf("%s: %d non-callable globals compared", name, len(orig))
+		}
 	}
 }
 

@@ -504,7 +504,6 @@ func (s *Server) runAnalyze(reqCtx context.Context, req *AnalyzeRequest, rt *req
 	opts := s.analyzeOptions(req.Seed, req.MaxFlushes, req.MaxSteps, req.Handlers, req.DOM, req.DetDOM, time.Now().Add(budget))
 	opts.Tracer = tracer
 
-	var res *determinacy.Result
 	if req.Runs > 1 {
 		// Serial within the request: the server's concurrency comes from
 		// concurrent requests, so one merge sweep never hoards workers.
@@ -515,29 +514,39 @@ func (s *Server) runAnalyze(reqCtx context.Context, req *AnalyzeRequest, rt *req
 		for i := range seeds {
 			seeds[i] = req.Seed + uint64(i)
 		}
-		res, err = determinacy.AnalyzeRunsContext(ctx, req.Source, opts, seeds...)
-	} else {
-		var p *determinacy.Program
-		var hit bool
-		p, hit, err = s.cache.CompileHit(name, req.Source)
-		if tracer != nil {
-			detail := "miss"
-			if hit {
-				detail = "hit"
-			}
-			tracer.Event(obs.Event{Kind: obs.EvCache, Phase: "progcache", Detail: detail})
+		res, err := determinacy.AnalyzeRunsContext(ctx, req.Source, opts, seeds...)
+		if err != nil {
+			return nil, err
 		}
-		if rt != nil {
-			rt.entry.CacheHit = hit
+		return buildResponse(name, req.DetOnly, res), nil
+	}
+	resp, hit, err := s.analyzeOne(ctx, name, req.Source, req.DetOnly, opts)
+	if rt != nil {
+		rt.entry.CacheHit = hit
+	}
+	return resp, err
+}
+
+// analyzeOne compiles src through the server's compile cache, reports the
+// cache outcome to opts.Tracer, runs the analysis and builds its response.
+// hit reports whether the front-end work was served from the cache.
+func (s *Server) analyzeOne(ctx context.Context, name, src string, detOnly bool, opts determinacy.Options) (resp *AnalyzeResponse, hit bool, err error) {
+	p, hit, err := s.cache.CompileHit(name, src)
+	if opts.Tracer != nil {
+		detail := "miss"
+		if hit {
+			detail = "hit"
 		}
-		if err == nil {
-			res, err = determinacy.AnalyzeProgramContext(ctx, p, opts)
-		}
+		opts.Tracer.Event(obs.Event{Kind: obs.EvCache, Phase: "progcache", Detail: detail})
 	}
 	if err != nil {
-		return nil, err
+		return nil, hit, err
 	}
-	return buildResponse(name, req.DetOnly, res), nil
+	res, err := determinacy.AnalyzeProgramContext(ctx, p, opts)
+	if err != nil {
+		return nil, hit, err
+	}
+	return buildResponse(name, detOnly, res), hit, nil
 }
 
 func buildResponse(name string, detOnly bool, res *determinacy.Result) *AnalyzeResponse {
@@ -633,25 +642,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rt *reqTrac
 		}
 		opts := s.analyzeOptions(p.Seed, req.MaxFlushes, req.MaxSteps, req.Handlers, req.DOM, req.DetDOM, deadline)
 		opts.Tracer = tracer
-		prog, hit, err := s.cache.CompileHit(name, p.Source)
+		resp, hit, err := s.analyzeOne(ctx, name, p.Source, req.DetOnly, opts)
 		if hit {
 			cacheHits.Add(1)
 		}
-		if tracer != nil {
-			detail := "miss"
-			if hit {
-				detail = "hit"
-			}
-			tracer.Event(obs.Event{Kind: obs.EvCache, Phase: "progcache", Detail: detail})
-		}
-		if err != nil {
-			return progOut{err: err}
-		}
-		res, err := determinacy.AnalyzeProgramContext(ctx, prog, opts)
-		if err != nil {
-			return progOut{err: err}
-		}
-		return progOut{resp: buildResponse(name, req.DetOnly, res)}
+		return progOut{resp: resp, err: err}
 	})
 	// A quarantined (panicked) or cancel-skipped job reports through its
 	// error slot; the batch as a whole still answers 200.
