@@ -17,7 +17,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"time"
 
 	"determinacy"
 	"determinacy/internal/cliexit"
@@ -164,7 +163,6 @@ func main() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-		opts.Deadline = time.Now().Add(*timeout)
 	}
 
 	var (

@@ -59,12 +59,9 @@ func main() {
 		timeout   = flag.Duration("timeout", 10*time.Second, "default per-request analysis budget")
 		maxTO     = flag.Duration("max-timeout", 30*time.Second, "hard ceiling over client-requested budgets")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-drain budget on SIGTERM/SIGINT before in-flight runs are sealed partial")
-		breaker   = flag.Int("breaker", 5, "consecutive quarantined requests that trip /readyz")
-		cacheSize = flag.Int("cache", 0, "compile-cache capacity in programs (0 = default)")
 		finalDump = flag.String("final-metrics", "", `write a last Prometheus metrics snapshot here on shutdown ("-" = stderr)`)
 		debugAddr = flag.String("debug-addr", "", "if set, serve /debug/statusz, /debug/tracez, /metrics and net/http/pprof on this (private) address")
 		flightN   = flag.Int("flight", 0, "flight-recorder capacity in requests (0 = default 512)")
-		traceCap  = flag.Int("trace-events", 0, "retained trace events per request (0 = default 4096)")
 		noTrace   = flag.Bool("no-trace", false, "disable per-request tracing (requests run on the zero-alloc nil-tracer path)")
 		factDir   = flag.String("factcache", "", "directory for the on-disk fact DB (L2 under the compile cache); warm re-submissions of an unchanged program serve memoized facts")
 		tenants   = flag.String("tenants", "", `per-tenant weighted-fair admission config, JSON or @file (none = first come, first served): {"pro":{"weight":4,"rate":50},"bulk":{"weight":1,"queue_cap":8},"*":{"weight":1}}`)
@@ -91,8 +88,8 @@ func main() {
 	if flag.NArg() != 0 {
 		badFlag("unexpected arguments %v", flag.Args())
 	}
-	if *inflight < 0 || *queue < 0 || *breaker < 0 || *cacheSize < 0 || *flightN < 0 || *traceCap < 0 {
-		badFlag("-workers, -queue, -breaker, -cache, -flight and -trace-events must be non-negative")
+	if *inflight < 0 || *queue < 0 || *flightN < 0 {
+		badFlag("-workers, -queue and -flight must be non-negative")
 	}
 	if *maxBody <= 0 {
 		badFlag("-max-body must be positive, got %d", *maxBody)
@@ -141,22 +138,19 @@ func main() {
 		fc = fc.WithMetrics(m)
 	}
 	srv := server.New(server.Config{
-		MaxInFlight:      *inflight,
-		QueueDepth:       *queue,
-		MaxBodyBytes:     *maxBody,
-		DefaultTimeout:   *timeout,
-		MaxTimeout:       *maxTO,
-		BreakerThreshold: *breaker,
-		CacheEntries:     *cacheSize,
-		Metrics:          m,
-		FlightEntries:    *flightN,
-		TraceEventCap:    *traceCap,
-		DisableTracing:   *noTrace,
-		FactCache:        fc,
-		Tenants:          tenantTable,
-		StreamHeartbeat:  streamHB,
-		Cluster:          router,
-		DrainTimeout:     *drain,
+		MaxInFlight:     *inflight,
+		QueueDepth:      *queue,
+		MaxBodyBytes:    *maxBody,
+		DefaultTimeout:  *timeout,
+		MaxTimeout:      *maxTO,
+		Metrics:         m,
+		FlightEntries:   *flightN,
+		DisableTracing:  *noTrace,
+		FactCache:       fc,
+		Tenants:         tenantTable,
+		StreamHeartbeat: streamHB,
+		Cluster:         router,
+		DrainTimeout:    *drain,
 	})
 	if router != nil {
 		router.Start()
@@ -176,8 +170,9 @@ func main() {
 	log.Printf("detserve %s listening on http://%s", version.String(), ln.Addr())
 
 	// The debug surface — flight recorder, trace dumps, metrics, pprof —
-	// lives on its own listener so it never shares exposure with the
-	// public API.
+	// also gets its own listener, so an operator can reach it where the
+	// public port is closed. pprof is served only there; the public mux
+	// serves /debug/statusz, /debug/tracez and /metrics as well.
 	var dbgSrv *http.Server
 	if *debugAddr != "" {
 		dmux := http.NewServeMux()

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"determinacy"
 	"determinacy/internal/cliexit"
@@ -122,7 +121,6 @@ func main() {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, *timeout)
 			defer cancel()
-			opts.Deadline = time.Now().Add(*timeout)
 		}
 		if *runs > 1 {
 			// §7: facts from runs on different seeds are all sound and merge

@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"determinacy/internal/ast"
 	"determinacy/internal/batch"
@@ -88,8 +87,8 @@ var (
 	ErrBudget = core.ErrBudget
 	// ErrStack reports instrumented call-stack overflow.
 	ErrStack = core.ErrStack
-	// ErrDeadline reports that a wall-clock deadline expired mid-run; it
-	// wraps context.DeadlineExceeded.
+	// ErrDeadline reports that the run's context deadline expired mid-run;
+	// it wraps context.DeadlineExceeded.
 	ErrDeadline = guard.ErrDeadline
 	// ErrParseDepth reports that the parser hit its nesting-depth cap.
 	ErrParseDepth = parser.ErrDepth
@@ -143,12 +142,6 @@ type Options struct {
 	MaxFlushes int
 	// MaxSteps bounds the executed instruction count (0 = default).
 	MaxSteps int
-	// Deadline stops the run when the wall clock passes it (zero = none).
-	// The interpreter checks it every few thousand steps; a run stopped by
-	// the deadline returns a partial Result (Degraded = DegradeDeadline)
-	// whose facts are sound. Combine with the Context entry points
-	// (AnalyzeContext etc.) for cancellation.
-	Deadline time.Time
 
 	// Deprecated: ignored; there is one engine.
 	Engine Engine
@@ -252,8 +245,9 @@ func Analyze(src string, opts Options) (*Result, error) {
 }
 
 // AnalyzeContext is Analyze with cooperative cancellation: when ctx is
-// cancelled mid-run the analysis stops at the next checkpoint and returns
-// a partial Result (Degraded = DegradeCancel) whose facts are sound.
+// cancelled or its deadline passes mid-run, the analysis stops at the next
+// checkpoint and returns a partial Result (Degraded = DegradeCancel or
+// DegradeDeadline) whose facts are sound.
 func AnalyzeContext(ctx context.Context, src string, opts Options) (*Result, error) {
 	return AnalyzeFileContext(ctx, "program.js", src, opts)
 }
@@ -447,7 +441,6 @@ func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts
 		MuJSLocals:             opts.MuJSLocals,
 		Tracer:                 tr,
 		Ctx:                    ctx,
-		Deadline:               opts.Deadline,
 	}
 	if memo != nil {
 		coreOpts.OnEnterFunc = memo.rec.OnEnter
@@ -659,10 +652,10 @@ func Run(src string, opts Options) (string, error) {
 	return RunContext(context.Background(), src, opts)
 }
 
-// RunContext is Run with cooperative cancellation and Options.Deadline
-// support: the interpreter stops at its next checkpoint when ctx is
-// cancelled or the deadline passes, returning the output so far together
-// with the wrapped context error.
+// RunContext is Run with cooperative cancellation: the interpreter stops
+// at its next checkpoint when ctx is cancelled or its deadline passes,
+// returning the output so far together with ErrDeadline or the wrapped
+// cancellation cause.
 func RunContext(ctx context.Context, src string, opts Options) (string, error) {
 	mod, err := ir.Compile("program.js", src)
 	if err != nil {
@@ -675,7 +668,7 @@ func RunContext(ctx context.Context, src string, opts Options) (string, error) {
 	}
 	it := interp.New(mod, interp.Options{
 		Seed: opts.Seed, Now: opts.Now, Inputs: opts.Inputs, Out: out,
-		MaxSteps: opts.MaxSteps, Ctx: ctx, Deadline: opts.Deadline,
+		MaxSteps: opts.MaxSteps, Ctx: ctx,
 	})
 	var binding *dom.Binding
 	if opts.WithDOM {
@@ -839,21 +832,7 @@ func SpecializeWithFacts(name, src string, factsJSON io.Reader, opts SpecializeO
 	if err != nil {
 		return nil, err
 	}
-	res, err := specialize.Specialize(prog, mod, store, specialize.Options{
-		MaxUnroll:     opts.MaxUnroll,
-		MaxCloneDepth: opts.MaxCloneDepth,
-		EliminateEval: opts.EliminateEval,
-		Generalize:    opts.Generalize,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Specialized{
-		Source:       ast.Print(res.Program),
-		Stats:        res.Stats,
-		EvalSites:    res.EvalSites,
-		DeadBranches: res.DeadBranches,
-	}, nil
+	return (&Result{prog: prog, mod: mod, store: store}).Specialize(opts)
 }
 
 // PointsToOptions configures the static points-to client.
@@ -886,20 +865,20 @@ type PointsToReport struct {
 
 // PointsTo runs the Andersen-style points-to analysis over source text.
 func PointsTo(src string, opts PointsToOptions) (*PointsToReport, error) {
-	return PointsToContext(context.Background(), src, time.Time{}, opts)
+	return PointsToContext(context.Background(), src, opts)
 }
 
-// PointsToContext is PointsTo with cooperative cancellation and an
-// optional wall-clock deadline (zero = none). Solver panics are recovered
-// into a *RunError; an interrupted solve reports Interrupted rather than
-// failing.
-func PointsToContext(ctx context.Context, src string, deadline time.Time, opts PointsToOptions) (*PointsToReport, error) {
+// PointsToContext is PointsTo with cooperative cancellation: the solver
+// stops when ctx is cancelled or its deadline passes. Solver panics are
+// recovered into a *RunError; an interrupted solve reports Interrupted
+// rather than failing.
+func PointsToContext(ctx context.Context, src string, opts PointsToOptions) (*PointsToReport, error) {
 	mod, err := ir.Compile("program.js", src)
 	if err != nil {
 		return nil, err
 	}
 	res, err := pointsto.AnalyzeGuarded(mod, pointsto.Options{
-		Budget: opts.Budget, Tracer: opts.Tracer, Ctx: ctx, Deadline: deadline,
+		Budget: opts.Budget, Tracer: opts.Tracer, Ctx: ctx,
 	})
 	if err != nil {
 		return nil, err

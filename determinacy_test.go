@@ -1,11 +1,15 @@
 package determinacy_test
 
 import (
+	"bytes"
 	"io"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"determinacy"
+	"determinacy/internal/workload"
 )
 
 func TestAnalyzeQuickstart(t *testing.T) {
@@ -104,6 +108,90 @@ func TestSpecializeEndToEnd(t *testing.T) {
 	out, err := determinacy.Run(spec.Source, determinacy.Options{})
 	if err != nil || !strings.Contains(out, "F") {
 		t.Errorf("specialized program misbehaves: %q, %v", out, err)
+	}
+}
+
+// figure3 is the paper's Figure 3 program.
+const figure3 = `
+function Rectangle(w, h) {
+	this.width = w;
+	this.height = h;
+}
+Rectangle.prototype.toString = function() {
+	return "[" + this.width + "x" + this.height + "]";
+};
+String.prototype.cap = function() {
+	return this[0].toUpperCase() + this.substr(1);
+};
+function defAccessors(prop) {
+	Rectangle.prototype["get" + prop.cap()] =
+		function() { return this[prop]; };
+	Rectangle.prototype["set" + prop.cap()] =
+		function(v) { this[prop] = v; };
+}
+var props = ["width", "height"];
+for (var i = 0; i < props.length; i++)
+	defAccessors(props[i]);
+var r = new Rectangle(20, 30);
+r.setWidth(r.getWidth() + 20);
+console.log(r.toString());
+`
+
+// TestSpecializeWithFactsRoundTrip pins the serialized-facts path that
+// detspec -facts takes: encoding a run's store and specializing the same
+// source from it gives exactly what specializing the run directly gives.
+func TestSpecializeWithFactsRoundTrip(t *testing.T) {
+	figure2, err := os.ReadFile("examples/js/figure2.js")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := map[string]string{"figure2": string(figure2), "figure3": figure3}
+	for _, b := range workload.EvalCorpus() {
+		if b.Name == "concat-ivymap" {
+			progs[b.Name] = b.Source
+		}
+	}
+	if len(progs) != 3 {
+		t.Fatalf("concat-ivymap missing from the eval corpus")
+	}
+	for name, src := range progs {
+		res, err := determinacy.Analyze(src, determinacy.Options{Seed: 2, WithDOM: true, Out: io.Discard})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var enc bytes.Buffer
+		if err := res.Store().Encode(&enc); err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		for _, opts := range []determinacy.SpecializeOptions{{}, {EliminateEval: true}} {
+			want, err := res.Specialize(opts)
+			if err != nil {
+				t.Fatalf("%s %+v: Specialize: %v", name, opts, err)
+			}
+			got, err := determinacy.SpecializeWithFacts("program.js", src, bytes.NewReader(enc.Bytes()), opts)
+			if err != nil {
+				t.Fatalf("%s %+v: SpecializeWithFacts: %v", name, opts, err)
+			}
+			// Both non-figure2 programs clone per context, and the eval in
+			// concat-ivymap goes when asked, so the comparison is not
+			// between two empty specializations.
+			if name != "figure2" && want.Stats.ClonesCreated == 0 ||
+				name == "concat-ivymap" && opts.EliminateEval && want.Stats.EvalsEliminated == 0 {
+				t.Fatalf("%s %+v: nothing specialized: %+v", name, opts, want.Stats)
+			}
+			if got.Source != want.Source {
+				t.Errorf("%s %+v: source differs:\n%s\nwant:\n%s", name, opts, got.Source, want.Source)
+			}
+			if got.Stats != want.Stats {
+				t.Errorf("%s %+v: stats %+v, want %+v", name, opts, got.Stats, want.Stats)
+			}
+			if !reflect.DeepEqual(got.EvalSites, want.EvalSites) {
+				t.Errorf("%s %+v: eval sites %+v, want %+v", name, opts, got.EvalSites, want.EvalSites)
+			}
+			if !reflect.DeepEqual(got.DeadBranches, want.DeadBranches) {
+				t.Errorf("%s %+v: dead branches %+v, want %+v", name, opts, got.DeadBranches, want.DeadBranches)
+			}
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"sync"
-	"sync/atomic"
 
 	"determinacy/internal/ast"
 	"determinacy/internal/ir"
@@ -51,12 +50,20 @@ type Cache struct {
 	errMax   int
 	errCount int
 
-	metrics *obs.Metrics
+	// Effectiveness counters, under mu with the entries they describe, so
+	// the gauges published in the same critical section always equal a
+	// Stats snapshot.
+	hits, misses, evictions, errEvictions int64
 
-	hits         atomic.Int64
-	misses       atomic.Int64
-	evictions    atomic.Int64
-	errEvictions atomic.Int64
+	// metrics is the attached registry; m holds its per-compile series,
+	// resolved once by WithMetrics. The eviction and error-entry series
+	// are looked up on their rare paths, so a registry gains them only
+	// once an eviction happens.
+	metrics *obs.Metrics
+	m       struct {
+		hits, misses      *obs.Counter
+		entries, hitRatio *obs.Gauge
+	}
 }
 
 // cacheKey is the content address: a hash of display name and source text.
@@ -97,10 +104,20 @@ func New(max int) *Cache {
 }
 
 // WithMetrics attaches a metrics registry; the cache then maintains
-// progcache_{hits,misses,evictions}_total counters and a progcache_entries
-// gauge live. Returns the cache for chaining.
+// progcache_{hits,misses,evictions}_total counters and the
+// progcache_entries and progcache_hit_ratio gauges live. Returns the cache
+// for chaining. A nil registry publishes nothing.
 func (c *Cache) WithMetrics(m *obs.Metrics) *Cache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.metrics = m
+	if m == nil {
+		return c
+	}
+	c.m.hits = m.Counter("progcache_hits_total")
+	c.m.misses = m.Counter("progcache_misses_total")
+	c.m.entries = m.Gauge("progcache_entries")
+	c.m.hitRatio = m.Gauge("progcache_hit_ratio")
 	return c
 }
 
@@ -133,10 +150,12 @@ func (c *Cache) CompileHit(file, src string) (prog *ast.Program, mod *ir.Module,
 	e, ok := c.entries[k]
 	if ok {
 		c.lru.MoveToFront(e.elem)
+		c.hits++
 	} else {
 		e = &entry{key: k}
 		e.elem = c.lru.PushFront(e)
 		c.entries[k] = e
+		c.misses++
 		for len(c.entries) > c.max {
 			back := c.lru.Back()
 			be := back.Value.(*entry)
@@ -145,25 +164,22 @@ func (c *Cache) CompileHit(file, src string) (prog *ast.Program, mod *ir.Module,
 			if be.isErr {
 				c.errCount--
 			}
-			c.evictions.Add(1)
-			c.count(func(m *obs.Metrics) { m.Counter("progcache_evictions_total").Inc() })
+			c.evictions++
+			if c.metrics != nil {
+				c.metrics.Counter("progcache_evictions_total").Inc()
+			}
 		}
 	}
-	entries := len(c.entries)
-	c.mu.Unlock()
-
-	if ok {
-		c.hits.Add(1)
-		c.count(func(m *obs.Metrics) { m.Counter("progcache_hits_total").Inc() })
-	} else {
-		c.misses.Add(1)
-		c.count(func(m *obs.Metrics) { m.Counter("progcache_misses_total").Inc() })
+	if c.metrics != nil {
+		if ok {
+			c.m.hits.Inc()
+		} else {
+			c.m.misses.Inc()
+		}
+		c.m.entries.Set(float64(len(c.entries)))
+		c.m.hitRatio.Set(c.statsLocked().HitRate())
 	}
-	c.count(func(m *obs.Metrics) {
-		m.Gauge("progcache_entries").Set(float64(entries))
-		s := c.Stats()
-		m.Gauge("progcache_hit_ratio").Set(s.HitRate())
-	})
+	c.mu.Unlock()
 
 	e.once.Do(func() {
 		prog, err := parser.Parse(file, src)
@@ -211,26 +227,18 @@ func (c *Cache) noteError(e *entry) {
 			c.lru.Remove(elem)
 			delete(c.entries, be.key)
 			c.errCount--
-			c.evictions.Add(1)
-			c.errEvictions.Add(1)
-			c.count(func(m *obs.Metrics) {
-				m.Counter("progcache_evictions_total").Inc()
-				m.Counter("progcache_error_evictions_total").Inc()
-			})
+			c.evictions++
+			c.errEvictions++
+			if c.metrics != nil {
+				c.metrics.Counter("progcache_evictions_total").Inc()
+				c.metrics.Counter("progcache_error_evictions_total").Inc()
+			}
 		}
 		elem = prev
 	}
-	entries, errs := len(c.entries), c.errCount
-	c.count(func(m *obs.Metrics) {
-		m.Gauge("progcache_entries").Set(float64(entries))
-		m.Gauge("progcache_error_entries").Set(float64(errs))
-	})
-}
-
-// count runs f against the attached registry, if any.
-func (c *Cache) count(f func(*obs.Metrics)) {
 	if c.metrics != nil {
-		f(c.metrics)
+		c.m.entries.Set(float64(len(c.entries)))
+		c.metrics.Gauge("progcache_error_entries").Set(float64(c.errCount))
 	}
 }
 
@@ -258,14 +266,18 @@ func (s Stats) HitRate() float64 {
 // count.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	n, errs := len(c.entries), c.errCount
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	return c.statsLocked()
+}
+
+// statsLocked is Stats for callers holding c.mu.
+func (c *Cache) statsLocked() Stats {
 	return Stats{
-		Hits:           c.hits.Load(),
-		Misses:         c.misses.Load(),
-		Evictions:      c.evictions.Load(),
-		ErrorEvictions: c.errEvictions.Load(),
-		Entries:        n,
-		ErrorEntries:   errs,
+		Hits:           c.hits,
+		Misses:         c.misses,
+		Evictions:      c.evictions,
+		ErrorEvictions: c.errEvictions,
+		Entries:        len(c.entries),
+		ErrorEntries:   c.errCount,
 	}
 }

@@ -128,6 +128,51 @@ func TestMetricsMirror(t *testing.T) {
 	}
 }
 
+// TestMetricsMatchStatsUnderConcurrency pins that the published series
+// are accounted in the same critical section as the cache state: after
+// concurrent compiles of distinct and repeated sources (with evictions),
+// every counter and gauge equals the final Stats snapshot. Run under
+// -race.
+func TestMetricsMatchStatsUnderConcurrency(t *testing.T) {
+	m := obs.NewMetrics()
+	c := New(16).WithMetrics(m)
+	const goroutines, perG = 8, 60
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				file, src := "shared.js", fmt.Sprintf("var s = %d;", i%5)
+				if i%2 == 1 {
+					file, src = fmt.Sprintf("g%d.js", g), fmt.Sprintf("var d = %d;", i)
+				}
+				mustCompile(t, c, file, src)
+			}
+		}(g)
+	}
+	wg.Wait()
+	s := c.Stats()
+	if s.Hits+s.Misses != goroutines*perG || s.Hits == 0 || s.Evictions == 0 {
+		t.Fatalf("stats = %+v, want %d lookups with hits and evictions", s, goroutines*perG)
+	}
+	for name, want := range map[string]int64{
+		"progcache_hits_total":      s.Hits,
+		"progcache_misses_total":    s.Misses,
+		"progcache_evictions_total": s.Evictions,
+	} {
+		if got := m.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := m.Gauge("progcache_entries").Value(); got != float64(s.Entries) {
+		t.Errorf("progcache_entries = %v, want %d", got, s.Entries)
+	}
+	if got := m.Gauge("progcache_hit_ratio").Value(); got != s.HitRate() {
+		t.Errorf("progcache_hit_ratio = %v, want %v", got, s.HitRate())
+	}
+}
+
 func TestHitRate(t *testing.T) {
 	if hr := (Stats{}).HitRate(); hr != 0 {
 		t.Fatalf("empty HitRate = %v, want 0", hr)

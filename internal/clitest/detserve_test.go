@@ -12,7 +12,8 @@ import (
 )
 
 // TestDetserveSchedulerFlagValidation pins the serving CLI's admission
-// flags to the exit-code contract: the removed -scheduler flag, malformed
+// flags to the exit-code contract: the removed -scheduler, -cache,
+// -breaker and -trace-events flags, malformed
 // or missing -tenants or -peers config (trailing data included), and a
 // negative -stream-heartbeat are usage errors
 // (exit 2 with a diagnostic on stderr), never a listener that starts with
@@ -27,6 +28,11 @@ func TestDetserveSchedulerFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-scheduler", "fifo"}, // one scheduler: the flag is gone
 		{"-scheduler", "wfq"},
+		// Fixed server settings: compile-cache size, breaker threshold and
+		// per-request trace-event cap are constants, not flags.
+		{"-cache", "4"},
+		{"-breaker", "2"},
+		{"-trace-events", "8"},
 		{"-tenants", `{not json`},
 		{"-tenants", `{"pro":{"weight":-1}}`},
 		{"-tenants", `{"pro":{"weight":1,"tier":"x"}}`}, // unknown field

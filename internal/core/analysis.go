@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"determinacy/internal/facts"
 	"determinacy/internal/guard"
@@ -77,13 +76,11 @@ type Options struct {
 	// path costs one branch and no allocations.
 	Tracer obs.Tracer
 	// Ctx, when non-nil, is polled every interruptEvery steps; once it is
-	// cancelled the run unwinds through the normal abort path (branch
-	// frames pop with their journal undo and indeterminacy marking) and
-	// Run returns the ctx-wrapped error. nil disables the poll's select.
+	// done the run unwinds through the normal abort path (branch frames pop
+	// with their journal undo and indeterminacy marking) and Run returns
+	// guard.ErrDeadline for a deadline, else the wrapped cancellation
+	// cause. nil disables the poll's select.
 	Ctx context.Context
-	// Deadline, when nonzero, is the wall-clock instant past which the run
-	// aborts the same way with guard.ErrDeadline.
-	Deadline time.Time
 
 	// Deprecated: ignored; there is one engine.
 	Engine vm.Engine
@@ -493,7 +490,7 @@ func (a *Analysis) checkpoint() {
 		faultinject.Hit(faultinject.SiteCoreStep)
 	}
 	if a.stopped == nil {
-		if err := guard.CheckInterrupt(a.opts.Ctx, a.opts.Deadline); err != nil {
+		if err := guard.CheckInterrupt(a.opts.Ctx); err != nil {
 			a.stopped = err
 		}
 	}

@@ -73,7 +73,7 @@ func (a *Analysis) Run() (v Value, err error) {
 	// hit): a context that is already dead must stop even a program too
 	// short to reach a step checkpoint.
 	if a.stopped == nil {
-		if ierr := guard.CheckInterrupt(a.opts.Ctx, a.opts.Deadline); ierr != nil {
+		if ierr := guard.CheckInterrupt(a.opts.Ctx); ierr != nil {
 			a.stopped = ierr
 		}
 	}

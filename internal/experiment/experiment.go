@@ -80,11 +80,10 @@ func (c Config) pool() *batch.Pool {
 }
 
 // solve runs the budgeted points-to analysis on p under the study's
-// context and its deadline.
+// context.
 func (c Config) solve(p *determinacy.Program) (*pointsto.Result, error) {
-	deadline, _ := c.Ctx.Deadline()
 	return pointsto.AnalyzeGuarded(p.Module(), pointsto.Options{
-		Budget: c.Budget, Tracer: c.Tracer, Ctx: c.Ctx, Deadline: deadline,
+		Budget: c.Budget, Tracer: c.Tracer, Ctx: c.Ctx,
 	})
 }
 
@@ -111,7 +110,6 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*determinacy.Result, error
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
-	deadline, _ := cfg.Ctx.Deadline()
 	res, err := determinacy.AnalyzeProgramContext(cfg.Ctx, p, determinacy.Options{
 		Seed:             cfg.Seed,
 		Now:              experimentNow,
@@ -120,7 +118,6 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*determinacy.Result, error
 		RunHandlers:      8,
 		MaxFlushes:       1000,
 		Tracer:           cfg.Tracer,
-		Deadline:         deadline,
 		FactCache:        cfg.FactCache,
 	})
 	if err == nil && res.Partial && res.Degraded != determinacy.DegradeFlushCap {

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 
 	"determinacy/internal/ast"
 	"determinacy/internal/core"
@@ -75,85 +74,17 @@ func hashString(s string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// wireFact mirrors the facts package's JSON wire form (one fact with its
-// context, join state and hit count); wireSnap carries the value snapshot
-// with non-finite numbers smuggled through NumS, exactly as
-// internal/facts/encode.go does.
-type wireFact struct {
-	Instr int      `json:"instr"`
-	Ctx   [][2]int `json:"ctx,omitempty"`
-	Seq   int      `json:"seq,omitempty"`
-	Det   bool     `json:"det"`
-	Val   wireSnap `json:"val"`
-	Hits  int      `json:"hits,omitempty"`
-}
-
-type wireSnap struct {
-	Kind    int     `json:"kind"`
-	Bool    bool    `json:"bool,omitempty"`
-	Num     float64 `json:"num,omitempty"`
-	NumS    string  `json:"nums,omitempty"`
-	Str     string  `json:"str,omitempty"`
-	Alloc   int     `json:"alloc,omitempty"`
-	FnIndex int     `json:"fn,omitempty"`
-	Native  string  `json:"native,omitempty"`
-}
-
-func encodeNum(n float64) (float64, string) {
-	switch {
-	case math.IsNaN(n):
-		return 0, "NaN"
-	case math.IsInf(n, 1):
-		return 0, "+Inf"
-	case math.IsInf(n, -1):
-		return 0, "-Inf"
-	case n == 0 && math.Signbit(n):
-		return 0, "-0"
-	}
-	return n, ""
-}
-
-func decodeNum(n float64, s string) float64 {
-	switch s {
-	case "NaN":
-		return math.NaN()
-	case "+Inf":
-		return math.Inf(1)
-	case "-Inf":
-		return math.Inf(-1)
-	case "-0":
-		return math.Copysign(0, -1)
-	}
-	return n
-}
-
-func toWire(f *facts.Fact) wireFact {
-	num, numS := encodeNum(f.Val.Num)
-	wf := wireFact{
-		Instr: int(f.Instr), Seq: f.Seq, Det: f.Det, Hits: f.Hits,
-		Val: wireSnap{
-			Kind: int(f.Val.Kind), Bool: f.Val.Bool, Num: num, NumS: numS,
-			Str: f.Val.Str, Alloc: f.Val.Alloc, FnIndex: f.Val.FnIndex,
-			Native: f.Val.Native,
-		},
-	}
-	for _, e := range f.Ctx {
-		wf.Ctx = append(wf.Ctx, [2]int{int(e.Site), e.Seq})
-	}
-	return wf
-}
-
 // chunkPayload is one function's share of a run: its identity (body hash +
 // folded entry determinacy + epoch span) and its facts in recording order.
 type chunkPayload struct {
-	Schema   int        `json:"schema"`
-	Fn       int        `json:"fn"`
-	BodyHash string     `json:"body"`
-	SigAnd   uint64     `json:"sig"`
-	Acts     int        `json:"acts"`
-	EpochMin uint64     `json:"emin"`
-	EpochMax uint64     `json:"emax"`
-	Facts    []wireFact `json:"facts"`
+	Schema   int          `json:"schema"`
+	Fn       int          `json:"fn"`
+	BodyHash string       `json:"body"`
+	SigAnd   uint64       `json:"sig"`
+	Acts     int          `json:"acts"`
+	EpochMin uint64       `json:"emin"`
+	EpochMax uint64       `json:"emax"`
+	Facts    []facts.Wire `json:"facts"`
 }
 
 // manifest stitches a run back together: which chunks participate, the
@@ -202,17 +133,17 @@ func splitChunks(mod *ir.Module, store *facts.Store, rec *Recorder) (chunks []*c
 			}
 			chunks = append(chunks, c)
 		}
-		chunks[ci].Facts = append(chunks[ci].Facts, toWire(f))
+		chunks[ci].Facts = append(chunks[ci].Facts, f.Wire())
 		order = append(order, ci)
 	}
 	return chunks, order, nil
 }
 
 // stitch rebuilds a fact store from a manifest's chunks by replaying every
-// fact through Store.Record in the original global recording order — the
-// same mechanism facts.Decode and Store.Restrict use — so the result is
-// indistinguishable from the store the cold run produced: same join
-// states, same recording order, same hit counts. Structural inconsistency
+// fact through Store.RecordWire in the original global recording order —
+// the same step facts.Decode takes — so the result is indistinguishable
+// from the store the cold run produced: same join states, same recording
+// order, same hit counts. Structural inconsistency
 // (cursor over/underrun, out-of-range chunk index) reports an error; the
 // caller treats it as corruption.
 func stitch(m *manifest, chunks []*chunkPayload) (*facts.Store, error) {
@@ -231,23 +162,7 @@ func stitch(m *manifest, chunks []*chunkPayload) (*facts.Store, error) {
 			return nil, fmt.Errorf("factcache: stitch: chunk %d exhausted", ci)
 		}
 		cursors[ci]++
-		wf := c.Facts[k]
-		var ctx facts.Context
-		for _, e := range wf.Ctx {
-			ctx = append(ctx, facts.ContextEntry{Site: ir.ID(e[0]), Seq: e[1]})
-		}
-		val := facts.Snapshot{
-			Kind: facts.ValueKind(wf.Val.Kind), Bool: wf.Val.Bool,
-			Num: decodeNum(wf.Val.Num, wf.Val.NumS),
-			Str: wf.Val.Str, Alloc: wf.Val.Alloc, FnIndex: wf.Val.FnIndex,
-			Native: wf.Val.Native,
-		}
-		s.Record(ir.ID(wf.Instr), ctx, wf.Seq, wf.Det, val)
-		if wf.Hits > 1 {
-			if f, ok := s.Lookup(ir.ID(wf.Instr), ctx, wf.Seq); ok {
-				f.Hits = wf.Hits
-			}
-		}
+		s.RecordWire(c.Facts[k])
 	}
 	for i, c := range chunks {
 		if cursors[i] != len(c.Facts) {

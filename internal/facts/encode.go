@@ -10,8 +10,10 @@ import (
 	"determinacy/internal/ir"
 )
 
-// wireFact is the JSON wire form of a fact.
-type wireFact struct {
+// Wire is the JSON wire form of a fact: its point, context, occurrence,
+// join state, value and hit count. Encode writes one per line, and the
+// fact cache stores them per function chunk.
+type Wire struct {
 	Instr int      `json:"instr"`
 	Ctx   [][2]int `json:"ctx,omitempty"`
 	Seq   int      `json:"seq,omitempty"`
@@ -65,6 +67,50 @@ func decodeNum(n float64, s string) float64 {
 	return n
 }
 
+// Wire returns the fact's wire form.
+func (f *Fact) Wire() Wire {
+	num, numS := encodeNum(f.Val.Num)
+	w := Wire{
+		Instr: int(f.Instr), Seq: f.Seq, Det: f.Det, Hits: f.Hits,
+		Val: wireSnap{
+			Kind: int(f.Val.Kind), Bool: f.Val.Bool, Num: num, NumS: numS,
+			Str: f.Val.Str, Alloc: f.Val.Alloc, FnIndex: f.Val.FnIndex,
+			Native: f.Val.Native,
+		},
+	}
+	for _, e := range f.Ctx {
+		w.Ctx = append(w.Ctx, [2]int{int(e.Site), e.Seq})
+	}
+	return w
+}
+
+// RecordWire records a wire fact through Record and restores its hit
+// count. Replaying a store's facts in recording order this way rebuilds
+// the same join states, recording order and hit counts.
+func (s *Store) RecordWire(w Wire) {
+	var ctx Context
+	for _, e := range w.Ctx {
+		ctx = append(ctx, ContextEntry{Site: ir.ID(e[0]), Seq: e[1]})
+	}
+	s.recordHits(ir.ID(w.Instr), ctx, w.Seq, w.Det, Snapshot{
+		Kind: ValueKind(w.Val.Kind), Bool: w.Val.Bool,
+		Num: decodeNum(w.Val.Num, w.Val.NumS),
+		Str: w.Val.Str, Alloc: w.Val.Alloc, FnIndex: w.Val.FnIndex,
+		Native: w.Val.Native,
+	}, w.Hits)
+}
+
+// recordHits is Record followed by restoring a copied fact's hit count
+// (when above the single observation Record counts).
+func (s *Store) recordHits(instr ir.ID, ctx Context, seq int, det bool, val Snapshot, hits int) {
+	s.Record(instr, ctx, seq, det, val)
+	if hits > 1 {
+		if f, ok := s.Lookup(instr, ctx, seq); ok {
+			f.Hits = hits
+		}
+	}
+}
+
 // Encode writes the store as JSON lines, one fact per line, in recording
 // order. The format is stable across runs of the same module (instruction
 // IDs are deterministic), so cmd/detrun output can feed cmd/detspec.
@@ -72,19 +118,7 @@ func (s *Store) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, f := range s.All() {
-		num, numS := encodeNum(f.Val.Num)
-		wf := wireFact{
-			Instr: int(f.Instr), Seq: f.Seq, Det: f.Det, Hits: f.Hits,
-			Val: wireSnap{
-				Kind: int(f.Val.Kind), Bool: f.Val.Bool, Num: num, NumS: numS,
-				Str: f.Val.Str, Alloc: f.Val.Alloc, FnIndex: f.Val.FnIndex,
-				Native: f.Val.Native,
-			},
-		}
-		for _, e := range f.Ctx {
-			wf.Ctx = append(wf.Ctx, [2]int{int(e.Site), e.Seq})
-		}
-		if err := enc.Encode(wf); err != nil {
+		if err := enc.Encode(f.Wire()); err != nil {
 			return err
 		}
 	}
@@ -97,28 +131,13 @@ func Decode(r io.Reader) (*Store, error) {
 	s := NewStore()
 	dec := json.NewDecoder(r)
 	for {
-		var wf wireFact
-		if err := dec.Decode(&wf); err == io.EOF {
+		var w Wire
+		if err := dec.Decode(&w); err == io.EOF {
 			return s, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("facts: decode: %w", err)
 		}
-		var ctx Context
-		for _, e := range wf.Ctx {
-			ctx = append(ctx, ContextEntry{Site: ir.ID(e[0]), Seq: e[1]})
-		}
-		val := Snapshot{
-			Kind: ValueKind(wf.Val.Kind), Bool: wf.Val.Bool,
-			Num: decodeNum(wf.Val.Num, wf.Val.NumS),
-			Str: wf.Val.Str, Alloc: wf.Val.Alloc, FnIndex: wf.Val.FnIndex,
-			Native: wf.Val.Native,
-		}
-		s.Record(ir.ID(wf.Instr), ctx, wf.Seq, wf.Det, val)
-		if wf.Hits > 1 {
-			if f, ok := s.Lookup(ir.ID(wf.Instr), ctx, wf.Seq); ok {
-				f.Hits = wf.Hits
-			}
-		}
+		s.RecordWire(w)
 	}
 }
 
@@ -129,12 +148,8 @@ func (s *Store) Restrict(limit ir.ID) *Store {
 	out := NewStore()
 	out.MaxSeq = s.MaxSeq
 	for _, f := range s.All() {
-		if f.Instr >= limit {
-			continue
-		}
-		out.Record(f.Instr, f.Ctx, f.Seq, f.Det, f.Val)
-		if nf, ok := out.Lookup(f.Instr, f.Ctx, f.Seq); ok {
-			nf.Hits = f.Hits
+		if f.Instr < limit {
+			out.recordHits(f.Instr, f.Ctx, f.Seq, f.Det, f.Val, f.Hits)
 		}
 	}
 	return out
@@ -166,10 +181,7 @@ func (s *Store) Generalize() *Store {
 				det = false
 			}
 		}
-		out.Record(id, nil, 0, det, val)
-		if f, ok := out.Lookup(id, nil, 0); ok {
-			f.Hits = hits
-		}
+		out.recordHits(id, nil, 0, det, val, hits)
 	}
 	return out
 }

@@ -16,6 +16,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	s.Record(2, ctx(10, 0, 20, 1), 3, false, str("x"))
 	s.Record(3, ctx(5, 2), 0, true, facts.Snapshot{Kind: facts.VFunction, FnIndex: 7})
 	s.Record(4, nil, 0, true, facts.Snapshot{Kind: facts.VObject, Alloc: 9})
+	// Repeated observations: the hit count travels with the fact.
+	s.Record(1, nil, 0, true, num(42))
+	s.Record(1, nil, 0, true, num(42))
 
 	var buf bytes.Buffer
 	if err := s.Encode(&buf); err != nil {
@@ -37,6 +40,24 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if g.Det != f.Det || !g.Val.Equal(f.Val) || g.Hits != f.Hits {
 			t.Errorf("fact %d changed: %+v vs %+v", f.Instr, g, f)
 		}
+	}
+}
+
+// TestRestrictKeepsHits pins Restrict: facts below the limit keep their
+// join state, value and hit count, in recording order; the rest go.
+func TestRestrictKeepsHits(t *testing.T) {
+	s := facts.NewStore()
+	s.Record(5, ctx(1, 0), 0, true, num(1))
+	s.Record(9, nil, 0, true, num(2))
+	s.Record(5, ctx(1, 0), 0, true, num(1))
+	s.Record(3, nil, 1, false, str("y"))
+	r := s.Restrict(8)
+	if r.Len() != 2 || r.MaxSeq != s.MaxSeq {
+		t.Fatalf("restricted store has %d facts (MaxSeq %d), want 2 (MaxSeq %d)", r.Len(), r.MaxSeq, s.MaxSeq)
+	}
+	all := r.All()
+	if all[0].Instr != 5 || all[0].Hits != 2 || !all[0].Det || all[1].Instr != 3 || all[1].Hits != 1 || all[1].Det {
+		t.Fatalf("restricted facts %+v %+v, want instr 5 (2 hits, det) then instr 3 (1 hit, indet)", *all[0], *all[1])
 	}
 }
 

@@ -52,8 +52,9 @@ const (
 	// Cancel invokes the plan's OnCancel func (typically the run context's
 	// CancelFunc), exercising cooperative cancellation.
 	Cancel
-	// Expire makes guard.CheckInterrupt report an expired wall-clock
-	// deadline from the trigger onward, without racing the real clock.
+	// Expire makes guard.CheckInterrupt report an expired deadline
+	// (guard.ErrDeadline) from the trigger onward, without racing the real
+	// clock.
 	Expire
 )
 

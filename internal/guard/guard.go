@@ -1,10 +1,11 @@
 // Package guard is the run-isolation and graceful-degradation layer of
-// the pipeline: cooperative cancellation and wall-clock deadlines
-// (CheckInterrupt, polled by the interpreters and the solver every few
-// thousand steps), panic boundaries converting interpreter and solver
-// panics into structured *RunError values instead of crashing the process
-// (Boundary), and the DegradeReason taxonomy for partial results. The
-// faultinject subpackage drives every recovery path deterministically.
+// the pipeline: cooperative stops, whose one carrier is a run's
+// context.Context (cancellation, or its deadline; CheckInterrupt, polled by
+// the interpreters and the solver every few thousand steps), panic
+// boundaries converting interpreter and solver panics into structured
+// *RunError values instead of crashing the process (Boundary), and the
+// DegradeReason taxonomy for partial results. The faultinject subpackage
+// drives every recovery path deterministically.
 package guard
 
 import (
@@ -12,34 +13,35 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"time"
 
 	"determinacy/internal/guard/faultinject"
 	"determinacy/internal/obs"
 )
 
-// ErrDeadline reports that a run hit its wall-clock deadline. It wraps
-// context.DeadlineExceeded so errors.Is treats flag-set deadlines and
-// context timeouts uniformly through every API layer.
+// ErrDeadline reports that a run hit its context's deadline. It wraps
+// context.DeadlineExceeded, so errors.Is matches either through every API
+// layer.
 var ErrDeadline = fmt.Errorf("guard: wall-clock deadline exceeded: %w", context.DeadlineExceeded)
 
-// CheckInterrupt polls the cooperative stop conditions: context
-// cancellation and the wall-clock deadline (plus injected deadline
-// expiries during fault campaigns). Interpreters call it every few
-// thousand steps; with a nil/background context and zero deadline it
-// costs a few branches.
-func CheckInterrupt(ctx context.Context, deadline time.Time) error {
+// CheckInterrupt polls the cooperative stop conditions of ctx (plus
+// injected deadline expiries during fault campaigns). A context whose
+// cause is context.DeadlineExceeded stops with ErrDeadline; any other
+// cancellation stops with its cause wrapped. Interpreters call it every
+// few thousand steps; with a nil or background context it costs a few
+// branches.
+func CheckInterrupt(ctx context.Context) error {
 	if ctx != nil {
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("guard: run cancelled: %w", context.Cause(ctx))
+			cause := context.Cause(ctx)
+			if errors.Is(cause, context.DeadlineExceeded) {
+				return ErrDeadline
+			}
+			return fmt.Errorf("guard: run cancelled: %w", cause)
 		default:
 		}
 	}
 	if faultinject.Expired() {
-		return ErrDeadline
-	}
-	if !deadline.IsZero() && time.Now().After(deadline) {
 		return ErrDeadline
 	}
 	return nil
@@ -53,7 +55,7 @@ const (
 	DegradeNone     DegradeReason = ""
 	DegradeBudget   DegradeReason = "budget"    // step budget exhausted
 	DegradeFlushCap DegradeReason = "flush-cap" // heap-flush cap reached
-	DegradeDeadline DegradeReason = "deadline"  // wall-clock deadline expired
+	DegradeDeadline DegradeReason = "deadline"  // context deadline expired
 	DegradeCancel   DegradeReason = "cancel"    // context cancelled
 )
 

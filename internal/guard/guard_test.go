@@ -13,18 +13,18 @@ import (
 )
 
 func TestCheckInterruptNilAndZero(t *testing.T) {
-	if err := CheckInterrupt(nil, time.Time{}); err != nil {
-		t.Fatalf("CheckInterrupt(nil, zero) = %v, want nil", err)
+	if err := CheckInterrupt(nil); err != nil {
+		t.Fatalf("CheckInterrupt(nil) = %v, want nil", err)
 	}
-	if err := CheckInterrupt(context.Background(), time.Time{}); err != nil {
-		t.Fatalf("CheckInterrupt(background, zero) = %v, want nil", err)
+	if err := CheckInterrupt(context.Background()); err != nil {
+		t.Fatalf("CheckInterrupt(background) = %v, want nil", err)
 	}
 }
 
 func TestCheckInterruptCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := CheckInterrupt(ctx, time.Time{})
+	err := CheckInterrupt(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: err = %v, want wrapped context.Canceled", err)
 	}
@@ -37,22 +37,25 @@ func TestCheckInterruptCancelCause(t *testing.T) {
 	cause := errors.New("operator hit ^C")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
-	err := CheckInterrupt(ctx, time.Time{})
+	err := CheckInterrupt(ctx)
 	if !errors.Is(err, cause) {
 		t.Fatalf("err = %v, want the cancellation cause preserved", err)
 	}
 }
 
 func TestCheckInterruptDeadline(t *testing.T) {
-	past := time.Now().Add(-time.Second)
-	err := CheckInterrupt(nil, past)
+	past, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	err := CheckInterrupt(past)
 	if !errors.Is(err, ErrDeadline) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: err = %v, want ErrDeadline wrapping DeadlineExceeded", err)
 	}
 	if ContextReason(err) != DegradeDeadline {
 		t.Fatalf("ContextReason = %q, want deadline", ContextReason(err))
 	}
-	if err := CheckInterrupt(nil, time.Now().Add(time.Hour)); err != nil {
+	future, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	if err := CheckInterrupt(future); err != nil {
 		t.Fatalf("future deadline: err = %v, want nil", err)
 	}
 }
@@ -61,11 +64,13 @@ func TestCheckInterruptInjectedExpiry(t *testing.T) {
 	p := &faultinject.Plan{Action: faultinject.Expire, After: 1}
 	faultinject.Arm(p)
 	defer faultinject.Disarm()
-	if err := CheckInterrupt(nil, time.Now().Add(time.Hour)); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	if err := CheckInterrupt(ctx); err != nil {
 		t.Fatalf("unfired expire plan tripped the deadline: %v", err)
 	}
 	faultinject.Hit(faultinject.SiteCoreStep)
-	err := CheckInterrupt(nil, time.Now().Add(time.Hour))
+	err := CheckInterrupt(ctx)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("fired expire plan: err = %v, want ErrDeadline", err)
 	}

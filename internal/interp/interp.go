@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"strings"
-	"time"
 
 	"determinacy/internal/guard"
 	"determinacy/internal/guard/faultinject"
@@ -35,12 +34,10 @@ type Options struct {
 	// Inputs backs the __input(name) native, the generic indeterminate
 	// program-input source used by tests and workloads.
 	Inputs map[string]Value
-	// Ctx, when non-nil, is polled every interruptEvery steps; once
-	// cancelled the run aborts with the ctx-wrapped error.
+	// Ctx, when non-nil, is polled every interruptEvery steps; once done
+	// the run aborts with guard.ErrDeadline for a deadline, else the
+	// wrapped cancellation cause.
 	Ctx context.Context
-	// Deadline, when nonzero, aborts the run with guard.ErrDeadline once
-	// the wall clock passes it.
-	Deadline time.Time
 }
 
 // Interp executes an IR module under the concrete semantics.
@@ -115,14 +112,14 @@ func (it *Interp) Steps() int { return it.steps }
 // a power of two so the hot-loop check is a mask.
 const interruptEvery = 2048
 
-// checkpoint polls context cancellation, the wall-clock deadline, and any
-// armed fault-injection plan, making a hit sticky via it.stopped.
+// checkpoint polls the run's context and any armed fault-injection plan,
+// making a hit sticky via it.stopped.
 func (it *Interp) checkpoint() {
 	if faultinject.Armed() {
 		faultinject.Hit(faultinject.SiteInterpStep)
 	}
 	if it.stopped == nil {
-		if err := guard.CheckInterrupt(it.opts.Ctx, it.opts.Deadline); err != nil {
+		if err := guard.CheckInterrupt(it.opts.Ctx); err != nil {
 			it.stopped = err
 		}
 	}
@@ -275,7 +272,7 @@ func (it *Interp) Run() (v Value, err error) {
 	// hit): a context that is already dead must stop even a program too
 	// short to reach a step checkpoint.
 	if it.stopped == nil {
-		if ierr := guard.CheckInterrupt(it.opts.Ctx, it.opts.Deadline); ierr != nil {
+		if ierr := guard.CheckInterrupt(it.opts.Ctx); ierr != nil {
 			it.stopped = ierr
 		}
 	}

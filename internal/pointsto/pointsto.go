@@ -83,11 +83,9 @@ type Options struct {
 	// tracing at no cost.
 	Tracer obs.Tracer
 	// Ctx, when non-nil, is polled every interruptEvery propagations; once
-	// cancelled, solving stops and Result.Interrupted carries the error.
+	// it is cancelled or past its deadline, solving stops and
+	// Result.Interrupted carries the error.
 	Ctx context.Context
-	// Deadline, when nonzero, stops solving the same way once the wall
-	// clock passes it.
-	Deadline time.Time
 }
 
 // solverSnapshotEvery is the propagation-count interval between EvSolver
@@ -539,10 +537,10 @@ func (a *analysis) snapshot() {
 }
 
 func (a *analysis) solve() {
-	// Poll once up front: a context that is already dead (or a deadline
-	// already past) must stop even a solve too small to reach the
-	// every-interruptEvery poll inside the loop.
-	if err := guard.CheckInterrupt(a.opts.Ctx, a.opts.Deadline); err != nil {
+	// Poll once up front: a context that is already done must stop even a
+	// solve too small to reach the every-interruptEvery poll inside the
+	// loop.
+	if err := guard.CheckInterrupt(a.opts.Ctx); err != nil {
 		a.interrupted = err
 		return
 	}
@@ -563,7 +561,7 @@ func (a *analysis) solve() {
 				if faultinject.Armed() {
 					faultinject.Hit(faultinject.SiteSolverProp)
 				}
-				if err := guard.CheckInterrupt(a.opts.Ctx, a.opts.Deadline); err != nil {
+				if err := guard.CheckInterrupt(a.opts.Ctx); err != nil {
 					a.interrupted = err
 					return
 				}

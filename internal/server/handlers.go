@@ -28,8 +28,8 @@ type AnalyzeRequest struct {
 	Name   string `json:"name,omitempty"`
 	Source string `json:"source"`
 	Seed   uint64 `json:"seed,omitempty"`
-	// Runs > 1 merges facts from that many consecutive seeds (§7),
-	// bounded by the server's MaxRuns.
+	// Runs > 1 merges facts from that many consecutive seeds (§7), at
+	// most 16.
 	Runs int `json:"runs,omitempty"`
 	// TimeoutMS is the client's wall-clock budget; the server's
 	// MaxTimeout is a hard ceiling over it. A run stopped by the budget
@@ -82,6 +82,9 @@ type ErrorBody struct {
 	Pos   string `json:"pos,omitempty"`
 	// RetryAfterMS mirrors the Retry-After header on 429/503.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
+	// retryAfter is a refusal's own Retry-After guidance (a scheduler
+	// shed's); zero selects the pool-derived estimate. Never on the wire.
+	retryAfter time.Duration
 }
 
 // ErrorResponse wraps ErrorBody for the wire.
@@ -158,7 +161,7 @@ func (s *Server) recoverWrap(h http.Handler) http.Handler {
 				}
 				guard.CountRecovered(s.metrics, "server")
 				s.noteQuarantine()
-				s.writeError(w, http.StatusInternalServerError, ErrorBody{
+				s.writeErr(w, nil, http.StatusInternalServerError, ErrorBody{
 					Kind: "panic", Message: re.Error(), Phase: re.Phase, Instr: re.Instr, Pos: re.Pos,
 				})
 			}
@@ -175,51 +178,39 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	s.metrics.Counter(fmt.Sprintf(`server_responses_total{code="%d"}`, status)).Inc()
 }
 
-func (s *Server) writeError(w http.ResponseWriter, status int, body ErrorBody) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		ra := s.retryAfter()
-		body.RetryAfterMS = ra.Milliseconds()
-		w.Header().Set("Retry-After", strconv.Itoa(int(ra.Seconds()+0.5)))
-	}
-	s.writeJSON(w, status, ErrorResponse{Error: body})
-}
-
-// writeErr is writeError for traced handlers: it classifies the failure
-// into the flight-recorder entry (outcome, error kind, panic location)
-// before writing the response. rt may be nil.
+// writeErr writes a structured error response, first classifying it
+// into the request's flight-recorder entry (rt may be nil). A 429 or 503
+// carries a Retry-After hint: the body's own retryAfter when set (a
+// scheduler shed's guidance), else the pool-derived estimate. The header
+// is whole seconds (minimum 1, per RFC 9110); the body's retry_after_ms
+// carries the precise value.
 func (s *Server) writeErr(w http.ResponseWriter, rt *reqTrace, status int, body ErrorBody) {
 	if rt != nil {
 		rt.entry.Status = status
-		rt.entry.ErrorKind = body.Kind
-		rt.entry.Outcome = outcomeForKind(body.Kind)
-		if body.Kind == "panic" {
-			rt.entry.ErrPhase, rt.entry.ErrInstr, rt.entry.ErrPos = body.Phase, body.Instr, body.Pos
-		}
 	}
-	s.writeError(w, status, body)
+	noteError(rt, body)
+	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+		ra := body.retryAfter
+		if ra <= 0 {
+			ra = s.retryAfter()
+		}
+		body.RetryAfterMS = ra.Milliseconds()
+		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(ra.Seconds()+0.5))))
+	}
+	s.writeJSON(w, status, ErrorResponse{Error: body})
 }
 
-// writeErrRetry is writeErr for refusals carrying their own Retry-After
-// guidance; ra <= 0 falls back to the legacy pool-derived estimate. The
-// header is whole seconds (minimum 1, per RFC 9110); the body's
-// retry_after_ms carries the precise value.
-func (s *Server) writeErrRetry(w http.ResponseWriter, rt *reqTrace, status int, body ErrorBody, ra time.Duration) {
-	if ra <= 0 {
-		s.writeErr(w, rt, status, body)
+// noteError classifies a failure into the request's flight-recorder
+// entry: outcome, error kind, and a panic's location. rt may be nil.
+func noteError(rt *reqTrace, body ErrorBody) {
+	if rt == nil {
 		return
 	}
-	if rt != nil {
-		rt.entry.Status = status
-		rt.entry.ErrorKind = body.Kind
-		rt.entry.Outcome = outcomeForKind(body.Kind)
+	rt.entry.ErrorKind = body.Kind
+	rt.entry.Outcome = outcomeForKind(body.Kind)
+	if body.Kind == "panic" {
+		rt.entry.ErrPhase, rt.entry.ErrInstr, rt.entry.ErrPos = body.Phase, body.Instr, body.Pos
 	}
-	body.RetryAfterMS = ra.Milliseconds()
-	secs := int(ra.Seconds() + 0.5)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	s.writeJSON(w, status, ErrorResponse{Error: body})
 }
 
 // decodeBody reads a size-limited JSON body into v, answering 413/400
@@ -312,10 +303,11 @@ func (s *Server) writeAdmissionError(w http.ResponseWriter, rt *reqTrace, err er
 		if s.cluster != nil {
 			shed.ScaleRetryAfter(s.cluster.DegradedFactor(), s.cfg.MaxTimeout)
 		}
-		s.writeErrRetry(w, rt, http.StatusTooManyRequests, ErrorBody{
-			Kind:    "shed",
-			Message: fmt.Sprintf("admission refused (%s); retry later", shed.Reason),
-		}, shed.RetryAfter)
+		s.writeErr(w, rt, http.StatusTooManyRequests, ErrorBody{
+			Kind:       "shed",
+			Message:    fmt.Sprintf("admission refused (%s); retry later", shed.Reason),
+			retryAfter: shed.RetryAfter,
+		})
 	case errors.Is(err, sched.ErrDraining):
 		s.writeErr(w, rt, http.StatusServiceUnavailable, ErrorBody{Kind: "draining", Message: "server is draining; retry against another replica"})
 	default:
@@ -358,13 +350,7 @@ func (s *Server) noteRunError(rt *reqTrace, body ErrorBody) {
 		s.noteQuarantine()
 		guard.CountRecovered(s.metrics, body.Phase)
 	}
-	if rt != nil {
-		rt.entry.ErrorKind = body.Kind
-		rt.entry.Outcome = outcomeForKind(body.Kind)
-		if body.Kind == "panic" {
-			rt.entry.ErrPhase, rt.entry.ErrInstr, rt.entry.ErrPos = body.Phase, body.Instr, body.Pos
-		}
-	}
+	noteError(rt, body)
 }
 
 // writeRunError classifies an analysis failure into a structured
@@ -372,10 +358,7 @@ func (s *Server) noteRunError(rt *reqTrace, body ErrorBody) {
 func (s *Server) writeRunError(w http.ResponseWriter, rt *reqTrace, err error) {
 	status, body := s.classifyRunError(err)
 	s.noteRunError(rt, body)
-	if rt != nil {
-		rt.entry.Status = status
-	}
-	s.writeError(w, status, body)
+	s.writeErr(w, rt, status, body)
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, rt *reqTrace) {
@@ -387,9 +370,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, rt *reqTr
 		s.writeErr(w, rt, http.StatusBadRequest, ErrorBody{Kind: "bad-request", Message: `missing "source"`})
 		return
 	}
-	if req.Runs < 0 || req.Runs > s.cfg.MaxRuns {
+	if req.Runs < 0 || req.Runs > maxRuns {
 		s.writeErr(w, rt, http.StatusBadRequest, ErrorBody{
-			Kind: "bad-request", Message: fmt.Sprintf("runs must be in [0,%d], got %d", s.cfg.MaxRuns, req.Runs),
+			Kind: "bad-request", Message: fmt.Sprintf("runs must be in [0,%d], got %d", maxRuns, req.Runs),
 		})
 		return
 	}
@@ -465,7 +448,7 @@ func (s *Server) noteAnalyzeSuccess(rt *reqTrace, resp *AnalyzeResponse) {
 }
 
 // analyzeOptions builds run options shared by both endpoints.
-func (s *Server) analyzeOptions(seed uint64, maxFlushes, maxSteps, handlers int, dom, detDOM bool, deadline time.Time) determinacy.Options {
+func (s *Server) analyzeOptions(seed uint64, maxFlushes, maxSteps, handlers int, dom, detDOM bool) determinacy.Options {
 	if maxFlushes == 0 {
 		maxFlushes = 1000
 	}
@@ -476,18 +459,16 @@ func (s *Server) analyzeOptions(seed uint64, maxFlushes, maxSteps, handlers int,
 		RunHandlers:      handlers,
 		MaxFlushes:       maxFlushes,
 		MaxSteps:         maxSteps,
-		Deadline:         deadline,
 		FactCache:        s.cfg.FactCache,
 	}
 }
 
-// runAnalyze executes one request inside the guard boundary, under the
-// effective deadline and the drain force-cancel parent. tracer (nil to
+// runAnalyze executes one request inside the guard boundary, under a
+// context carrying the effective deadline and the drain force-cancel. tracer (nil to
 // disable) receives the run's event stream; rt (nil outside traced
 // handlers) collects cache-hit attribution.
 func (s *Server) runAnalyze(reqCtx context.Context, req *AnalyzeRequest, rt *reqTrace, tracer obs.Tracer) (resp *AnalyzeResponse, err error) {
-	budget := s.effTimeout(req.TimeoutMS)
-	ctx, cancel := context.WithTimeout(reqCtx, budget)
+	ctx, cancel := context.WithTimeout(reqCtx, s.effTimeout(req.TimeoutMS))
 	defer cancel()
 	// Drain past its budget force-cancels every in-flight run.
 	stopAfter := context.AfterFunc(s.baseCtx, cancel)
@@ -501,7 +482,7 @@ func (s *Server) runAnalyze(reqCtx context.Context, req *AnalyzeRequest, rt *req
 	if name == "" {
 		name = "program.js"
 	}
-	opts := s.analyzeOptions(req.Seed, req.MaxFlushes, req.MaxSteps, req.Handlers, req.DOM, req.DetDOM, time.Now().Add(budget))
+	opts := s.analyzeOptions(req.Seed, req.MaxFlushes, req.MaxSteps, req.Handlers, req.DOM, req.DetDOM)
 	opts.Tracer = tracer
 
 	if req.Runs > 1 {
@@ -587,9 +568,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rt *reqTrac
 		s.writeErr(w, rt, http.StatusBadRequest, ErrorBody{Kind: "bad-request", Message: `missing "programs"`})
 		return
 	}
-	if len(req.Programs) > s.cfg.MaxBatchPrograms {
+	if len(req.Programs) > maxBatchPrograms {
 		s.writeErr(w, rt, http.StatusBadRequest, ErrorBody{
-			Kind: "bad-request", Message: fmt.Sprintf("batch of %d exceeds the %d-program cap", len(req.Programs), s.cfg.MaxBatchPrograms),
+			Kind: "bad-request", Message: fmt.Sprintf("batch of %d exceeds the %d-program cap", len(req.Programs), maxBatchPrograms),
 		})
 		return
 	}
@@ -615,12 +596,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rt *reqTrac
 	t0 := time.Now()
 	observeTenant := s.noteAdmitted(rt, sreq, t0)
 	defer observeTenant()
-	budget := s.effTimeout(req.TimeoutMS)
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
+	ctx, cancel := context.WithTimeout(r.Context(), s.effTimeout(req.TimeoutMS))
 	defer cancel()
 	stopAfter := context.AfterFunc(s.baseCtx, cancel)
 	defer stopAfter()
-	deadline := time.Now().Add(budget)
 
 	// One request-scoped tracer across the whole fan-out: the sinks are
 	// mutex-guarded, so concurrent jobs interleave rather than race.
@@ -640,7 +619,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rt *reqTrac
 		if faultinject.Armed() {
 			faultinject.Hit(faultinject.SiteServerRequest)
 		}
-		opts := s.analyzeOptions(p.Seed, req.MaxFlushes, req.MaxSteps, req.Handlers, req.DOM, req.DetDOM, deadline)
+		opts := s.analyzeOptions(p.Seed, req.MaxFlushes, req.MaxSteps, req.Handlers, req.DOM, req.DetDOM)
 		opts.Tracer = tracer
 		resp, hit, err := s.analyzeOne(ctx, name, p.Source, req.DetOnly, opts)
 		if hit {
@@ -740,9 +719,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
-		s.writeError(w, http.StatusServiceUnavailable, ErrorBody{Kind: "draining", Message: "not ready: draining"})
+		s.writeErr(w, nil, http.StatusServiceUnavailable, ErrorBody{Kind: "draining", Message: "not ready: draining"})
 	case s.breakerOpen.Load():
-		s.writeError(w, http.StatusServiceUnavailable, ErrorBody{Kind: "circuit-open", Message: fmt.Sprintf(
+		s.writeErr(w, nil, http.StatusServiceUnavailable, ErrorBody{Kind: "circuit-open", Message: fmt.Sprintf(
 			"not ready: %d consecutive quarantined requests tripped the breaker", s.consecQuarantine.Load())})
 	default:
 		s.writeJSON(w, http.StatusOK, map[string]any{"ready": true})

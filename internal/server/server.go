@@ -34,6 +34,20 @@ import (
 	"determinacy/internal/server/sched"
 )
 
+// Fixed request limits. No caller needs another value, so they are
+// constants rather than Config fields. The compile cache likewise keeps
+// progcache's default capacity of 128 programs, which perfbench serve
+// sizes its program pool against.
+const (
+	// maxRuns caps a request's multi-seed merge width.
+	maxRuns = 16
+	// maxBatchPrograms caps /v1/batch fan-out.
+	maxBatchPrograms = 128
+	// breakerThreshold is the consecutive-quarantine count that trips
+	// readiness. A later successful analysis closes the breaker.
+	breakerThreshold = 5
+)
+
 // Config tunes the service. Zero values select the documented defaults.
 type Config struct {
 	// MaxInFlight bounds concurrently executing analysis requests
@@ -51,26 +65,15 @@ type Config struct {
 	// budgets (0 = 30s).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxRuns caps a request's multi-seed merge width (0 = 16) and
-	// MaxBatchPrograms caps /v1/batch fan-out (0 = 128).
-	MaxRuns          int
-	MaxBatchPrograms int
-	// BreakerThreshold is the consecutive-quarantine count that trips
-	// readiness (0 = 5). A later successful analysis closes the breaker.
-	BreakerThreshold int
-	// CacheEntries bounds the shared compile cache (0 = progcache default).
-	CacheEntries int
 	// Metrics receives every server/pool/cache series (nil = fresh
 	// registry, readable via /metrics either way).
 	Metrics *obs.Metrics
 	// FlightEntries bounds the flight recorder's request-summary ring
 	// served at /debug/statusz (0 = obs.DefaultFlightEntries).
 	FlightEntries int
-	// TraceEventCap bounds retained (and streamed) trace events per
-	// request (0 = obs.DefaultTraceEventCap).
-	TraceEventCap int
-	// DisableTracing turns off per-request event retention: requests run
-	// with a nil Tracer (the zero-alloc path) and /debug/tracez has
+	// DisableTracing turns off per-request event retention (each request
+	// otherwise retains and streams up to obs.DefaultTraceEventCap
+	// events): requests run with a nil Tracer (the zero-alloc path) and /debug/tracez has
 	// nothing to serve. Flight-recorder summaries are still kept.
 	DisableTracing bool
 	// FactCache, when set, memoizes completed single-run analyses in the
@@ -117,23 +120,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 30 * time.Second
 	}
-	if c.MaxRuns <= 0 {
-		c.MaxRuns = 16
-	}
-	if c.MaxBatchPrograms <= 0 {
-		c.MaxBatchPrograms = 128
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewMetrics()
 	}
 	if c.FlightEntries <= 0 {
 		c.FlightEntries = obs.DefaultFlightEntries
-	}
-	if c.TraceEventCap <= 0 {
-		c.TraceEventCap = obs.DefaultTraceEventCap
 	}
 	if c.StreamHeartbeat == 0 {
 		c.StreamHeartbeat = 15 * time.Second
@@ -230,7 +221,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		metrics: m,
-		cache:   determinacy.NewCache(cfg.CacheEntries).WithMetrics(m),
+		cache:   determinacy.NewCache(0).WithMetrics(m),
 		pool:    batch.New(0).WithMetrics(m),
 		start:   time.Now(),
 		sched:   scheduler,
@@ -314,7 +305,7 @@ func (s *Server) effTimeout(clientMS int64) time.Duration {
 // row trips the readiness breaker.
 func (s *Server) noteQuarantine() {
 	s.cQuarantined.Inc()
-	if s.consecQuarantine.Add(1) >= int64(s.cfg.BreakerThreshold) &&
+	if s.consecQuarantine.Add(1) >= breakerThreshold &&
 		s.breakerOpen.CompareAndSwap(false, true) {
 		s.gBreaker.Set(1)
 	}

@@ -14,6 +14,7 @@ import (
 
 	"determinacy"
 	"determinacy/internal/guard/faultinject"
+	"determinacy/internal/server/sched"
 	"determinacy/internal/version"
 )
 
@@ -159,13 +160,13 @@ func TestAnalyzeDetOnlyMatchesFull(t *testing.T) {
 }
 
 func TestAnalyzeValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxRuns: 4})
+	_, ts := newTestServer(t, Config{})
 	cases := []struct {
 		name string
 		req  AnalyzeRequest
 	}{
 		{"missing source", AnalyzeRequest{}},
-		{"runs over cap", AnalyzeRequest{Source: quickSrc, Runs: 5}},
+		{"runs over cap", AnalyzeRequest{Source: quickSrc, Runs: maxRuns + 1}},
 		{"negative timeout", AnalyzeRequest{Source: quickSrc, TimeoutMS: -1}},
 		{"negative flushes", AnalyzeRequest{Source: quickSrc, MaxFlushes: -1}},
 	}
@@ -250,8 +251,8 @@ func TestAnalyzeTimeoutCeilingSealsPartial(t *testing.T) {
 	if !out.Partial {
 		t.Fatal("run under a 25ms ceiling completed 2M iterations; expected partial")
 	}
-	if out.DegradeReason != "deadline" && out.DegradeReason != "cancel" {
-		t.Fatalf("degrade_reason = %q, want deadline or cancel", out.DegradeReason)
+	if out.DegradeReason != "deadline" {
+		t.Fatalf("degrade_reason = %q, want deadline", out.DegradeReason)
 	}
 	if out.NumDeterminate > out.NumFacts {
 		t.Fatalf("partial store incoherent: %d determinate of %d facts", out.NumDeterminate, out.NumFacts)
@@ -269,6 +270,21 @@ func TestAnalyzeMultiRunMerge(t *testing.T) {
 		if !f.Determinate {
 			t.Fatalf("det_only response contains indeterminate fact %+v", f)
 		}
+	}
+}
+
+func TestAnalyzeMultiRunDeadlineInterrupts(t *testing.T) {
+	// A multi-seed merge whose deadline passes skips the seeds that have
+	// not started; a skipped seed has no partial store to merge, so the
+	// request answers 503 interrupted rather than a partial 200.
+	_, ts := newTestServer(t, Config{})
+	resp := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: slowSrc, Runs: 3, TimeoutMS: 1})
+	body := decodeError(t, resp)
+	if resp.StatusCode != http.StatusServiceUnavailable || body.Kind != "interrupted" {
+		t.Fatalf("status=%d kind=%q, want 503 interrupted", resp.StatusCode, body.Kind)
+	}
+	if resp.Header.Get("Retry-After") == "" || body.RetryAfterMS <= 0 {
+		t.Errorf("503 Retry-After=%q retry_after_ms=%d, want both set", resp.Header.Get("Retry-After"), body.RetryAfterMS)
 	}
 }
 
@@ -322,6 +338,38 @@ func TestShedUnderOverload(t *testing.T) {
 	}
 }
 
+// TestRetryAfterWriter pins the one error writer's Retry-After forms: a
+// shed carries the scheduler's own guidance (header in whole seconds,
+// at least 1; retry_after_ms truncated, so a sub-millisecond hint is
+// omitted), and any other 429/503 carries the pool-derived estimate,
+// 1 s before a job has run.
+func TestRetryAfterWriter(t *testing.T) {
+	s := New(Config{})
+	cases := []struct {
+		err    error
+		status int
+		header string
+		ms     int64
+	}{
+		{&sched.ShedError{Reason: sched.ReasonDeadline, RetryAfter: 500 * time.Microsecond}, 429, "1", 0},
+		{&sched.ShedError{Reason: sched.ReasonDeadline, RetryAfter: 1499 * time.Millisecond}, 429, "1", 1499},
+		{&sched.ShedError{Reason: sched.ReasonDeadline, RetryAfter: 2500 * time.Millisecond}, 429, "3", 2500},
+		{sched.ErrDraining, 503, "1", 1000},
+	}
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		s.writeAdmissionError(rec, nil, tc.err)
+		var body ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%v: %v", tc.err, err)
+		}
+		if rec.Code != tc.status || rec.Header().Get("Retry-After") != tc.header || body.Error.RetryAfterMS != tc.ms {
+			t.Errorf("%v: status %d Retry-After %q retry_after_ms %d, want %d %q %d",
+				tc.err, rec.Code, rec.Header().Get("Retry-After"), body.Error.RetryAfterMS, tc.status, tc.header, tc.ms)
+		}
+	}
+}
+
 func TestBatchMixedOutcomes(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := BatchRequest{Programs: []BatchProgram{
@@ -358,23 +406,29 @@ func TestBatchMixedOutcomes(t *testing.T) {
 }
 
 func TestBatchValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatchPrograms: 2})
+	s, ts := newTestServer(t, Config{})
 	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{})
 	body := decodeError(t, resp)
 	if resp.StatusCode != http.StatusBadRequest || body.Kind != "bad-request" {
 		t.Errorf("empty batch: status=%d kind=%q", resp.StatusCode, body.Kind)
 	}
-	resp = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Programs: []BatchProgram{
-		{Source: quickSrc}, {Source: quickSrc}, {Source: quickSrc},
-	}})
+	progs := make([]BatchProgram, maxBatchPrograms+1)
+	for i := range progs {
+		progs[i] = BatchProgram{Source: quickSrc}
+	}
+	resp = postJSON(t, ts.URL+"/v1/batch", BatchRequest{Programs: progs})
 	body = decodeError(t, resp)
 	if resp.StatusCode != http.StatusBadRequest || body.Kind != "bad-request" {
 		t.Errorf("oversized batch: status=%d kind=%q", resp.StatusCode, body.Kind)
 	}
+	// The cap is checked before admission: nothing was compiled.
+	if n := s.metrics.Counter("progcache_misses_total").Value(); n != 0 {
+		t.Errorf("oversized batch reached the compile cache: %d misses", n)
+	}
 }
 
 func TestBreakerTripsReadiness(t *testing.T) {
-	s, ts := newTestServer(t, Config{BreakerThreshold: 2})
+	s, ts := newTestServer(t, Config{})
 	defer faultinject.Disarm()
 
 	ready := func() int {
@@ -389,8 +443,12 @@ func TestBreakerTripsReadiness(t *testing.T) {
 		t.Fatal("fresh server not ready")
 	}
 
-	// Two consecutive injected panics mid-analysis trip the breaker.
-	for i := 0; i < 2; i++ {
+	// breakerThreshold consecutive injected panics mid-analysis trip the
+	// breaker; one fewer leaves readiness alone.
+	for i := 0; i < breakerThreshold; i++ {
+		if i == breakerThreshold-1 && ready() != http.StatusOK {
+			t.Fatalf("breaker tripped after %d quarantines, want %d", i, breakerThreshold)
+		}
 		faultinject.Arm(&faultinject.Plan{Site: faultinject.SiteServerRequest, After: 1, Action: faultinject.Panic})
 		resp := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: quickSrc})
 		body := decodeError(t, resp)

@@ -194,7 +194,7 @@ func (s *Server) streamAnalyze(w http.ResponseWriter, r *http.Request, rt *reqTr
 	}
 	s.metrics.Counter(`server_responses_total{code="200"}`).Inc()
 
-	sw := newStreamWriter(w, sse, s.cfg.TraceEventCap)
+	sw := newStreamWriter(w, sse, obs.DefaultTraceEventCap)
 	if hb := s.cfg.StreamHeartbeat; hb > 0 {
 		defer sw.startHeartbeat(hb)()
 	}

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"determinacy/internal/obs"
 )
 
 // streamLines POSTs an analyze request with ?stream=<mode> and returns the
@@ -134,14 +136,15 @@ func TestStreamAnalyzeErrorTerminal(t *testing.T) {
 }
 
 func TestStreamEventCapDropsNotStalls(t *testing.T) {
-	_, ts := newTestServer(t, Config{TraceEventCap: 8})
+	// slowSrc emits tens of thousands of events, well past the cap.
+	_, ts := newTestServer(t, Config{})
 	recs := streamLines(t, ts.URL+"/v1/analyze?stream=1", AnalyzeRequest{Source: slowSrc})
 	last := recs[len(recs)-1]
 	if last["type"] != "result" || last["result"] == nil {
 		t.Fatalf("terminal record: %v", last)
 	}
-	if len(recs)-1 > 8 {
-		t.Fatalf("stream wrote %d events past the cap of 8", len(recs)-1)
+	if len(recs)-1 > obs.DefaultTraceEventCap {
+		t.Fatalf("stream wrote %d events past the cap of %d", len(recs)-1, obs.DefaultTraceEventCap)
 	}
 	if last["dropped_events"] == nil || last["dropped_events"].(float64) == 0 {
 		t.Fatal("capped stream did not report dropped events")

@@ -118,7 +118,7 @@ func (s *Server) traced(route string, h func(http.ResponseWriter, *http.Request,
 	return func(w http.ResponseWriter, r *http.Request) {
 		rt := &reqTrace{id: requestID(r), route: route, start: time.Now()}
 		if !s.cfg.DisableTracing {
-			rt.tracer = obs.NewRequestTrace(rt.id, s.cfg.TraceEventCap)
+			rt.tracer = obs.NewRequestTrace(rt.id, obs.DefaultTraceEventCap)
 		}
 		w.Header().Set("X-Request-ID", rt.id)
 		sw := &statusWriter{ResponseWriter: w}
@@ -251,16 +251,16 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	if id == "" {
-		s.writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad-request", Message: `missing "id" query parameter`})
+		s.writeErr(w, nil, http.StatusBadRequest, ErrorBody{Kind: "bad-request", Message: `missing "id" query parameter`})
 		return
 	}
 	entry, tr, ok := s.flight.Lookup(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, ErrorBody{Kind: "not-found", Message: "trace " + id + " not in the flight recorder (evicted or never seen)"})
+		s.writeErr(w, nil, http.StatusNotFound, ErrorBody{Kind: "not-found", Message: "trace " + id + " not in the flight recorder (evicted or never seen)"})
 		return
 	}
 	if tr == nil {
-		s.writeError(w, http.StatusNotFound, ErrorBody{Kind: "not-found", Message: "trace " + id + " has no retained events (tracing disabled)"})
+		s.writeErr(w, nil, http.StatusNotFound, ErrorBody{Kind: "not-found", Message: "trace " + id + " has no retained events (tracing disabled)"})
 		return
 	}
 	if r.URL.Query().Get("format") == "chrome" {

@@ -20,13 +20,12 @@ const longSrc = `
 `
 
 func TestDeadlineYieldsPartialResult(t *testing.T) {
-	// A deadline that expires mid-run: the loop takes on the order of a
-	// second, the deadline fires within tens of milliseconds, and the
+	// A context deadline that expires mid-run: the loop takes on the order
+	// of a second, the deadline fires within tens of milliseconds, and the
 	// facts recorded before the stop survive.
-	res, err := determinacy.Analyze(longSrc, determinacy.Options{
-		Out:      io.Discard,
-		Deadline: time.Now().Add(20 * time.Millisecond),
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	res, err := determinacy.AnalyzeContext(ctx, longSrc, determinacy.Options{Out: io.Discard})
 	if err != nil {
 		t.Fatalf("Analyze returned error %v, want a partial result", err)
 	}
@@ -42,15 +41,17 @@ func TestDeadlineYieldsPartialResult(t *testing.T) {
 }
 
 func TestExpiredDeadlineStopsBeforeExecuting(t *testing.T) {
-	res, err := determinacy.Analyze(`var x = 1;`, determinacy.Options{
-		Out:      io.Discard,
-		Deadline: time.Now().Add(-time.Second),
-	})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err := determinacy.AnalyzeContext(ctx, `var x = 1;`, determinacy.Options{Out: io.Discard})
 	if err != nil {
-		t.Fatalf("Analyze returned error %v, want a partial result", err)
+		t.Fatalf("AnalyzeContext returned error %v, want a partial result", err)
 	}
 	if !res.Partial || res.Degraded != determinacy.DegradeDeadline {
 		t.Fatalf("Partial=%v Degraded=%q, want partial/deadline even on a tiny program", res.Partial, res.Degraded)
+	}
+	if !errors.Is(res.Stopped, determinacy.ErrDeadline) || !errors.Is(res.Stopped, context.DeadlineExceeded) {
+		t.Fatalf("Stopped = %v, want ErrDeadline wrapping context.DeadlineExceeded", res.Stopped)
 	}
 }
 
@@ -104,18 +105,40 @@ func TestFlushCapYieldsPartialResult(t *testing.T) {
 }
 
 func TestAnalyzeRunsMergedPartial(t *testing.T) {
-	// All seeds hit the deadline, so every per-seed result is partial and
-	// the merge must say so rather than presenting the union as complete.
+	// All seeds hit the step budget, so every per-seed result is partial
+	// and the merge must say so rather than presenting the union as
+	// complete.
 	res, err := determinacy.AnalyzeRuns(longSrc, determinacy.Options{
 		Out:      io.Discard,
-		Deadline: time.Now().Add(-time.Second),
+		MaxSteps: 5000,
 		Workers:  2,
 	}, 1, 2, 3)
 	if err != nil {
 		t.Fatalf("AnalyzeRuns returned error %v, want merged partial result", err)
 	}
-	if !res.Partial || res.Degraded != determinacy.DegradeDeadline {
-		t.Fatalf("merged Partial=%v Degraded=%q, want partial/deadline", res.Partial, res.Degraded)
+	if !res.Partial || res.Degraded != determinacy.DegradeBudget {
+		t.Fatalf("merged Partial=%v Degraded=%q, want partial/budget", res.Partial, res.Degraded)
+	}
+	if !errors.Is(res.Stopped, determinacy.ErrBudget) {
+		t.Fatalf("merged Stopped = %v, want ErrBudget", res.Stopped)
+	}
+}
+
+func TestAnalyzeRunsExpiredContext(t *testing.T) {
+	// A context that is already past its deadline skips the seeds that
+	// have not started: a skipped seed has no partial store to merge, so
+	// the sweep reports an error wrapping the deadline.
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res, err := determinacy.AnalyzeRunsContext(ctx, longSrc, determinacy.Options{
+		Out:     io.Discard,
+		Workers: 2,
+	}, 1, 2, 3)
+	if err == nil {
+		t.Fatalf("AnalyzeRunsContext = partial=%v degraded=%q, want an error", res.Partial, res.Degraded)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want it to wrap context.DeadlineExceeded", err)
 	}
 }
 
@@ -127,7 +150,7 @@ func TestPointsToContextInterrupted(t *testing.T) {
 	rep, err := determinacy.PointsToContext(ctx, longSrc+`
 		var f = function(){ return f; };
 		var g = f; var h = g; f = h;
-	`, time.Time{}, determinacy.PointsToOptions{})
+	`, determinacy.PointsToOptions{})
 	if err != nil {
 		t.Fatalf("PointsToContext: %v", err)
 	}
