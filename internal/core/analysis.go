@@ -708,8 +708,8 @@ func (a *Analysis) applyLoopTaints(bf *branchFrame) {
 // releaseBranch recycles a popped frame whose journal has been fully
 // consumed (marked, undone, or merged up — merges copy records by value, so
 // reusing the backing array is safe). Only the audited frame-death sites in
-// execIf and counterfactual call it; anywhere else a frame may still be
-// referenced.
+// execIf, counterfactual, cfLoopTail and unwindLoop call it; anywhere else
+// a frame may still be referenced.
 func (a *Analysis) releaseBranch(bf *branchFrame) {
 	bf.journal = bf.journal[:0]
 	clear(bf.seen)
@@ -718,7 +718,7 @@ func (a *Analysis) releaseBranch(bf *branchFrame) {
 }
 
 // popBranch removes the frame; callers then invoke markIndeterminate or
-// undoAndMark on it.
+// undoAndMark on it (unwindLoop pops and marks a loop's frames itself).
 func (a *Analysis) popBranch(bf *branchFrame) {
 	if a.tracer != nil {
 		a.tracer.Event(branchEvent(bf, false, int64(len(a.branches)), int64(a.cfDepth)))
@@ -878,35 +878,110 @@ func (a *Analysis) markIndeterminate(bf *branchFrame) {
 	if a.tracer != nil && len(bf.journal) > 0 {
 		a.tracer.Event(obs.Event{Kind: obs.EvTaint, Phase: "post-branch-mark", N1: int64(len(bf.journal))})
 	}
-	for _, w := range bf.journal {
-		switch w.kind {
-		case wVar:
-			w.env.Slots[w.slot] = w.env.Slots[w.slot].Indet()
-		case wReg:
-			w.regs[w.reg] = w.regs[w.reg].Indet()
-		case wProp:
-			if p, ok := w.obj.props[w.name]; ok {
-				p.val = p.val.Indet()
-				if !w.existed || w.oldProp.phantom || w.oldProp.maybeAbsent {
-					// The property did not determinately exist before the
-					// branch, so executions that skip the branch may lack
-					// it entirely: existence joins to indeterminate along
-					// with the value. (Found by detfuzz: a for-in over the
-					// object otherwise enumerates the key as a determinate
-					// fact that executions skipping the branch violate.)
-					p.maybeAbsent = true
-				}
-				w.obj.props[w.name] = p
-			} else if w.existed {
-				// Deleted during the branch: other executions may still
-				// have it, so it reads as undefined? from here on.
-				a.phantomProp(w.obj, w.name)
-			}
-		case wOpen:
-			// The record really became open; nothing to mark.
-		}
+	for i := range bf.journal {
+		a.markRecord(&bf.journal[i])
 	}
 	a.mergeUp(bf)
+}
+
+// markRecord applies rule ÎF1's post-branch marking to the location one
+// journal record names, judging existence by the record's pre-write state.
+// Marking never removes a property, and marking one that exists only joins
+// flags into it, so marking an existing property again with the same
+// record changes nothing.
+func (a *Analysis) markRecord(w *writeRec) {
+	switch w.kind {
+	case wVar:
+		w.env.Slots[w.slot] = w.env.Slots[w.slot].Indet()
+	case wReg:
+		w.regs[w.reg] = w.regs[w.reg].Indet()
+	case wProp:
+		if p, ok := w.obj.props[w.name]; ok {
+			p.val = p.val.Indet()
+			if !w.existed || w.oldProp.phantom || w.oldProp.maybeAbsent {
+				// The property did not determinately exist before the
+				// branch, so executions that skip the branch may lack it
+				// entirely: existence joins to indeterminate along with
+				// the value. (Found by detfuzz: a for-in over the object
+				// otherwise enumerates the key as a determinate fact that
+				// executions skipping the branch violate.)
+				p.maybeAbsent = true
+			}
+			w.obj.props[w.name] = p
+		} else if w.existed {
+			// Deleted during the branch: other executions may still have
+			// it, so it reads as undefined? from here on.
+			a.phantomProp(w.obj, w.name)
+		}
+	case wOpen:
+		// The record really became open; nothing to mark.
+	}
+}
+
+// unwindLoop pops the continuation frames an indeterminate while loop
+// opened, one per indeterminate-true iteration (frames[0] outermost), and
+// leaves exactly the state, events and enclosing journal that popping each
+// frame through markIndeterminate would. That per-frame cascade merged
+// every frame's journal into the next outer one, so each frame re-marked
+// and re-copied the union of every deeper iteration's writes: quadratic in
+// the iteration count. The unwind is linear instead. Let J_i be frames[i]'s
+// own journal. The cascade marked J_i followed by the first record of each
+// location missing from J_i out of J_{i+1}…J_{n-1}. A location first
+// written in some deeper J_k was marked with that same record at level k
+// and again at level k-1, and nothing has touched it since: the second
+// mark found the property existing, or the record is a no-op on an absent
+// one, so a third mark changes nothing. Level i therefore marks J_i and
+// then only the first record in J_{i+1} of each location J_i does not
+// write. Finally J_0…J_{n-1} merge into the enclosing frame in order, which
+// keeps the first record per location, as the cascade handed it on.
+func (a *Analysis) unwindLoop(frames []*branchFrame) {
+	n := len(frames)
+	// first maps every location of J_i…J_{n-1} to the shallowest level
+	// writing it and the index of its first record there.
+	type firstRec struct{ level, idx int }
+	var first map[locKey]firstRec
+	if n > 1 {
+		first = make(map[locKey]firstRec)
+	}
+	for i := n - 1; i >= 0; i-- {
+		bf := frames[i]
+		a.popBranch(bf)
+		deeper := len(first) // locations of J_{i+1}…J_{n-1}
+		if first != nil {
+			for j := range bf.journal {
+				k := bf.journal[j].loc()
+				if r, ok := first[k]; ok {
+					if r.level == i {
+						continue
+					}
+					deeper--
+				}
+				first[k] = firstRec{i, j}
+			}
+		}
+		if a.tracer != nil && len(bf.journal)+deeper > 0 {
+			// N1 counts the records the cascade marked at this level.
+			a.tracer.Event(obs.Event{Kind: obs.EvTaint, Phase: "post-branch-mark", N1: int64(len(bf.journal) + deeper)})
+		}
+		for j := range bf.journal {
+			a.markRecord(&bf.journal[j])
+		}
+		if i+1 < n {
+			next := frames[i+1].journal
+			for j := range next {
+				if first[next[j].loc()] == (firstRec{i + 1, j}) {
+					a.markRecord(&next[j])
+				}
+			}
+		}
+		a.applyLoopTaints(bf)
+	}
+	for _, bf := range frames {
+		a.mergeUp(bf)
+	}
+	for i := n - 1; i >= 0; i-- {
+		a.releaseBranch(frames[i])
+	}
 }
 
 // undoAndMark implements rule CNTR's post-processing: every write performed
@@ -1000,10 +1075,12 @@ func (a *Analysis) undoOnly(bf *branchFrame) {
 // pre-write state, which is all that undo and marking need (marking acts on
 // the location's current value, undo restores the oldest). Wholesale
 // concatenation made the journal grow with the number of writes rather than
-// the number of locations, and a budget-aborted indeterminate while loop —
-// which pops one nested frame per iteration, each merge feeding the next
-// frame's marking pass — turned that into a quadratic cascade, hanging the
-// analysis long after ErrBudget fired. (Found by detfuzz.)
+// the number of locations (a budget-aborted indeterminate while loop hung
+// the analysis long after ErrBudget fired; found by detfuzz). An
+// indeterminate loop's continuation frames do not merge into one another
+// at all: unwindLoop marks them level by level and merges each frame's own
+// journal straight into the loop's enclosing frame, since merging frame by
+// frame re-copied every deeper iteration's writes into every outer frame.
 func (a *Analysis) mergeUp(bf *branchFrame) {
 	if len(a.branches) == 0 {
 		return

@@ -560,15 +560,11 @@ func (a *Analysis) counterfactual(f *DFrame, b *ir.Block) {
 // followed (recursively, up to the cut-off) by the rest of the loop.
 func (a *Analysis) execWhile(f *DFrame, in *ir.While) outcome {
 	var pushed []*branchFrame
-	// finish pops every ÎF1 frame opened for indeterminate-true iterations.
+	// finish pops and marks every ÎF1 frame opened for indeterminate-true
+	// iterations.
 	finish := func(out outcome) outcome {
 		escaped := out.kind != oNormal && out.kind != oBreak
-		for i := len(pushed) - 1; i >= 0; i-- {
-			a.popBranch(pushed[i])
-			a.markIndeterminate(pushed[i])
-			a.applyLoopTaints(pushed[i])
-			a.releaseBranch(pushed[i])
-		}
+		a.unwindLoop(pushed)
 		if len(pushed) > 0 {
 			if out.kind == oBreak {
 				// The loop exit is itself control-dependent on an

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -88,6 +90,40 @@ func TestIndetLoopBudgetTerminatesPromptly(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Second*raceTimeMul {
 		t.Fatalf("budget-aborted loop took %v to unwind", elapsed)
+	}
+}
+
+// TestIndetLoopUnwindLinearAlloc: a loop under an indeterminate condition
+// that writes a new location every iteration opens one continuation frame
+// per iteration, and unwinding them must cost memory linear in the
+// iterations. Marking each frame and merging its journal into the next
+// outer frame re-copied every deeper iteration's writes into every outer
+// frame, so doubling the iterations quadrupled the bytes allocated.
+func TestIndetLoopUnwindLinearAlloc(t *testing.T) {
+	alloc := func(n int) uint64 {
+		mod := ir.MustCompile("t.js", fmt.Sprintf(`
+			var i = 0;
+			var o = {};
+			while (Math.random() < 2) {
+				i = i + 1;
+				o["k" + i] = i;
+				if (i > %d) break;
+			}
+		`, n))
+		a := core.New(mod, facts.NewStore(), core.Options{MaxFlushes: 1 << 20})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := a.Run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := alloc(1000), alloc(2000)
+	t.Logf("1000 iterations allocated %d bytes, 2000 allocated %d", small, large)
+	if large*2 > small*5 {
+		t.Errorf("2000 iterations allocated %d bytes, 1000 allocated %d: ratio %.2f, want at most 2.5",
+			large, small, float64(large)/float64(small))
 	}
 }
 

@@ -80,7 +80,9 @@ type ErrorBody struct {
 	Phase string `json:"phase,omitempty"`
 	Instr int    `json:"instr,omitempty"`
 	Pos   string `json:"pos,omitempty"`
-	// RetryAfterMS mirrors the Retry-After header on 429/503.
+	// RetryAfterMS is the Retry-After hint on 429/503 in milliseconds,
+	// rounded up (minimum 1); the header carries it rounded up to whole
+	// seconds.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 	// retryAfter is a refusal's own Retry-After guidance (a scheduler
 	// shed's); zero selects the pool-derived estimate. Never on the wire.
@@ -181,9 +183,11 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // writeErr writes a structured error response, first classifying it
 // into the request's flight-recorder entry (rt may be nil). A 429 or 503
 // carries a Retry-After hint: the body's own retryAfter when set (a
-// scheduler shed's guidance), else the pool-derived estimate. The header
-// is whole seconds (minimum 1, per RFC 9110); the body's retry_after_ms
-// carries the precise value.
+// scheduler shed's guidance), else the pool-derived estimate. Both forms
+// round the hint up, so a client that obeys either never comes back
+// early: the header to whole seconds (minimum 1, per RFC 9110), the
+// body's retry_after_ms to whole milliseconds (minimum 1, so the field is
+// always present).
 func (s *Server) writeErr(w http.ResponseWriter, rt *reqTrace, status int, body ErrorBody) {
 	if rt != nil {
 		rt.entry.Status = status
@@ -194,8 +198,8 @@ func (s *Server) writeErr(w http.ResponseWriter, rt *reqTrace, status int, body 
 		if ra <= 0 {
 			ra = s.retryAfter()
 		}
-		body.RetryAfterMS = ra.Milliseconds()
-		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(ra.Seconds()+0.5))))
+		body.RetryAfterMS = max(1, int64((ra+time.Millisecond-1)/time.Millisecond))
+		w.Header().Set("Retry-After", strconv.FormatInt(max(1, int64((ra+time.Second-1)/time.Second)), 10))
 	}
 	s.writeJSON(w, status, ErrorResponse{Error: body})
 }

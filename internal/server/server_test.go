@@ -339,10 +339,10 @@ func TestShedUnderOverload(t *testing.T) {
 }
 
 // TestRetryAfterWriter pins the one error writer's Retry-After forms: a
-// shed carries the scheduler's own guidance (header in whole seconds,
-// at least 1; retry_after_ms truncated, so a sub-millisecond hint is
-// omitted), and any other 429/503 carries the pool-derived estimate,
-// 1 s before a job has run.
+// shed carries the scheduler's own guidance, rounded up (header in whole
+// seconds, retry_after_ms in whole milliseconds, each at least 1, so a
+// sub-millisecond hint still sends the field), and any other 429/503
+// carries the pool-derived estimate, 1 s before a job has run.
 func TestRetryAfterWriter(t *testing.T) {
 	s := New(Config{})
 	cases := []struct {
@@ -351,8 +351,8 @@ func TestRetryAfterWriter(t *testing.T) {
 		header string
 		ms     int64
 	}{
-		{&sched.ShedError{Reason: sched.ReasonDeadline, RetryAfter: 500 * time.Microsecond}, 429, "1", 0},
-		{&sched.ShedError{Reason: sched.ReasonDeadline, RetryAfter: 1499 * time.Millisecond}, 429, "1", 1499},
+		{&sched.ShedError{Reason: sched.ReasonDeadline, RetryAfter: 500 * time.Microsecond}, 429, "1", 1},
+		{&sched.ShedError{Reason: sched.ReasonDeadline, RetryAfter: 1499 * time.Millisecond}, 429, "2", 1499},
 		{&sched.ShedError{Reason: sched.ReasonDeadline, RetryAfter: 2500 * time.Millisecond}, 429, "3", 2500},
 		{sched.ErrDraining, 503, "1", 1000},
 	}

@@ -3,12 +3,14 @@ package determinacy_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"strings"
 	"testing"
 
 	"determinacy"
 	"determinacy/internal/obs"
+	"determinacy/internal/workload"
 )
 
 // TestObsPipelineEvents runs the whole pipeline (parse → lower → exec →
@@ -148,5 +150,38 @@ func TestObsMetricsExport(t *testing.T) {
 		if !strings.Contains(d1, want) {
 			t.Errorf("metrics dump missing %s:\n%s", want, d1)
 		}
+	}
+}
+
+// markTally counts the post-branch-mark taint events of a run and sums
+// their N1 (the number of journal records each ÎF1 marking pass walks).
+type markTally struct{ n, sum int64 }
+
+func (m *markTally) Event(e obs.Event) {
+	if e.Kind == obs.EvTaint && e.Phase == "post-branch-mark" {
+		m.n++
+		m.sum += e.N1
+	}
+}
+
+// TestPostBranchMarkTraceContract pins the post-branch-mark events of the
+// Table 1 jQuery 1.2 spec configuration (DOM, 8 handlers, the paper's
+// 1000-flush cap). Its indeterminate loop opens one continuation frame per
+// iteration; each frame's event reports the records a per-frame marking
+// pass would walk there (its own writes plus every deeper location it has
+// not written), so the event stream stays the same however the frames are
+// unwound. The values were recorded with the per-frame cascade that marked
+// every frame and merged its journal into the next outer frame.
+func TestPostBranchMarkTraceContract(t *testing.T) {
+	var tally markTally
+	_, err := determinacy.Analyze(workload.JQuery(workload.JQ12), determinacy.Options{
+		WithDOM: true, RunHandlers: 8, MaxFlushes: 1000, Out: io.Discard, Tracer: &tally,
+	})
+	if err != nil && !errors.Is(err, determinacy.ErrFlushLimit) {
+		t.Fatal(err)
+	}
+	const wantN, wantSum = 2001, 521494
+	if tally.n != wantN || tally.sum != wantSum {
+		t.Errorf("post-branch-mark events = %d, N1 sum = %d; want %d, %d", tally.n, tally.sum, wantN, wantSum)
 	}
 }
