@@ -51,23 +51,36 @@ func TestAnalyzeErrors(t *testing.T) {
 }
 
 func TestRunMatchesAnalyzeOutput(t *testing.T) {
-	src := `
+	for _, c := range []struct{ src, want string }{
+		{`
 		var parts = [];
 		for (var i = 0; i < 3; i++) parts.push("v" + i);
 		console.log(parts.join(","));
-	`
-	var runOut, anaOut strings.Builder
-	if _, err := determinacy.Run(src, determinacy.Options{Out: &runOut}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := determinacy.Analyze(src, determinacy.Options{Out: &anaOut}); err != nil {
-		t.Fatal(err)
-	}
-	if runOut.String() != anaOut.String() {
-		t.Errorf("instrumentation changed behaviour: %q vs %q", runOut.String(), anaOut.String())
-	}
-	if !strings.Contains(runOut.String(), "v0,v1,v2") {
-		t.Errorf("unexpected output %q", runOut.String())
+	`, "v0,v1,v2\n"},
+		// Phantom properties (deleted under an indeterminate branch, or
+		// created only counterfactually) are concretely absent and must
+		// not show when an object is printed.
+		{`
+		var o = {a: 1, b: 2, c: 3};
+		if (Math.random() < 2) delete o.b;
+		var p = {a: 1};
+		if (Math.random() > 2) p.z = 1;
+		console.log(o, p);
+	`, "{a: 1, c: 3} {a: 1}\n"},
+	} {
+		var runOut, anaOut strings.Builder
+		if _, err := determinacy.Run(c.src, determinacy.Options{Out: &runOut}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := determinacy.Analyze(c.src, determinacy.Options{Out: &anaOut}); err != nil {
+			t.Fatal(err)
+		}
+		if runOut.String() != anaOut.String() {
+			t.Errorf("instrumentation changed behaviour: %q vs %q", runOut.String(), anaOut.String())
+		}
+		if runOut.String() != c.want {
+			t.Errorf("unexpected output %q, want %q", runOut.String(), c.want)
+		}
 	}
 }
 

@@ -611,7 +611,7 @@ type branchFrame struct {
 	// fresh so later merges still deduplicate correctly.
 	seen           map[locKey]bool
 	counterfactual bool
-	// isLoop marks frames opened for a loop continuation under an
+	// isLoop marks the frame a non-reentrant loop opens under an
 	// indeterminate condition (rules ÎF1/CNTR applied to the while
 	// desugaring). Occurrence indices of instructions inside such frames
 	// remain stable — the k-th arrival at a loop-body point is iteration k
@@ -623,10 +623,6 @@ type branchFrame struct {
 	// innermost, so loop frames can taint their occurrence counters once
 	// the loop is over.
 	recorded map[*DFrame]map[ir.ID]bool
-	// indet marks frames created for indeterminate-condition branches; all
-	// current frames of this analysis are indet frames, but the flag keeps
-	// the intent explicit.
-	indet bool
 }
 
 func (a *Analysis) inIndetBranch() bool { return len(a.branches) > 0 }
@@ -656,9 +652,9 @@ func (a *Analysis) pushBranchKind(counterfactual, isLoop bool) *branchFrame {
 	if n := len(a.bfPool); n > 0 {
 		bf = a.bfPool[n-1]
 		a.bfPool = a.bfPool[:n-1]
-		bf.counterfactual, bf.isLoop, bf.indet = counterfactual, isLoop, true
+		bf.counterfactual, bf.isLoop = counterfactual, isLoop
 	} else {
-		bf = &branchFrame{counterfactual: counterfactual, isLoop: isLoop, indet: true}
+		bf = &branchFrame{counterfactual: counterfactual, isLoop: isLoop}
 	}
 	a.branches = append(a.branches, bf)
 	if counterfactual {
@@ -708,7 +704,7 @@ func (a *Analysis) applyLoopTaints(bf *branchFrame) {
 // releaseBranch recycles a popped frame whose journal has been fully
 // consumed (marked, undone, or merged up — merges copy records by value, so
 // reusing the backing array is safe). Only the audited frame-death sites in
-// execIf, counterfactual, cfLoopTail and unwindLoop call it; anywhere else
+// execIf, counterfactual, cfLoopTail and execWhile call it; anywhere else
 // a frame may still be referenced.
 func (a *Analysis) releaseBranch(bf *branchFrame) {
 	bf.journal = bf.journal[:0]
@@ -718,7 +714,7 @@ func (a *Analysis) releaseBranch(bf *branchFrame) {
 }
 
 // popBranch removes the frame; callers then invoke markIndeterminate or
-// undoAndMark on it (unwindLoop pops and marks a loop's frames itself).
+// undoAndMark on it.
 func (a *Analysis) popBranch(bf *branchFrame) {
 	if a.tracer != nil {
 		a.tracer.Event(branchEvent(bf, false, int64(len(a.branches)), int64(a.cfDepth)))
@@ -825,8 +821,8 @@ func (a *Analysis) openRecord(o *DObj, markAbsent bool) {
 		a.journalProp(o, k)
 		p := o.props[k]
 		p.val.Det = false
-		if markAbsent {
-			p.maybeAbsent = true
+		if markAbsent && p.presence == present {
+			p.presence = maybeAbsent
 		}
 		o.props[k] = p
 	}
@@ -844,7 +840,7 @@ func (o *DObj) OwnKeys() []string {
 // snapshot final object state without touching instrumentation.
 func (o *DObj) OwnProp(name string) (Value, bool) {
 	p, ok := o.props[name]
-	if !ok || p.phantom {
+	if !ok || p.presence == phantom {
 		return Value{}, false
 	}
 	return p.val, true
@@ -858,10 +854,10 @@ func (a *Analysis) hasOwnConcrete(o *DObj, name string) (bool, bool) {
 	if !ok {
 		return false, !a.IsOpen(o)
 	}
-	if p.phantom {
+	switch p.presence {
+	case phantom:
 		return false, false
-	}
-	if p.maybeAbsent {
+	case maybeAbsent:
 		return true, false
 	}
 	// On an open record even a present cell may have been deleted by the
@@ -887,8 +883,8 @@ func (a *Analysis) markIndeterminate(bf *branchFrame) {
 // markRecord applies rule ÎF1's post-branch marking to the location one
 // journal record names, judging existence by the record's pre-write state.
 // Marking never removes a property, and marking one that exists only joins
-// flags into it, so marking an existing property again with the same
-// record changes nothing.
+// into it (value to indeterminate, present to maybe-absent; a phantom
+// stays a phantom), so marks commute and repeating one changes nothing.
 func (a *Analysis) markRecord(w *writeRec) {
 	switch w.kind {
 	case wVar:
@@ -898,14 +894,14 @@ func (a *Analysis) markRecord(w *writeRec) {
 	case wProp:
 		if p, ok := w.obj.props[w.name]; ok {
 			p.val = p.val.Indet()
-			if !w.existed || w.oldProp.phantom || w.oldProp.maybeAbsent {
+			if p.presence == present && (!w.existed || w.oldProp.presence != present) {
 				// The property did not determinately exist before the
 				// branch, so executions that skip the branch may lack it
 				// entirely: existence joins to indeterminate along with
 				// the value. (Found by detfuzz: a for-in over the object
 				// otherwise enumerates the key as a determinate fact that
 				// executions skipping the branch violate.)
-				p.maybeAbsent = true
+				p.presence = maybeAbsent
 			}
 			w.obj.props[w.name] = p
 		} else if w.existed {
@@ -915,72 +911,6 @@ func (a *Analysis) markRecord(w *writeRec) {
 		}
 	case wOpen:
 		// The record really became open; nothing to mark.
-	}
-}
-
-// unwindLoop pops the continuation frames an indeterminate while loop
-// opened, one per indeterminate-true iteration (frames[0] outermost), and
-// leaves exactly the state, events and enclosing journal that popping each
-// frame through markIndeterminate would. That per-frame cascade merged
-// every frame's journal into the next outer one, so each frame re-marked
-// and re-copied the union of every deeper iteration's writes: quadratic in
-// the iteration count. The unwind is linear instead. Let J_i be frames[i]'s
-// own journal. The cascade marked J_i followed by the first record of each
-// location missing from J_i out of J_{i+1}…J_{n-1}. A location first
-// written in some deeper J_k was marked with that same record at level k
-// and again at level k-1, and nothing has touched it since: the second
-// mark found the property existing, or the record is a no-op on an absent
-// one, so a third mark changes nothing. Level i therefore marks J_i and
-// then only the first record in J_{i+1} of each location J_i does not
-// write. Finally J_0…J_{n-1} merge into the enclosing frame in order, which
-// keeps the first record per location, as the cascade handed it on.
-func (a *Analysis) unwindLoop(frames []*branchFrame) {
-	n := len(frames)
-	// first maps every location of J_i…J_{n-1} to the shallowest level
-	// writing it and the index of its first record there.
-	type firstRec struct{ level, idx int }
-	var first map[locKey]firstRec
-	if n > 1 {
-		first = make(map[locKey]firstRec)
-	}
-	for i := n - 1; i >= 0; i-- {
-		bf := frames[i]
-		a.popBranch(bf)
-		deeper := len(first) // locations of J_{i+1}…J_{n-1}
-		if first != nil {
-			for j := range bf.journal {
-				k := bf.journal[j].loc()
-				if r, ok := first[k]; ok {
-					if r.level == i {
-						continue
-					}
-					deeper--
-				}
-				first[k] = firstRec{i, j}
-			}
-		}
-		if a.tracer != nil && len(bf.journal)+deeper > 0 {
-			// N1 counts the records the cascade marked at this level.
-			a.tracer.Event(obs.Event{Kind: obs.EvTaint, Phase: "post-branch-mark", N1: int64(len(bf.journal) + deeper)})
-		}
-		for j := range bf.journal {
-			a.markRecord(&bf.journal[j])
-		}
-		if i+1 < n {
-			next := frames[i+1].journal
-			for j := range next {
-				if first[next[j].loc()] == (firstRec{i + 1, j}) {
-					a.markRecord(&next[j])
-				}
-			}
-		}
-		a.applyLoopTaints(bf)
-	}
-	for _, bf := range frames {
-		a.mergeUp(bf)
-	}
-	for i := n - 1; i >= 0; i-- {
-		a.releaseBranch(frames[i])
 	}
 }
 
@@ -1009,7 +939,7 @@ func (a *Analysis) undoAndMark(bf *branchFrame) {
 			cfAbsent = make(map[propKey]bool)
 		}
 		p, ok := w.obj.props[w.name]
-		cfAbsent[propKey{w.obj, w.name}] = !ok || p.phantom
+		cfAbsent[propKey{w.obj, w.name}] = !ok || p.presence == phantom
 	}
 	a.undoJournal(bf)
 	for _, w := range bf.journal {
@@ -1021,8 +951,8 @@ func (a *Analysis) undoAndMark(bf *branchFrame) {
 		case wProp:
 			if p, ok := w.obj.props[w.name]; ok {
 				p.val = p.val.Indet()
-				if cfAbsent[propKey{w.obj, w.name}] {
-					p.maybeAbsent = true
+				if p.presence == present && cfAbsent[propKey{w.obj, w.name}] {
+					p.presence = maybeAbsent
 				}
 				w.obj.props[w.name] = p
 			} else {
@@ -1077,10 +1007,8 @@ func (a *Analysis) undoOnly(bf *branchFrame) {
 // concatenation made the journal grow with the number of writes rather than
 // the number of locations (a budget-aborted indeterminate while loop hung
 // the analysis long after ErrBudget fired; found by detfuzz). An
-// indeterminate loop's continuation frames do not merge into one another
-// at all: unwindLoop marks them level by level and merges each frame's own
-// journal straight into the loop's enclosing frame, since merging frame by
-// frame re-copied every deeper iteration's writes into every outer frame.
+// indeterminate loop has one frame however many iterations run in it (see
+// execWhile), so its journal merges up once, at the loop exit.
 func (a *Analysis) mergeUp(bf *branchFrame) {
 	if len(a.branches) == 0 {
 		return
@@ -1134,7 +1062,7 @@ func (a *Analysis) phantomProp(o *DObj, name string) {
 	if _, exists := o.props[name]; !exists {
 		o.keys = append(o.keys, name)
 	}
-	o.props[name] = dprop{val: Value{Kind: Undefined}, epoch: a.heapEpoch, phantom: true}
+	o.props[name] = dprop{val: Value{Kind: Undefined}, epoch: a.heapEpoch, presence: phantom}
 }
 
 func (a *Analysis) rawDelete(o *DObj, name string) {
@@ -1142,10 +1070,15 @@ func (a *Analysis) rawDelete(o *DObj, name string) {
 		return
 	}
 	delete(o.props, name)
+	o.removeKey(name)
+}
+
+// removeKey drops name from the key order.
+func (o *DObj) removeKey(name string) {
 	for i, k := range o.keys {
 		if k == name {
 			o.keys = append(o.keys[:i], o.keys[i+1:]...)
-			break
+			return
 		}
 	}
 }

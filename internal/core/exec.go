@@ -558,22 +558,34 @@ func (a *Analysis) counterfactual(f *DFrame, b *ir.Block) {
 // puts the entire rest of the loop under one ÎF1 frame, and an
 // indeterminate-false condition counterfactually executes one more body
 // followed (recursively, up to the cut-off) by the rest of the loop.
+//
+// Read literally, each indeterminate-true iteration opens a frame nested in
+// the previous one, and all of them end at the loop exit. One frame, opened
+// at the first such iteration and marked once at the exit, leaves the same
+// state:
+//   - Its journal is the nested frames' journals concatenated, less the
+//     records an inner branch's merge drops because an earlier iteration
+//     already journaled the location. Such a record is never the first for
+//     its location, so the enclosing frame receives the same first record
+//     per location.
+//   - Marks are joins, and the inner branch already applied the dropped
+//     record's marks when it popped.
 func (a *Analysis) execWhile(f *DFrame, in *ir.While) outcome {
-	var pushed []*branchFrame
-	// finish pops and marks every ÎF1 frame opened for indeterminate-true
-	// iterations.
+	var bf *branchFrame // the loop's ÎF1 frame, if one was opened
 	finish := func(out outcome) outcome {
-		escaped := out.kind != oNormal && out.kind != oBreak
-		a.unwindLoop(pushed)
-		if len(pushed) > 0 {
-			if out.kind == oBreak {
+		if bf != nil {
+			a.popBranch(bf)
+			a.markIndeterminate(bf)
+			a.applyLoopTaints(bf)
+			a.releaseBranch(bf)
+			switch out.kind {
+			case oNormal:
+			case oBreak:
 				// The loop exit is itself control-dependent on an
-				// indeterminate condition: other executions may iterate
-				// further.
+				// indeterminate condition: other executions may
+				// iterate further.
 				a.flushAll("indet-loop-escape")
-				return okOut
-			}
-			if escaped {
+			default:
 				return a.escapeIndet(out)
 			}
 		}
@@ -597,17 +609,21 @@ func (a *Analysis) execWhile(f *DFrame, in *ir.While) outcome {
 			case cond.Det && truthy:
 				// fall through to the body
 			case !cond.Det && truthy:
-				// A loop that is itself inside another loop can be
-				// re-entered: its occurrence indices only align across
-				// executions within a single entry, so indeterminate
-				// continuation frames must taint like branch frames there.
-				// A non-reentrant loop's k-th body arrival is iteration k
-				// in every execution, keeping facts like the paper's
-				// 24_0/24_1 determinate.
+				// The first indeterminate-true iteration opens the loop's
+				// frame; later ones run inside it. A loop that is itself
+				// inside another loop can be re-entered: its occurrence
+				// indices only align across executions within a single
+				// entry, so its frame must taint like a branch frame
+				// there. A non-reentrant loop's k-th body arrival is
+				// iteration k in every execution, keeping facts like the
+				// paper's 24_0/24_1 determinate.
+				if bf != nil {
+					break
+				}
 				if a.Mod.IsReentrant(in.ID) {
-					pushed = append(pushed, a.pushBranch(false))
+					bf = a.pushBranch(false)
 				} else {
-					pushed = append(pushed, a.pushLoopBranch(false))
+					bf = a.pushLoopBranch(false)
 				}
 			default: // indeterminate false: counterfactual tail, then exit
 				a.cfLoopTail(f, in)
@@ -766,9 +782,9 @@ func (a *Analysis) enumKeys(o *DObj) ([]string, bool) {
 		}
 		for _, k := range cur.keys {
 			p := cur.props[k]
-			if p.phantom || p.maybeAbsent {
+			if p.presence != present {
 				det = false
-				if p.phantom {
+				if p.presence == phantom {
 					continue
 				}
 			}

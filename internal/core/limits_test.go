@@ -94,11 +94,10 @@ func TestIndetLoopBudgetTerminatesPromptly(t *testing.T) {
 }
 
 // TestIndetLoopUnwindLinearAlloc: a loop under an indeterminate condition
-// that writes a new location every iteration opens one continuation frame
-// per iteration, and unwinding them must cost memory linear in the
-// iterations. Marking each frame and merging its journal into the next
-// outer frame re-copied every deeper iteration's writes into every outer
-// frame, so doubling the iterations quadrupled the bytes allocated.
+// that writes a new location every iteration must cost memory linear in
+// the iterations. Marking its writes must not re-copy earlier iterations'
+// writes once per iteration, which made doubling the iterations quadruple
+// the bytes allocated.
 func TestIndetLoopUnwindLinearAlloc(t *testing.T) {
 	alloc := func(n int) uint64 {
 		mod := ir.MustCompile("t.js", fmt.Sprintf(`

@@ -208,12 +208,11 @@ var models = map[string]nativeFn{
 		var elems []Value
 		for _, k := range v.O.OwnKeys() {
 			p := v.O.props[k]
-			if p.phantom {
+			if p.presence != present {
 				det = false
-				continue
-			}
-			if p.maybeAbsent {
-				det = false
+				if p.presence == phantom {
+					continue
+				}
 			}
 			if v.O.Class == "Array" && k == "length" {
 				continue

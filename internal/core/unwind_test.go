@@ -7,15 +7,12 @@ import (
 	"determinacy/internal/ir"
 )
 
-// TestLoopUnwindPropertyFlags pins the existence flags the loop unwind
-// leaves on properties, which rendered facts cannot show: a phantom reads
-// as concretely absent whatever its maybeAbsent flag says. Popping each
-// continuation frame through markIndeterminate, the next outer frame
-// re-marks the first record of every location it merged from below, so a
-// property created and deleted in the same indeterminate iteration ends as
-// a phantom whose existence is also marked uncertain, while a property
-// that determinately existed before the loop and is deleted in its last
-// iteration ends as a plain phantom. The unwind must leave the same flags.
+// TestLoopUnwindPropertyFlags pins the existence state an indeterminate
+// loop leaves on properties, which rendered facts cannot fully show. A
+// property that determinately existed before the loop and is deleted in
+// its last iteration, and one created and deleted in the same iteration,
+// both end as phantoms: marking a phantom leaves it a phantom. A property
+// rewritten in every iteration stays present with an indeterminate value.
 func TestLoopUnwindPropertyFlags(t *testing.T) {
 	mod := ir.MustCompile("t.js", `
 		var o = {a: 1, b: 2};
@@ -36,21 +33,20 @@ func TestLoopUnwindPropertyFlags(t *testing.T) {
 		t.Fatal("global o missing")
 	}
 	for _, c := range []struct {
-		name                 string
-		phantom, maybeAbsent bool
+		name string
+		want presence
 	}{
-		{"a", true, false},
-		{"b", false, false},
-		{"x", true, true},
+		{"a", phantom},
+		{"b", present},
+		{"x", phantom},
 	} {
 		p, ok := v.O.props[c.name]
 		if !ok {
 			t.Errorf("o.%s: no cell", c.name)
 			continue
 		}
-		if p.phantom != c.phantom || p.maybeAbsent != c.maybeAbsent || p.val.Det {
-			t.Errorf("o.%s: phantom=%v maybeAbsent=%v det=%v; want phantom=%v maybeAbsent=%v det=false",
-				c.name, p.phantom, p.maybeAbsent, p.val.Det, c.phantom, c.maybeAbsent)
+		if p.presence != c.want || p.val.Det {
+			t.Errorf("o.%s: presence=%d det=%v; want presence=%d det=false", c.name, p.presence, p.val.Det, c.want)
 		}
 	}
 }

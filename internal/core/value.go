@@ -90,20 +90,28 @@ func prim(v Value) interp.Value {
 // flush (§4: "every property has a recency annotation, and is only
 // considered determinate if this annotation equals the current epoch").
 type dprop struct {
-	val   Value
-	epoch uint64
-	// phantom marks properties absent in this execution whose existence in
-	// other executions is uncertain: a counterfactually executed branch
-	// created them and was undone. They read as undefined?, make `in` tests
-	// indeterminate, and taint for-in key sets, realizing the paper's
-	// total-function view of records where an undone write leaves
-	// r̂(p) = undefined?.
-	phantom bool
-	// maybeAbsent marks properties present in this execution that other
-	// executions may have deleted (a delete through an indeterminate
-	// property name). They read as v?, and `in` tests are indeterminate.
-	maybeAbsent bool
+	val      Value
+	epoch    uint64
+	presence presence
 }
+
+// presence is a property cell's existence across executions.
+type presence uint8
+
+const (
+	present presence = iota
+	// maybeAbsent: present here, possibly absent in other executions (it
+	// was created under an indeterminate condition, or deleted through an
+	// indeterminate property name). It reads as v?, and `in` tests on it
+	// are indeterminate.
+	maybeAbsent
+	// phantom: absent here, possibly present in other executions (a branch
+	// deleted it, or a counterfactual created it and was undone). It reads
+	// as undefined?, makes `in` tests indeterminate and taints for-in key
+	// sets: the paper's total-function view of records, where an undone
+	// write leaves r̂(p) = undefined?. Marking leaves a phantom a phantom.
+	phantom
+)
 
 // DObj is an instrumented object. Openness follows the paper's open records
 // {x: v̂, ...}: an object is open if it was live across a heap flush or was
@@ -215,7 +223,7 @@ func (a *Analysis) IsOpen(o *DObj) bool {
 
 // propDet reports the effective determinacy of a property cell.
 func (a *Analysis) propDet(p dprop) bool {
-	return p.val.Det && p.epoch >= a.heapEpoch && !p.phantom && !p.maybeAbsent
+	return p.val.Det && p.epoch >= a.heapEpoch && p.presence == present
 }
 
 // getOwn reads an own property; det reflects the cell's effective flag, and
@@ -226,7 +234,7 @@ func (a *Analysis) getOwn(o *DObj, name string) (v Value, exists bool) {
 	if !ok {
 		return Value{}, false
 	}
-	if p.phantom {
+	if p.presence == phantom {
 		return Value{Kind: Undefined, Det: false}, true
 	}
 	v = p.val
@@ -257,7 +265,13 @@ func (a *Analysis) setRawProp(o *DObj, name string, v Value) {
 	if o.props == nil {
 		o.props = make(map[string]dprop)
 	}
-	if _, exists := o.props[name]; !exists {
+	if p, exists := o.props[name]; !exists {
+		o.keys = append(o.keys, name)
+	} else if p.presence == phantom {
+		// A phantom is concretely absent, so this write adds the property:
+		// it joins the end of the key order, as in an uninstrumented run,
+		// instead of taking the slot the phantom held.
+		o.removeKey(name)
 		o.keys = append(o.keys, name)
 	}
 	o.props[name] = dprop{val: v, epoch: a.heapEpoch}
@@ -269,17 +283,11 @@ func (a *Analysis) deleteProp(o *DObj, name string) {
 		return
 	}
 	a.journalProp(o, name)
-	delete(o.props, name)
-	for i, k := range o.keys {
-		if k == name {
-			o.keys = append(o.keys[:i], o.keys[i+1:]...)
-			break
-		}
-	}
+	a.rawDelete(o, name)
 }
 
 func (a *Analysis) arrayLength(o *DObj) int {
-	if p, ok := o.props["length"]; ok && !p.phantom && p.val.Kind == Number {
+	if p, ok := o.props["length"]; ok && p.presence != phantom && p.val.Kind == Number {
 		return int(p.val.N)
 	}
 	return 0
@@ -303,7 +311,7 @@ func (a *Analysis) lookup(o *DObj, name string) (v Value, found bool, pathDet bo
 	pathDet = true
 	for cur := o; cur != nil; cur = cur.Proto {
 		if p, ok := cur.props[name]; ok {
-			if p.phantom {
+			if p.presence == phantom {
 				// Concretely absent here, but possibly present in other
 				// executions: keep walking, with the path tainted.
 				pathDet = false
@@ -329,11 +337,11 @@ func (a *Analysis) has(o *DObj, name string) (bool, bool) {
 	det := true
 	for cur := o; cur != nil; cur = cur.Proto {
 		if p, ok := cur.props[name]; ok {
-			if p.phantom {
+			switch p.presence {
+			case phantom:
 				det = false // concretely absent here; keep walking
 				continue
-			}
-			if p.maybeAbsent {
+			case maybeAbsent:
 				return true, false
 			}
 			return true, det
@@ -485,13 +493,13 @@ func (a *Analysis) ToDisplay(v Value) string {
 	if v.Kind == Object && v.O.Class == "Object" {
 		var b strings.Builder
 		b.WriteString("{")
-		for i, k := range v.O.keys {
-			if i > 0 {
-				b.WriteString(", ")
-			}
+		for _, k := range v.O.keys {
 			p := v.O.props[k]
-			if p.phantom {
+			if p.presence == phantom {
 				continue
+			}
+			if b.Len() > 1 {
+				b.WriteString(", ")
 			}
 			b.WriteString(k)
 			b.WriteString(": ")

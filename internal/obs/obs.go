@@ -38,7 +38,7 @@ const (
 	EvEnvFlush
 	// EvBranchEnter/EvBranchExit bracket execution under an
 	// indeterminate-condition branch frame; N1 is the branch-stack depth,
-	// Detail is "loop" for loop-continuation frames (stable occurrence
+	// Detail is "loop" for the frame of a non-reentrant loop (stable occurrence
 	// numbering) and empty otherwise.
 	EvBranchEnter
 	EvBranchExit
