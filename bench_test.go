@@ -447,6 +447,23 @@ func BenchmarkPointsToBaselineJQ10(b *testing.B) {
 	b.ReportMetric(float64(work), "propagations")
 }
 
+// BenchmarkPointsToCapped is the solve each Table 1 baseline cell pays: the
+// unspecialized library at the Table 1 budget of 60,000 propagations, which
+// jQuery 1.0, 1.1 and 1.3 exhaust and 1.2 does not.
+func BenchmarkPointsToCapped(b *testing.B) {
+	for _, v := range workload.JQueryVersions {
+		b.Run("jQuery"+string(v), func(b *testing.B) {
+			mod := ir.MustCompile("jquery.js", workload.JQuery(v))
+			b.ReportAllocs()
+			var work int
+			for i := 0; i < b.N; i++ {
+				work = pointsto.Analyze(mod, pointsto.Options{Budget: 60_000}).Propagations
+			}
+			b.ReportMetric(float64(work), "propagations")
+		})
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Guard overhead. The interrupt checkpoints and panic boundary are always
 // on; BenchmarkTable1JQuery10 above is therefore already the "idle guard"

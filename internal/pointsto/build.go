@@ -23,7 +23,7 @@ func (a *analysis) setupBuiltins() {
 	}
 	native := func(owner ObjID, name string, sum interp.Summary) ObjID {
 		o := a.newObject(&Object{Kind: KNative, Name: name, sum: sum})
-		a.addObj(a.fieldNode(owner, name), o)
+		a.addObj(a.namedField(owner, name), o)
 		return o
 	}
 
@@ -51,14 +51,14 @@ func (a *analysis) setupBuiltins() {
 			}
 		case ref >= 0:
 			o = slots[ref]
-			a.addObj(a.fieldNode(slots[owner], b.Name), o)
+			a.addObj(a.namedField(slots[owner], b.Name), o)
 			if b.Name == "prototype" {
-				a.addObj(a.fieldNode(o, "constructor"), slots[owner])
+				a.addObj(a.namedField(o, "constructor"), slots[owner])
 				a.ctorProto[slots[owner]] = o
 			}
 		case b.Ref != "":
 			o = special(capitalize(b.Name) + "NS")
-			a.addObj(a.fieldNode(slots[owner], b.Name), o)
+			a.addObj(a.namedField(slots[owner], b.Name), o)
 		default:
 			continue // a primitive data property
 		}
@@ -71,7 +71,7 @@ func (a *analysis) setupBuiltins() {
 	a.domElement, a.domNodeList, a.domEvent = special("DOMElement"), special("DOMNodeList"), special("DOMEvent")
 	a.addObj(a.protoNode(a.domNodeList), a.arrayProto)
 	a.addObj(a.wildNode(a.domNodeList), a.domElement)
-	a.addObj(a.fieldNode(a.domEvent, "target"), a.domElement)
+	a.addObj(a.namedField(a.domEvent, "target"), a.domElement)
 	owners := map[string]ObjID{"": a.domElement}
 	dom.StaticOps(func(global, name string, method bool, sum interp.Summary) {
 		owner, ok := owners[global]
@@ -83,15 +83,15 @@ func (a *analysis) setupBuiltins() {
 				owner = special(capitalize(global))
 			}
 			owners[global] = owner
-			a.addObj(a.fieldNode(a.globalObj, global), owner)
+			a.addObj(a.namedField(a.globalObj, global), owner)
 		}
 		switch {
 		case method:
 			native(owner, name, sum)
 		case sum == interp.ReturnsElement:
-			a.addObj(a.fieldNode(owner, name), a.domElement)
+			a.addObj(a.namedField(owner, name), a.domElement)
 		case sum == interp.ReturnsNodeList:
-			a.addObj(a.fieldNode(owner, name), a.domNodeList)
+			a.addObj(a.namedField(owner, name), a.domNodeList)
 		}
 	})
 }
@@ -151,9 +151,9 @@ func (a *analysis) instr(fn *ir.Function, in ir.Instr) {
 		df := defFn(fn, in.Var.Hops)
 		a.addCopy(a.regNode(fn, in.Src), a.varNode(df, in.Var.Slot))
 	case *ir.LoadGlobal:
-		a.addCopy(a.fieldNode(a.globalObj, in.Name), a.regNode(fn, in.Dst))
+		a.addCopy(a.namedField(a.globalObj, in.Name), a.regNode(fn, in.Dst))
 	case *ir.StoreGlobal:
-		a.addCopy(a.regNode(fn, in.Src), a.fieldNode(a.globalObj, in.Name))
+		a.addCopy(a.regNode(fn, in.Src), a.namedField(a.globalObj, in.Name))
 	case *ir.MakeClosure:
 		fo := a.funcObject(in.ID, in.Fn)
 		a.addObj(a.regNode(fn, in.Dst), fo)
@@ -161,47 +161,33 @@ func (a *analysis) instr(fn *ir.Function, in ir.Instr) {
 		o := a.allocObject(in.ID, "Object")
 		a.addObj(a.protoNode(o), a.objectProto)
 		for _, p := range in.Props {
-			a.addCopy(a.regNode(fn, p.Val), a.fieldNode(o, p.Key))
+			a.addCopy(a.regNode(fn, p.Val), a.namedField(o, p.Key))
 		}
 		a.addObj(a.regNode(fn, in.Dst), o)
 	case *ir.MakeArray:
 		o := a.allocObject(in.ID, "Array")
 		a.addObj(a.protoNode(o), a.arrayProto)
 		for i, e := range in.Elems {
-			a.addCopy(a.regNode(fn, e), a.fieldNode(o, strconv.Itoa(i)))
+			a.addCopy(a.regNode(fn, e), a.namedField(o, strconv.Itoa(i)))
 		}
 		a.addObj(a.regNode(fn, in.Dst), o)
 	case *ir.GetField:
-		a.addConstraint(a.regNode(fn, in.Obj),
-			&loadC{field: in.Name, dst: a.regNode(fn, in.Dst)})
+		a.addLoad(a.regNode(fn, in.Obj), a.fieldID(in.Name), a.regNode(fn, in.Dst))
 	case *ir.GetProp:
-		if s := a.regStr[regKey{fn.Index, in.Prop}]; s != nil {
-			a.addConstraint(a.regNode(fn, in.Obj),
-				&loadC{field: *s, dst: a.regNode(fn, in.Dst)})
-		} else {
-			a.addConstraint(a.regNode(fn, in.Obj),
-				&loadC{wild: true, dst: a.regNode(fn, in.Dst)})
-		}
+		a.addLoad(a.regNode(fn, in.Obj), a.propField(fn, in.Prop), a.regNode(fn, in.Dst))
 	case *ir.SetField:
-		a.addConstraint(a.regNode(fn, in.Obj),
-			&storeC{field: in.Name, src: a.regNode(fn, in.Src)})
+		a.addStore(a.regNode(fn, in.Obj), a.fieldID(in.Name), a.regNode(fn, in.Src))
 	case *ir.SetProp:
-		if s := a.regStr[regKey{fn.Index, in.Prop}]; s != nil {
-			a.addConstraint(a.regNode(fn, in.Obj),
-				&storeC{field: *s, src: a.regNode(fn, in.Src)})
-		} else {
-			a.addConstraint(a.regNode(fn, in.Obj),
-				&storeC{wild: true, src: a.regNode(fn, in.Src)})
-		}
+		a.addStore(a.regNode(fn, in.Obj), a.propField(fn, in.Prop), a.regNode(fn, in.Src))
 	case *ir.BinOp, *ir.UnOp, *ir.DelField, *ir.DelProp:
 		// No pointer flow; results are primitives.
 	case *ir.Call:
-		ci := &callInfo{site: in.ID, fn: fn, args: in.Args, this: in.This, dst: in.Dst, resolved: map[ObjID]bool{}}
-		a.callSites[in.ID] = ci
+		ci := &callInfo{site: in.ID, fn: fn, args: in.Args, this: in.This, dst: in.Dst}
+		a.callSites = append(a.callSites, ci)
 		a.addConstraint(a.regNode(fn, in.Fn), &callC{ci: ci})
 	case *ir.New:
-		ci := &callInfo{site: in.ID, fn: fn, args: in.Args, this: ir.NoReg, dst: in.Dst, isNew: true, resolved: map[ObjID]bool{}}
-		a.callSites[in.ID] = ci
+		ci := &callInfo{site: in.ID, fn: fn, args: in.Args, this: ir.NoReg, dst: in.Dst, isNew: true}
+		a.callSites = append(a.callSites, ci)
 		a.addConstraint(a.regNode(fn, in.Fn), &callC{ci: ci})
 	case *ir.Return:
 		if in.Src != ir.NoReg {
@@ -222,7 +208,7 @@ func (a *analysis) instr(fn *ir.Function, in ir.Instr) {
 		a.block(fn, in.Body)
 		if in.HasCatch {
 			if in.GlobalCatch != "" {
-				a.addCopy(a.thrownNode(), a.fieldNode(a.globalObj, in.GlobalCatch))
+				a.addCopy(a.thrownNode(), a.namedField(a.globalObj, in.GlobalCatch))
 			} else {
 				df := defFn(fn, in.CatchVar.Hops)
 				a.addCopy(a.thrownNode(), a.varNode(df, in.CatchVar.Slot))
@@ -231,6 +217,15 @@ func (a *analysis) instr(fn *ir.Function, in ir.Instr) {
 		a.block(fn, in.Catch)
 		a.block(fn, in.Finally)
 	}
+}
+
+// propField is the field a computed property access reads or writes: the
+// register's constant string when it holds one, the wildcard otherwise.
+func (a *analysis) propField(fn *ir.Function, prop ir.Reg) int {
+	if s := a.regStr[regKey{fn.Index, prop}]; s != nil {
+		return a.fieldID(*s)
+	}
+	return wildcard
 }
 
 // seen reports whether a register already had a string constant recorded
@@ -253,15 +248,11 @@ func joinStr(old, new *string, hadOld bool) *string {
 	return nil
 }
 
-var thrownNodeKey = -1
-
 func (a *analysis) thrownNode() int {
-	n, ok := a.retNodes[thrownNodeKey]
-	if !ok {
-		n = a.newNode()
-		a.retNodes[thrownNodeKey] = n
+	if a.thrown < 0 {
+		a.thrown = a.newNode()
 	}
-	return n
+	return a.thrown
 }
 
 // funcObject materializes the function object and its .prototype object for
@@ -275,8 +266,8 @@ func (a *analysis) funcObject(site ir.ID, fn *ir.Function) ObjID {
 	a.addObj(a.protoNode(fo), a.functionProto)
 	po := a.newObject(&Object{Kind: KProto, Site: site, Name: fn.Name + ".prototype"})
 	a.addObj(a.protoNode(po), a.objectProto)
-	a.addObj(a.fieldNode(fo, "prototype"), po)
-	a.addObj(a.fieldNode(po, "constructor"), fo)
+	a.addObj(a.namedField(fo, "prototype"), po)
+	a.addObj(a.namedField(po, "constructor"), fo)
 	return fo
 }
 
@@ -292,48 +283,43 @@ func (a *analysis) allocObject(site ir.ID, class string) ObjID {
 // ---------------------------------------------------------------------------
 // Constraints
 
-// loadC is dst ⊇ o.field (or all fields when wild), following prototype
-// chains.
+// loadC is dst ⊇ o.field (or all fields for the wildcard), following
+// prototype chains.
 type loadC struct {
-	field string
-	wild  bool
+	field int // interned, or wildcard
 	dst   int
 }
 
-// ckey dedups identical loads attached to the same node (the recursive
-// prototype attachment re-derives them constantly).
-func (c *loadC) ckey() constrKey {
-	return constrKey{kind: 'l', wild: c.wild, field: c.field, node: c.dst}
-}
-
 func (c *loadC) apply(a *analysis, o ObjID) {
-	if c.wild {
-		for _, fnode := range a.fieldsOf[o] {
-			a.addCopy(fnode, c.dst)
+	if c.field == wildcard {
+		// A wildcard load into dst reaches o once. Its first arrival adds
+		// every edge below, and fieldNode adds those of later fields, so a
+		// repeat arrival (the same load attached at several nodes holding
+		// o) has nothing left to do.
+		if !a.objNodes[o].wildLoads.add(c.dst, len(a.nodes)) {
+			return
 		}
-		a.wildLoads[o] = append(a.wildLoads[o], c.dst)
+		for _, f := range a.objNodes[o].fields {
+			a.addCopy(int(f.node), c.dst)
+		}
 	} else {
 		a.addCopy(a.fieldNode(o, c.field), c.dst)
 	}
 	a.addCopy(a.wildNode(o), c.dst)
 	// Follow the prototype chain: the same load applies to every prototype
 	// this object may have.
-	a.addLoad(a.protoNode(o), c.field, c.wild, c.dst)
+	a.addLoad(a.protoNode(o), c.field, c.dst)
 }
 
-// storeC is o.field ⊇ src (or the wildcard when wild).
+// storeC is o.field ⊇ src (or the object's wildcard node for the
+// wildcard).
 type storeC struct {
-	field string
-	wild  bool
+	field int // interned, or wildcard
 	src   int
 }
 
-func (c *storeC) ckey() constrKey {
-	return constrKey{kind: 's', wild: c.wild, field: c.field, node: c.src}
-}
-
 func (c *storeC) apply(a *analysis, o ObjID) {
-	if c.wild {
+	if c.field == wildcard {
 		a.addCopy(c.src, a.wildNode(o))
 		return
 	}
@@ -347,17 +333,16 @@ type callC struct {
 
 func (c *callC) apply(a *analysis, o ObjID) {
 	ci := c.ci
-	if ci.resolved[o] {
-		return
-	}
 	obj := a.objs[o]
 	switch obj.Kind {
 	case KFunc:
-		ci.resolved[o] = true
-		a.wireCall(ci, o, obj.Fn)
+		if ci.resolved.add(int(o)) {
+			a.wireCall(ci, o, obj.Fn)
+		}
 	case KNative:
-		ci.resolved[o] = true
-		a.wireNative(ci, obj)
+		if ci.resolved.add(int(o)) {
+			a.wireNative(ci, obj)
+		}
 	default:
 		// Calling a non-function: no call edge (a runtime TypeError).
 	}
@@ -381,7 +366,7 @@ func (a *analysis) wireCall(ci *callInfo, funcObj ObjID, callee *ir.Function) {
 		// prototypes, becomes the receiver, and flows to the result
 		// (together with any returned objects, per JS semantics).
 		site := a.allocObject(ci.site, "New")
-		a.addCopy(a.fieldNode(funcObj, "prototype"), a.protoNode(site))
+		a.addCopy(a.namedField(funcObj, "prototype"), a.protoNode(site))
 		if callee.ThisSlot >= 0 {
 			a.addObj(a.varNode(callee, callee.ThisSlot), site)
 		}
@@ -442,12 +427,12 @@ func (a *analysis) wireNative(ci *callInfo, obj *Object) {
 	case interp.StoresArgs:
 		if ci.this != ir.NoReg {
 			for _, arg := range ci.args {
-				a.addConstraint(a.regNode(ci.fn, ci.this), &storeC{wild: true, src: a.regNode(ci.fn, arg)})
+				a.addStore(a.regNode(ci.fn, ci.this), wildcard, a.regNode(ci.fn, arg))
 			}
 		}
 	case interp.LoadsElement:
 		if ci.this != ir.NoReg {
-			a.addConstraint(a.regNode(ci.fn, ci.this), &loadC{wild: true, dst: a.regNode(ci.fn, ci.dst)})
+			a.addLoad(a.regNode(ci.fn, ci.this), wildcard, a.regNode(ci.fn, ci.dst))
 		}
 	case interp.CallsBack:
 		if ci.this != ir.NoReg && len(ci.args) > 0 {
@@ -475,7 +460,7 @@ func (a *analysis) wireNative(ci *callInfo, obj *Object) {
 // derived is a call a native makes at ci's site, with no receiver or
 // arguments until the caller sets them.
 func (ci *callInfo) derived() *callInfo {
-	return &callInfo{site: ci.site, fn: ci.fn, dst: ci.dst, this: ir.NoReg, resolved: map[ObjID]bool{}}
+	return &callInfo{site: ci.site, fn: ci.fn, dst: ci.dst, this: ir.NoReg}
 }
 
 func argReg(ci *callInfo, i int) int {
@@ -500,17 +485,16 @@ func (c *applyC) apply(a *analysis, o ObjID) {
 		}
 		return
 	}
-	if c.ci.resolved[o] {
+	if !c.ci.resolved.add(int(o)) {
 		return
 	}
-	c.ci.resolved[o] = true
 	callee := obj.Fn
 	a.processFunction(callee)
 	if c.arr >= 0 {
 		// Every element of the array may flow to every parameter.
 		for i := range callee.Params {
 			slot := paramSlotIdx(callee, i)
-			a.addConstraint(a.regNode(c.ci.fn, ir.Reg(c.arr)), &loadC{wild: true, dst: a.varNode(callee, slot)})
+			a.addLoad(a.regNode(c.ci.fn, ir.Reg(c.arr)), wildcard, a.varNode(callee, slot))
 		}
 	}
 	if callee.ThisSlot >= 0 && c.ci.this != ir.NoReg {
@@ -533,7 +517,7 @@ func (c *callbackC) apply(a *analysis, o ObjID) {
 	a.processFunction(callee)
 	if len(callee.Params) > 0 {
 		slot := paramSlotIdx(callee, 0)
-		a.addConstraint(c.elems, &loadC{wild: true, dst: a.varNode(callee, slot)})
+		a.addLoad(c.elems, wildcard, a.varNode(callee, slot))
 	}
 	if callee.ThisSlot >= 0 {
 		a.addObj(a.varNode(callee, callee.ThisSlot), a.globalObj)
@@ -550,10 +534,9 @@ func (c *eventHandlerC) apply(a *analysis, o ObjID) {
 	if obj.Kind != KFunc {
 		return
 	}
-	if c.ci.resolved[o] {
+	if !c.ci.resolved.add(int(o)) {
 		return
 	}
-	c.ci.resolved[o] = true
 	callee := obj.Fn
 	a.processFunction(callee)
 	if len(callee.Params) > 0 {

@@ -48,7 +48,8 @@ func TestModelCoversBuiltins(t *testing.T) {
 		for _, f := range strings.Split(path, ".") {
 			var next []ObjID
 			for _, x := range objs {
-				if n, ok := a.fieldsOf[x][f]; ok {
+				id, known := a.fieldIDs[f]
+				if n, ok := a.fieldNodes[fieldKey{int32(x), int32(id)}]; known && ok {
 					a.nodes[n].pts.forEach(func(y ObjID) { next = append(next, y) })
 				}
 			}
@@ -128,6 +129,7 @@ type edge struct {
 // sorted by label. paths holds the first path of every object seen so far,
 // including each edge's target.
 func walkGlobals(a *analysis, visit func(path string, o ObjID, edges []edge, paths map[ObjID]string)) {
+	names := fieldNames(a)
 	edgesOf := func(o ObjID) []edge {
 		var out []edge
 		add := func(label string, n int, ok bool) {
@@ -141,13 +143,12 @@ func walkGlobals(a *analysis, visit func(path string, o ObjID, edges []edge, pat
 				out = append(out, edge{label, to})
 			}
 		}
-		for f, n := range a.fieldsOf[o] {
-			add("."+f, n, true)
+		for _, f := range a.objNodes[o].fields {
+			add("."+names[f.name], int(f.node), true)
 		}
-		n, ok := a.protoNodes[o]
-		add(".<proto>", n, ok)
-		n, ok = a.wildNodes[o]
-		add("[*]", n, ok)
+		on := a.objNodes[o]
+		add(".<proto>", int(on.proto), on.proto >= 0)
+		add("[*]", int(on.wild), on.wild >= 0)
 		sort.SliceStable(out, func(i, j int) bool { return out[i].label < out[j].label })
 		return out
 	}
@@ -166,6 +167,15 @@ func walkGlobals(a *analysis, visit func(path string, o ObjID, edges []edge, pat
 		}
 		visit(paths[o], o, edges, paths)
 	}
+}
+
+// fieldNames lists the interned property names by ID.
+func fieldNames(a *analysis) []string {
+	names := make([]string, len(a.fieldIDs))
+	for name, id := range a.fieldIDs {
+		names[id] = name
+	}
+	return names
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {

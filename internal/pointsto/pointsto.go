@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"determinacy/internal/guard"
@@ -98,7 +99,8 @@ const interruptEvery = 2048
 
 // Result carries the analysis outputs.
 type Result struct {
-	// Callees maps call-site instruction IDs to possible callees.
+	// Callees maps call-site instruction IDs to possible callees, in
+	// ascending ObjID order.
 	Callees map[ir.ID][]*Object
 	// BudgetExceeded reports that solving stopped early (the "✗" rows of
 	// Table 1).
@@ -117,7 +119,8 @@ type Result struct {
 	// ReachableFuncs counts user functions that became reachable.
 	ReachableFuncs int
 	// EvalSites lists call sites whose only resolved callee is the eval
-	// native: code the static analysis cannot see.
+	// native: code the static analysis cannot see. Sites are in ascending
+	// order.
 	EvalSites []ir.ID
 	// WorklistHWM is the worklist's high-water mark, a measure of how
 	// bursty propagation was (sharding/batching candidates watch this).
@@ -137,7 +140,7 @@ func (r *Result) PointsToVar(fn *ir.Function, slot int) []*Object {
 
 // PointsToGlobal returns the abstract objects a global may hold.
 func (r *Result) PointsToGlobal(name string) []*Object {
-	n := r.an.fieldNode(r.an.globalObj, name)
+	n := r.an.namedField(r.an.globalObj, name)
 	return r.an.objsOf(n)
 }
 
@@ -146,13 +149,15 @@ func (r *Result) CalleesAt(site ir.ID) []*Object { return r.Callees[site] }
 
 // ---------------------------------------------------------------------------
 
-// bitset is a simple growable bitset over ObjIDs.
+// bitset is a growable set of small non-negative integers: the objects of
+// a points-to set or the callees a call site resolved, by ObjID, and the
+// targets of a node's copy edges, by node ID.
 type bitset []uint64
 
-func (b *bitset) add(i ObjID) bool {
-	w, m := int(i)/64, uint64(1)<<(uint(i)%64)
-	for len(*b) <= w {
-		*b = append(*b, 0)
+func (b *bitset) add(i int) bool {
+	w, m := i/64, uint64(1)<<(uint(i)%64)
+	if w >= len(*b) {
+		*b = append(*b, make([]uint64, w+1-len(*b))...)
 	}
 	if (*b)[w]&m != 0 {
 		return false
@@ -161,23 +166,50 @@ func (b *bitset) add(i ObjID) bool {
 	return true
 }
 
-func (b bitset) has(i ObjID) bool {
-	w, m := int(i)/64, uint64(1)<<(uint(i)%64)
-	return w < len(b) && b[w]&m != 0
-}
-
 func (b bitset) forEach(f func(ObjID)) {
 	for w, word := range b {
 		for word != 0 {
-			bit := word & -word
-			idx := ObjID(w*64 + trailingZeros(bit))
-			f(idx)
-			word &^= bit
+			f(ObjID(w*64 + bits.TrailingZeros64(word)))
+			word &= word - 1
 		}
 	}
 }
 
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
+// scanMax is the length up to which a nodeList finds duplicates by
+// scanning; a longer list keeps a node-ID bitset beside it.
+const scanMax = 64
+
+// nodeList is an insertion-ordered list of distinct node IDs.
+type nodeList struct {
+	ids  []int32
+	seen *bitset // ids as a set, once there are more than scanMax
+}
+
+// add appends n unless the list holds it already. numNodes sizes the set
+// when the list outgrows a scan.
+func (l *nodeList) add(n, numNodes int) bool {
+	if l.seen != nil {
+		if !l.seen.add(n) {
+			return false
+		}
+	} else {
+		for _, id := range l.ids {
+			if int(id) == n {
+				return false
+			}
+		}
+		if len(l.ids) == scanMax {
+			seen := make(bitset, numNodes/64+1)
+			for _, id := range l.ids {
+				seen.add(int(id))
+			}
+			seen.add(n)
+			l.seen = &seen
+		}
+	}
+	l.ids = append(l.ids, int32(n))
+	return true
+}
 
 // constraint reacts to new objects arriving at a node.
 type constraint interface {
@@ -185,30 +217,44 @@ type constraint interface {
 }
 
 type node struct {
-	pts         bitset
+	pts bitset
+	// delta holds the objects added to pts since the node was last
+	// processed, in the order they arrived.
 	delta       []ObjID
-	copies      []int
-	copySet     map[int]bool
+	copies      nodeList
 	constraints []constraint
 	constrKeys  map[constrKey]bool
 	inWorklist  bool
 }
 
-// constrKey identifies a deduplicatable constraint as a comparable value,
-// so attaching one costs a struct map probe instead of rendering a string:
-// kind distinguishes loads from stores, wild/field mirror the selector, and
-// node is the constraint's dst (loads) or src (stores) endpoint.
+// wildcard is the field of a load or store whose property name is unknown:
+// it reads every field of the object, or writes its wildcard node.
+const wildcard = -1
+
+// constrKey identifies a load or store at a node in eight bytes, so
+// deduplicating one costs a probe of a map with word-sized keys: field is
+// the interned property name (or wildcard), and node the constraint's
+// other endpoint: the dst of a load, or ^src, always negative, of a store.
 type constrKey struct {
-	kind  uint8 // 'l' for loads, 's' for stores
-	wild  bool
-	field string
-	node  int
+	field int32
+	node  int32
 }
 
-// keyedConstraint marks constraints that participate in deduplication.
-type keyedConstraint interface {
-	constraint
-	ckey() constrKey
+// objNodes holds the nodes hung off one abstract object.
+type objNodes struct {
+	// proto and wild are the object's prototype and wildcard nodes, -1
+	// until first asked for.
+	proto, wild int32
+	// fields are the named fields in the order they were created.
+	fields []objField
+	// wildLoads are the destinations of the wildcard loads that reached
+	// the object; a field created later is copied to each of them.
+	wildLoads nodeList
+}
+
+type objField struct {
+	name int32 // interned
+	node int32
 }
 
 // analysis is the solver state.
@@ -222,18 +268,16 @@ type analysis struct {
 	varNodes   map[varKey]int
 	regNodes   map[regKey]int
 	fieldNodes map[fieldKey]int
-	protoNodes map[ObjID]int
-	wildNodes  map[ObjID]int
-	retNodes   map[int]int // function index -> return node
+	// objNodes is indexed by ObjID; retNodes by function index, -1 until
+	// first asked for.
+	objNodes []objNodes
+	retNodes []int
+	thrown   int
+	fieldIDs map[string]int // interned property names, numbered from 0
 
-	// fieldsOf tracks the named fields materialized per object, and
-	// wildcard-load subscribers to notify when new fields appear.
-	fieldsOf  map[ObjID]map[string]int
-	wildLoads map[ObjID][]int
-
-	// processed marks functions whose bodies have been translated to
-	// constraints (reachability).
-	processed map[int]bool
+	// processed marks, by function index, the functions whose bodies have
+	// been translated to constraints (reachability).
+	processed []bool
 
 	// regStr tracks registers holding known constant strings (same-function
 	// constant propagation only, as in typical baselines).
@@ -244,7 +288,7 @@ type analysis struct {
 	funcObjOf  map[ir.ID]ObjID
 	allocObjOf map[ir.ID]ObjID
 
-	callSites map[ir.ID]*callInfo
+	callSites []*callInfo
 
 	// The builtin objects the constraints refer to, and each modeled
 	// constructor's .prototype.
@@ -272,8 +316,8 @@ type regKey struct {
 }
 
 type fieldKey struct {
-	obj   ObjID
-	field string
+	obj   int32 // ObjID
+	field int32
 }
 
 type callInfo struct {
@@ -283,7 +327,7 @@ type callInfo struct {
 	this     ir.Reg
 	dst      ir.Reg
 	isNew    bool
-	resolved map[ObjID]bool
+	resolved bitset // callee ObjIDs wired so far
 }
 
 // AnalyzeGuarded is Analyze behind a guard panic boundary: a solver panic
@@ -300,24 +344,25 @@ func Analyze(mod *ir.Module, opts Options) *Result {
 	if opts.Budget == 0 {
 		opts.Budget = 5_000_000
 	}
+	numFuncs := len(mod.Funcs())
 	a := &analysis{
 		mod:        mod,
 		opts:       opts,
 		varNodes:   map[varKey]int{},
 		regNodes:   map[regKey]int{},
 		fieldNodes: map[fieldKey]int{},
-		protoNodes: map[ObjID]int{},
-		wildNodes:  map[ObjID]int{},
-		retNodes:   map[int]int{},
-		fieldsOf:   map[ObjID]map[string]int{},
-		wildLoads:  map[ObjID][]int{},
-		processed:  map[int]bool{},
+		retNodes:   make([]int, numFuncs),
+		thrown:     -1,
+		fieldIDs:   map[string]int{},
+		processed:  make([]bool, numFuncs),
 		regStr:     map[regKey]*string{},
 		funcObjOf:  map[ir.ID]ObjID{},
 		allocObjOf: map[ir.ID]ObjID{},
-		callSites:  map[ir.ID]*callInfo{},
 		ctorProto:  map[ObjID]ObjID{},
 		tracer:     opts.Tracer,
+	}
+	for i := range a.retNodes {
+		a.retNodes[i] = -1
 	}
 	start := time.Now()
 	done := obs.PhaseScope(a.tracer, "solve")
@@ -338,23 +383,27 @@ func Analyze(mod *ir.Module, opts Options) *Result {
 		Duration:       time.Since(start),
 		an:             a,
 	}
-	for fi := range a.processed {
-		if fi >= 0 {
+	for _, p := range a.processed {
+		if p {
 			res.ReachableFuncs++
 		}
 	}
-	for site, ci := range a.callSites {
-		onlyEval := len(ci.resolved) > 0
-		for o := range ci.resolved {
-			res.Callees[site] = append(res.Callees[site], a.objs[o])
-			if o != a.evalObj {
-				onlyEval = false
-			}
+	for _, ci := range a.callSites {
+		var callees []*Object
+		onlyEval := true
+		ci.resolved.forEach(func(o ObjID) {
+			callees = append(callees, a.objs[o])
+			onlyEval = onlyEval && o == a.evalObj
+		})
+		if len(callees) == 0 {
+			continue
 		}
+		res.Callees[ci.site] = callees
 		if onlyEval {
-			res.EvalSites = append(res.EvalSites, site)
+			res.EvalSites = append(res.EvalSites, ci.site)
 		}
 	}
+	slices.Sort(res.EvalSites)
 	return res
 }
 
@@ -364,12 +413,28 @@ func Analyze(mod *ir.Module, opts Options) *Result {
 func (a *analysis) newObject(o *Object) ObjID {
 	o.ID = ObjID(len(a.objs))
 	a.objs = append(a.objs, o)
+	a.objNodes = append(a.objNodes, objNodes{proto: -1, wild: -1})
 	return o.ID
 }
 
 func (a *analysis) newNode() int {
 	a.nodes = append(a.nodes, &node{})
 	return len(a.nodes) - 1
+}
+
+// fieldID interns a property name.
+func (a *analysis) fieldID(name string) int {
+	id, ok := a.fieldIDs[name]
+	if !ok {
+		id = len(a.fieldIDs)
+		a.fieldIDs[name] = id
+	}
+	return id
+}
+
+// namedField is fieldNode by property name.
+func (a *analysis) namedField(obj ObjID, name string) int {
+	return a.fieldNode(obj, a.fieldID(name))
 }
 
 func (a *analysis) varNode(fn *ir.Function, slot int) int {
@@ -392,22 +457,18 @@ func (a *analysis) regNode(fn *ir.Function, reg ir.Reg) int {
 	return n
 }
 
-// fieldNode returns the node for a named field of an object, notifying
-// wildcard-load subscribers when the field is new.
-func (a *analysis) fieldNode(obj ObjID, field string) int {
-	k := fieldKey{obj, field}
+// fieldNode returns the node for a named field of an object, connecting
+// the object's wildcard loads when the field is new.
+func (a *analysis) fieldNode(obj ObjID, field int) int {
+	k := fieldKey{int32(obj), int32(field)}
 	n, ok := a.fieldNodes[k]
 	if !ok {
 		n = a.newNode()
 		a.fieldNodes[k] = n
-		fm := a.fieldsOf[obj]
-		if fm == nil {
-			fm = map[string]int{}
-			a.fieldsOf[obj] = fm
-		}
-		fm[field] = n
-		for _, dst := range a.wildLoads[obj] {
-			a.addCopy(n, dst)
+		on := &a.objNodes[obj]
+		on.fields = append(on.fields, objField{int32(field), int32(n)})
+		for _, dst := range on.wildLoads.ids {
+			a.addCopy(n, int(dst))
 		}
 	}
 	return n
@@ -415,31 +476,27 @@ func (a *analysis) fieldNode(obj ObjID, field string) int {
 
 // wildNode is the store target for property writes with unknown names.
 func (a *analysis) wildNode(obj ObjID) int {
-	n, ok := a.wildNodes[obj]
-	if !ok {
-		n = a.newNode()
-		a.wildNodes[obj] = n
+	on := &a.objNodes[obj]
+	if on.wild < 0 {
+		on.wild = int32(a.newNode())
 	}
-	return n
+	return int(on.wild)
 }
 
 // protoNode holds the possible prototype objects of an object.
 func (a *analysis) protoNode(obj ObjID) int {
-	n, ok := a.protoNodes[obj]
-	if !ok {
-		n = a.newNode()
-		a.protoNodes[obj] = n
+	on := &a.objNodes[obj]
+	if on.proto < 0 {
+		on.proto = int32(a.newNode())
 	}
-	return n
+	return int(on.proto)
 }
 
 func (a *analysis) retNode(fn *ir.Function) int {
-	n, ok := a.retNodes[fn.Index]
-	if !ok {
-		n = a.newNode()
-		a.retNodes[fn.Index] = n
+	if a.retNodes[fn.Index] < 0 {
+		a.retNodes[fn.Index] = a.newNode()
 	}
-	return n
+	return a.retNodes[fn.Index]
 }
 
 func (a *analysis) objsOf(n int) []*Object {
@@ -453,7 +510,7 @@ func (a *analysis) objsOf(n int) []*Object {
 
 func (a *analysis) addObj(n int, o ObjID) {
 	nd := a.nodes[n]
-	if nd.pts.add(o) {
+	if nd.pts.add(int(o)) {
 		nd.delta = append(nd.delta, o)
 		a.enqueue(n)
 	}
@@ -463,56 +520,81 @@ func (a *analysis) addCopy(from, to int) {
 	if from == to {
 		return
 	}
-	nd := a.nodes[from]
 	// Deduplicate edges: shared sources (prototype wildcards) otherwise
 	// accumulate one edge per load site per object, a quadratic blowup in
 	// solver time without changing the points-to result.
-	if nd.copySet == nil {
-		nd.copySet = make(map[int]bool, 4)
-	}
-	if nd.copySet[to] {
+	src := a.nodes[from]
+	if !src.copies.add(to, len(a.nodes)) {
 		return
 	}
-	nd.copySet[to] = true
-	nd.copies = append(nd.copies, to)
-	// Propagate existing objects along the new edge.
-	nd.pts.forEach(func(o ObjID) { a.addObj(to, o) })
+	// Propagate existing objects along the new edge a word at a time: the
+	// new ones join the delta in ascending order, as addObj would add them
+	// one by one.
+	dst := a.nodes[to]
+	if len(dst.pts) < len(src.pts) {
+		dst.pts = append(dst.pts, make([]uint64, len(src.pts)-len(dst.pts))...)
+	}
+	added := false
+	for w, word := range src.pts {
+		fresh := word &^ dst.pts[w]
+		if fresh == 0 {
+			continue
+		}
+		dst.pts[w] |= fresh
+		for ; fresh != 0; fresh &= fresh - 1 {
+			dst.delta = append(dst.delta, ObjID(w*64+bits.TrailingZeros64(fresh)))
+		}
+		added = true
+	}
+	if added {
+		a.enqueue(to)
+	}
 }
 
 func (a *analysis) addConstraint(n int, c constraint) {
 	nd := a.nodes[n]
-	if k, ok := c.(keyedConstraint); ok {
-		key := k.ckey()
-		if nd.constrKeys == nil {
-			nd.constrKeys = make(map[constrKey]bool, 4)
-		}
-		if nd.constrKeys[key] {
-			return
-		}
-		nd.constrKeys[key] = true
-	}
 	nd.constraints = append(nd.constraints, c)
-	nd.pts.forEach(func(o ObjID) { c.apply(a, o) })
+	a.applyExisting(nd, c)
 }
 
-// addLoad attaches a load constraint to node n like addConstraint would,
-// but checks the dedup table before allocating the constraint at all. The
-// recursive prototype attachment in loadC.apply re-derives the same load
-// once per arriving object, so on the hot path the probe almost always
-// hits and the allocation never happens.
-func (a *analysis) addLoad(n int, field string, wild bool, dst int) {
-	nd := a.nodes[n]
-	key := constrKey{kind: 'l', wild: wild, field: field, node: dst}
+// addLoad attaches dst ⊇ n.field to node n unless it is there already. The
+// probe comes before the allocation: the recursive prototype attachment in
+// loadC.apply re-derives the same load once per arriving object, so on the
+// hot path the probe almost always hits.
+func (a *analysis) addLoad(n, field, dst int) {
+	if a.nodes[n].claim(constrKey{int32(field), int32(dst)}) {
+		a.addConstraint(n, &loadC{field: field, dst: dst})
+	}
+}
+
+// addStore attaches n.field ⊇ src to node n unless it is there already.
+func (a *analysis) addStore(n, field, src int) {
+	if a.nodes[n].claim(constrKey{int32(field), ^int32(src)}) {
+		a.addConstraint(n, &storeC{field: field, src: src})
+	}
+}
+
+// claim records a load or store at the node, reporting whether it is new
+// there.
+func (nd *node) claim(key constrKey) bool {
 	if nd.constrKeys == nil {
 		nd.constrKeys = make(map[constrKey]bool, 4)
 	}
 	if nd.constrKeys[key] {
-		return
+		return false
 	}
 	nd.constrKeys[key] = true
-	c := &loadC{field: field, wild: wild, dst: dst}
-	nd.constraints = append(nd.constraints, c)
-	nd.pts.forEach(func(o ObjID) { c.apply(a, o) })
+	return true
+}
+
+// applyExisting applies a newly attached constraint to the objects already
+// at the node.
+func (a *analysis) applyExisting(nd *node, c constraint) {
+	for w, word := range nd.pts {
+		for ; word != 0; word &= word - 1 {
+			c.apply(a, ObjID(w*64+bits.TrailingZeros64(word)))
+		}
+	}
 }
 
 func (a *analysis) enqueue(n int) {
@@ -569,12 +651,17 @@ func (a *analysis) solve() {
 			if a.tracer != nil && a.work%solverSnapshotEvery == 0 {
 				a.snapshot()
 			}
-			for _, to := range nd.copies {
-				a.addObj(to, o)
+			for _, to := range nd.copies.ids {
+				a.addObj(int(to), o)
 			}
 			for _, c := range nd.constraints {
 				c.apply(a, o)
 			}
+		}
+		if nd.delta == nil {
+			// Nothing arrived while the delta was processed: keep its
+			// array for the next one.
+			nd.delta = delta[:0]
 		}
 	}
 }
@@ -603,12 +690,14 @@ func (r *Result) Export(m *obs.Metrics) {
 
 // FunctionReached reports whether the function with the given index became
 // reachable during solving.
-func (r *Result) FunctionReached(idx int) bool { return r.an.processed[idx] }
+func (r *Result) FunctionReached(idx int) bool {
+	return idx >= 0 && idx < len(r.an.processed) && r.an.processed[idx]
+}
 
 // FieldObjects returns the points-to set of a named field of an abstract
 // object (diagnostics).
 func (r *Result) FieldObjects(o *Object, field string) []*Object {
-	return r.an.objsOf(r.an.fieldNode(o.ID, field))
+	return r.an.objsOf(r.an.namedField(o.ID, field))
 }
 
 // WildObjects returns the wildcard points-to set of an abstract object
