@@ -464,6 +464,19 @@ func BenchmarkPointsToCapped(b *testing.B) {
 	}
 }
 
+// BenchmarkPointsToEmpty is the fixed cost every solve pays before it looks
+// at the program: starting from the builtin environment. Most §5.2 eval-study
+// solves are small, so this is a large share of each.
+func BenchmarkPointsToEmpty(b *testing.B) {
+	mod := ir.MustCompile("empty.js", "")
+	b.ReportAllocs()
+	var work int
+	for i := 0; i < b.N; i++ {
+		work = pointsto.Analyze(mod, pointsto.Options{}).Propagations
+	}
+	b.ReportMetric(float64(work), "propagations")
+}
+
 // ---------------------------------------------------------------------------
 // Guard overhead. The interrupt checkpoints and panic boundary are always
 // on; BenchmarkTable1JQuery10 above is therefore already the "idle guard"

@@ -1,8 +1,11 @@
 package pointsto
 
 import (
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"determinacy/internal/dom"
 	"determinacy/internal/interp"
@@ -17,6 +20,7 @@ import (
 // namespace objects become special objects. The DOM is shallow: one
 // abstract element stands for all elements and one node list for all
 // lists, matching the coarse DOM treatment of the paper's baseline [30].
+// It runs once per process, into builtinTemplate.
 func (a *analysis) setupBuiltins() {
 	special := func(name string) ObjID {
 		return a.newObject(&Object{Kind: KSpecial, Name: name})
@@ -94,6 +98,87 @@ func (a *analysis) setupBuiltins() {
 			a.addObj(a.namedField(owner, name), a.domNodeList)
 		}
 	})
+}
+
+// builtinTemplate is the state setupBuiltins leaves, built once per process
+// on first use. Every solve starts from it (startFrom) and never writes
+// it, so concurrent solves share it.
+var builtinTemplate = sync.OnceValue(buildTemplate)
+
+func buildTemplate() *analysis {
+	t := &analysis{fieldIDs: map[string]int{}, fieldNodes: map[fieldKey]int{},
+		builtins: builtins{ctorProto: map[ObjID]ObjID{}}}
+	t.setupBuiltins()
+	// startFrom copies a node's points-to set, delta and worklist flag
+	// only; a builtin edge or constraint would be silently dropped.
+	for n, nd := range t.nodes {
+		if len(nd.copies.ids) > 0 || len(nd.constraints) > 0 || len(nd.constrKeys) > 0 {
+			panic(fmt.Sprintf("pointsto: builtin node %d has copy edges or constraints", n))
+		}
+	}
+	for o, on := range t.objNodes {
+		if len(on.wildLoads.ids) > 0 {
+			panic(fmt.Sprintf("pointsto: builtin object %s has wildcard loads", t.objs[o]))
+		}
+	}
+	return t
+}
+
+// startFrom sets a's initial state to the template t's. What a solve can
+// write is copied, a few blocks for all of it: the objects, the nodes with
+// their points-to words and deltas, the per-object node tables and the
+// worklist. Every piece of a block is capacity-capped (carve), so an
+// append moves it instead of writing into its neighbour. t's interned
+// names and field nodes become the read-only lower layer of a's, and the
+// builtin IDs and constructor prototypes are shared.
+func (a *analysis) startFrom(t *analysis) {
+	objs := make([]Object, len(t.objs))
+	a.objs = make([]*Object, len(t.objs))
+	for i, o := range t.objs {
+		objs[i] = *o
+		a.objs[i] = &objs[i]
+	}
+
+	var numWords, numDelta int
+	for _, tn := range t.nodes {
+		numWords += len(tn.pts)
+		numDelta += len(tn.delta)
+	}
+	nodes := make([]node, len(t.nodes))
+	words := make(bitset, 0, numWords)
+	deltas := make([]ObjID, 0, numDelta)
+	a.nodes = make([]*node, len(t.nodes))
+	for i, tn := range t.nodes {
+		nd := &nodes[i]
+		nd.pts = carve(&words, tn.pts)
+		nd.delta = carve(&deltas, tn.delta)
+		nd.inWorklist = tn.inWorklist
+		a.nodes[i] = nd
+	}
+
+	var numFields int
+	for _, on := range t.objNodes {
+		numFields += len(on.fields)
+	}
+	fields := make([]objField, 0, numFields)
+	a.objNodes = make([]objNodes, len(t.objNodes))
+	for i, on := range t.objNodes {
+		a.objNodes[i] = objNodes{proto: on.proto, wild: on.wild, fields: carve(&fields, on.fields)}
+	}
+
+	a.worklist = slices.Clone(t.worklist)
+	a.worklistHWM = t.worklistHWM
+	a.baseFieldIDs, a.baseFieldNodes = t.fieldIDs, t.fieldNodes
+	a.baseObjs, a.baseFields = int32(len(t.objs)), int32(len(t.fieldIDs))
+	a.builtins = t.builtins
+}
+
+// carve appends s to block, which has room for it, and returns the copy,
+// capacity-capped.
+func carve[S ~[]E, E any](block *S, s S) S {
+	i := len(*block)
+	*block = append(*block, s...)
+	return (*block)[i:len(*block):len(*block)]
 }
 
 // unshift is Array.prototype.unshift, the one native the static model has

@@ -109,8 +109,10 @@ func fixpointDump(res *Result) string {
 		node(fmt.Sprintf("reg %d/%d", k.fn, k.reg), n)
 	}
 	fieldNames := fieldNames(a)
-	for k, n := range a.fieldNodes {
-		node(fmt.Sprintf("field %s.%q", a.objs[k.obj], fieldNames[k.field]), n)
+	for _, layer := range []map[fieldKey]int{a.baseFieldNodes, a.fieldNodes} {
+		for k, n := range layer {
+			node(fmt.Sprintf("field %s.%q", a.objs[k.obj], fieldNames[k.field]), n)
+		}
 	}
 	for o, on := range a.objNodes {
 		if on.wild >= 0 {

@@ -48,9 +48,8 @@ func TestModelCoversBuiltins(t *testing.T) {
 		for _, f := range strings.Split(path, ".") {
 			var next []ObjID
 			for _, x := range objs {
-				id, known := a.fieldIDs[f]
-				if n, ok := a.fieldNodes[fieldKey{int32(x), int32(id)}]; known && ok {
-					a.nodes[n].pts.forEach(func(y ObjID) { next = append(next, y) })
+				for _, y := range a.fieldObjects(x, f) {
+					next = append(next, y.ID)
 				}
 			}
 			objs = next
@@ -171,9 +170,11 @@ func walkGlobals(a *analysis, visit func(path string, o ObjID, edges []edge, pat
 
 // fieldNames lists the interned property names by ID.
 func fieldNames(a *analysis) []string {
-	names := make([]string, len(a.fieldIDs))
-	for name, id := range a.fieldIDs {
-		names[id] = name
+	names := make([]string, len(a.baseFieldIDs)+len(a.fieldIDs))
+	for _, layer := range []map[string]int{a.baseFieldIDs, a.fieldIDs} {
+		for name, id := range layer {
+			names[id] = name
+		}
 	}
 	return names
 }

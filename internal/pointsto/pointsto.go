@@ -132,16 +132,19 @@ type Result struct {
 }
 
 // PointsToVar returns the abstract objects a function-local variable may
-// hold.
+// hold. Like every query on a Result, it only reads the solve, so
+// goroutines may share one Result.
 func (r *Result) PointsToVar(fn *ir.Function, slot int) []*Object {
-	n := r.an.varNode(fn, slot)
+	n, ok := r.an.varNodes[varKey{fn.Index, slot}]
+	if !ok {
+		return nil
+	}
 	return r.an.objsOf(n)
 }
 
 // PointsToGlobal returns the abstract objects a global may hold.
 func (r *Result) PointsToGlobal(name string) []*Object {
-	n := r.an.namedField(r.an.globalObj, name)
-	return r.an.objsOf(n)
+	return r.an.fieldObjects(r.an.globalObj, name)
 }
 
 // CalleesAt returns the possible callees of a call site.
@@ -265,15 +268,23 @@ type analysis struct {
 	objs  []*Object
 	nodes []*node
 
-	varNodes   map[varKey]int
-	regNodes   map[regKey]int
-	fieldNodes map[fieldKey]int
+	varNodes map[varKey]int
+	regNodes map[regKey]int
+	// fieldIDs interns property names, numbered from 0, and fieldNodes
+	// holds the named-field nodes. A solve's maps hold only what it added:
+	// the builtin template's are their read-only lower layer, baseFieldIDs
+	// and baseFieldNodes (nil in the template itself). baseObjs and
+	// baseFields count the template's objects and names.
+	fieldIDs             map[string]int
+	fieldNodes           map[fieldKey]int
+	baseFieldIDs         map[string]int
+	baseFieldNodes       map[fieldKey]int
+	baseObjs, baseFields int32
 	// objNodes is indexed by ObjID; retNodes by function index, -1 until
 	// first asked for.
 	objNodes []objNodes
 	retNodes []int
 	thrown   int
-	fieldIDs map[string]int // interned property names, numbered from 0
 
 	// processed marks, by function index, the functions whose bodies have
 	// been translated to constraints (reachability).
@@ -290,12 +301,7 @@ type analysis struct {
 
 	callSites []*callInfo
 
-	// The builtin objects the constraints refer to, and each modeled
-	// constructor's .prototype.
-	globalObj, evalObj                     ObjID
-	objectProto, functionProto, arrayProto ObjID
-	domElement, domNodeList, domEvent      ObjID
-	ctorProto                              map[ObjID]ObjID
+	builtins
 
 	worklist    []int
 	worklistHWM int
@@ -303,6 +309,16 @@ type analysis struct {
 	exceeded    bool
 	interrupted error
 	tracer      obs.Tracer
+}
+
+// builtins are the builtin objects the constraints refer to, and each
+// modeled constructor's .prototype. Every solve shares the template's:
+// none is written after setupBuiltins.
+type builtins struct {
+	globalObj, evalObj                     ObjID
+	objectProto, functionProto, arrayProto ObjID
+	domElement, domNodeList, domEvent      ObjID
+	ctorProto                              map[ObjID]ObjID
 }
 
 type varKey struct {
@@ -358,7 +374,6 @@ func Analyze(mod *ir.Module, opts Options) *Result {
 		regStr:     map[regKey]*string{},
 		funcObjOf:  map[ir.ID]ObjID{},
 		allocObjOf: map[ir.ID]ObjID{},
-		ctorProto:  map[ObjID]ObjID{},
 		tracer:     opts.Tracer,
 	}
 	for i := range a.retNodes {
@@ -366,7 +381,7 @@ func Analyze(mod *ir.Module, opts Options) *Result {
 	}
 	start := time.Now()
 	done := obs.PhaseScope(a.tracer, "solve")
-	a.setupBuiltins()
+	a.startFrom(builtinTemplate())
 	a.processFunction(mod.Top())
 	a.solve()
 	a.snapshot()
@@ -424,12 +439,34 @@ func (a *analysis) newNode() int {
 
 // fieldID interns a property name.
 func (a *analysis) fieldID(name string) int {
-	id, ok := a.fieldIDs[name]
+	id, ok := a.lookupFieldID(name)
 	if !ok {
-		id = len(a.fieldIDs)
+		id = len(a.baseFieldIDs) + len(a.fieldIDs)
 		a.fieldIDs[name] = id
 	}
 	return id
+}
+
+// lookupFieldID is a property name's ID if it is interned.
+func (a *analysis) lookupFieldID(name string) (int, bool) {
+	if id, ok := a.baseFieldIDs[name]; ok {
+		return id, true
+	}
+	id, ok := a.fieldIDs[name]
+	return id, ok
+}
+
+// lookupFieldNode is a named field's node if it exists. Only a field of a
+// builtin object with a name the builtins interned can be in the
+// template's layer, so the lookups on the solver's hot path skip it.
+func (a *analysis) lookupFieldNode(k fieldKey) (int, bool) {
+	if k.obj < a.baseObjs && k.field < a.baseFields {
+		if n, ok := a.baseFieldNodes[k]; ok {
+			return n, true
+		}
+	}
+	n, ok := a.fieldNodes[k]
+	return n, ok
 }
 
 // namedField is fieldNode by property name.
@@ -461,7 +498,7 @@ func (a *analysis) regNode(fn *ir.Function, reg ir.Reg) int {
 // the object's wildcard loads when the field is new.
 func (a *analysis) fieldNode(obj ObjID, field int) int {
 	k := fieldKey{int32(obj), int32(field)}
-	n, ok := a.fieldNodes[k]
+	n, ok := a.lookupFieldNode(k)
 	if !ok {
 		n = a.newNode()
 		a.fieldNodes[k] = n
@@ -697,11 +734,29 @@ func (r *Result) FunctionReached(idx int) bool {
 // FieldObjects returns the points-to set of a named field of an abstract
 // object (diagnostics).
 func (r *Result) FieldObjects(o *Object, field string) []*Object {
-	return r.an.objsOf(r.an.namedField(o.ID, field))
+	return r.an.fieldObjects(o.ID, field)
 }
 
 // WildObjects returns the wildcard points-to set of an abstract object
 // (diagnostics).
 func (r *Result) WildObjects(o *Object) []*Object {
-	return r.an.objsOf(r.an.wildNode(o.ID))
+	wild := r.an.objNodes[o.ID].wild
+	if wild < 0 {
+		return nil
+	}
+	return r.an.objsOf(int(wild))
+}
+
+// fieldObjects is the points-to set of a named field, nil when the solve
+// never created the field.
+func (a *analysis) fieldObjects(obj ObjID, name string) []*Object {
+	id, ok := a.lookupFieldID(name)
+	if !ok {
+		return nil
+	}
+	n, ok := a.lookupFieldNode(fieldKey{int32(obj), int32(id)})
+	if !ok {
+		return nil
+	}
+	return a.objsOf(n)
 }
