@@ -174,7 +174,10 @@ func main() {
 		for i := range seeds {
 			seeds[i] = *seed + uint64(i)
 		}
-		res, err = determinacy.AnalyzeRunsContext(ctx, string(src), opts, seeds...)
+		var p *determinacy.Program
+		if p, err = determinacy.Compile(flag.Arg(0), string(src)); err == nil {
+			res, err = determinacy.AnalyzeRunsContext(ctx, p, opts, seeds...)
+		}
 	} else {
 		res, err = determinacy.AnalyzeFileContext(ctx, flag.Arg(0), string(src), opts)
 	}

@@ -164,9 +164,9 @@ type Options struct {
 	// statistics are identical for every setting; see internal/batch.
 	Workers int
 
-	// FactCache, when non-nil, memoizes completed analyses at function
-	// granularity in an on-disk fact database — the L2 cache under the
-	// compile cache: a re-submitted (source, options) pair is served from
+	// FactCache, when non-nil, memoizes completed analyses, one record per
+	// run, in an on-disk fact database — the L2 cache under the compile
+	// cache: a re-submitted (file, source, options) triple is served from
 	// cached facts without re-executing, byte-identical to a fresh run.
 	// Partial, degraded, errored, or eval-containing runs never populate
 	// it. See the README's Caching section and internal/factcache.
@@ -259,7 +259,22 @@ func AnalyzeFile(name, src string, opts Options) (*Result, error) {
 
 // AnalyzeFileContext is AnalyzeFile with cooperative cancellation.
 func AnalyzeFileContext(ctx context.Context, name, src string, opts Options) (*Result, error) {
-	tr := opts.Tracer
+	p, err := compile(name, src, opts.Tracer)
+	if err != nil {
+		return nil, err
+	}
+	return AnalyzeProgramContext(ctx, p, opts)
+}
+
+// Compile parses and lowers src under the display name name, which keys
+// the fact cache and labels diagnostics. Use Cache.Compile to share
+// compiles across calls.
+func Compile(name, src string) (*Program, error) {
+	return compile(name, src, nil)
+}
+
+// compile is Compile with the parse and lower phases reported to tr.
+func compile(name, src string, tr obs.Tracer) (*Program, error) {
 	endParse := obs.PhaseScope(tr, "parse")
 	prog, err := parser.Parse(name, src)
 	endParse()
@@ -272,7 +287,7 @@ func AnalyzeFileContext(ctx context.Context, name, src string, opts Options) (*R
 	if err != nil {
 		return nil, err
 	}
-	return analyzeLowered(ctx, prog, mod, opts)
+	return &Program{prog: prog, mod: mod}, nil
 }
 
 // degradeReason classifies an execution stop as a graceful degradation.
@@ -305,8 +320,8 @@ func degrade(res *Result, a *core.Analysis, runErr error, reason DegradeReason) 
 	return res, nil
 }
 
-// FactCache is the public handle on an on-disk function-level fact
-// database (internal/factcache) — the L2 cache under the compile cache.
+// FactCache is the public handle on an on-disk fact database
+// (internal/factcache) — the L2 cache under the compile cache.
 // One FactCache is safe to share across concurrent analyses; see
 // Options.FactCache for the memoization contract.
 type FactCache struct{ c *factcache.Cache }
@@ -376,7 +391,6 @@ func (w *captureWriter) Write(p []byte) (int, error) {
 type memoState struct {
 	fc  *factcache.Cache
 	key factcache.Key
-	rec *factcache.Recorder
 	out *captureWriter
 }
 
@@ -392,10 +406,10 @@ func (m *memoState) skip(reason string) {
 // layer, which the Result exposes.
 //
 // With Options.FactCache set, a completed run is memoized and an exact
-// re-submission is served from the cache: the fact store is stitched from
-// per-function chunks through the ordinary Store.Record path, and output,
-// statistics and handler count replay from the manifest, so a warm result
-// is byte-identical to a cold one. Only clean completions are stored —
+// re-submission is served from the cache: the fact store is rebuilt from
+// the run's record through Store.RecordWire, and output, statistics and
+// handler count replay from the same record, so a warm result is
+// byte-identical to a cold one. Only clean completions are stored —
 // every degraded, errored or eval-lowering path skips the cache.
 func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts Options) (*Result, error) {
 	tr := opts.Tracer
@@ -420,7 +434,7 @@ func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts
 		// Incremental report: which functions changed since the last cached
 		// run of this (program, options) anchor.
 		fc.Diff(key, mod)
-		memo = &memoState{fc: fc, key: key, rec: factcache.NewRecorder(), out: &captureWriter{}}
+		memo = &memoState{fc: fc, key: key, out: &captureWriter{}}
 		if coreOut != nil {
 			coreOut = io.MultiWriter(coreOut, memo.out)
 		} else {
@@ -441,9 +455,6 @@ func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts
 		MuJSLocals:             opts.MuJSLocals,
 		Tracer:                 tr,
 		Ctx:                    ctx,
-	}
-	if memo != nil {
-		coreOpts.OnEnterFunc = memo.rec.OnEnter
 	}
 	a := core.New(mod, store, coreOpts)
 	res := &Result{prog: prog, mod: a.Mod, store: store, tracer: tr}
@@ -491,7 +502,7 @@ func analyzeLowered(ctx context.Context, prog *ast.Program, mod *ir.Module, opts
 		case memo.out.overflow:
 			memo.skip("output-cap")
 		default:
-			memo.fc.Store(memo.key, mod, store, memo.rec, memo.out.b, res.Stats, res.HandlersRan)
+			memo.fc.Store(memo.key, mod, store, memo.out.b, res.Stats, res.HandlersRan)
 		}
 	}
 	return res, nil
@@ -513,12 +524,12 @@ func runHandlersGuarded(binding *dom.CoreBinding, max int, tr obs.Tracer, point 
 // observations to indeterminate; two runs claiming different determinate
 // values at the same key would indicate an analysis bug and is surfaced as
 // an error.
-// The source compiles once, through a shared compilation cache, and the
-// runs share the compiled program across a bounded worker pool
-// (Options.Workers); merging per-seed results in seed submission order
-// keeps the merged store and statistics identical to a serial sweep.
-func AnalyzeRuns(src string, opts Options, seeds ...uint64) (*Result, error) {
-	return AnalyzeRunsContext(context.Background(), src, opts, seeds...)
+// The runs share the compiled Program (see Compile and Cache.Compile)
+// across a bounded worker pool (Options.Workers); merging per-seed results
+// in seed submission order keeps the merged store and statistics identical
+// to a serial sweep.
+func AnalyzeRuns(p *Program, opts Options, seeds ...uint64) (*Result, error) {
+	return AnalyzeRunsContext(context.Background(), p, opts, seeds...)
 }
 
 // AnalyzeRunsContext is AnalyzeRuns with cooperative cancellation. A
@@ -526,13 +537,9 @@ func AnalyzeRuns(src string, opts Options, seeds ...uint64) (*Result, error) {
 // each in-flight run at its next checkpoint; a run that panics is
 // quarantined by the pool and surfaced here as that seed's error without
 // aborting the other seeds' work.
-func AnalyzeRunsContext(ctx context.Context, src string, opts Options, seeds ...uint64) (*Result, error) {
+func AnalyzeRunsContext(ctx context.Context, p *Program, opts Options, seeds ...uint64) (*Result, error) {
 	if len(seeds) == 0 {
 		seeds = []uint64{0}
-	}
-	prog, mod, err := runsCache.Compile("program.js", src)
-	if err != nil {
-		return nil, fmt.Errorf("determinacy: run with seed %d: %w", seeds[0], err)
 	}
 	type runOut struct {
 		res *Result
@@ -542,13 +549,13 @@ func AnalyzeRunsContext(ctx context.Context, src string, opts Options, seeds ...
 	outs, qs := batch.MapCtx(ctx, pool, len(seeds), func(i int) runOut {
 		o := opts
 		o.Seed = seeds[i]
-		res, err := analyzeLowered(ctx, prog, mod, o)
+		res, err := analyzeLowered(ctx, p.prog, p.mod, o)
 		if err != nil {
 			return runOut{err: fmt.Errorf("determinacy: run with seed %d: %w", seeds[i], err)}
 		}
 		// Runtime-lowered eval code gets fresh instruction IDs per run, so
 		// only facts at static program points merge across runs.
-		res.store = res.store.Restrict(ir.ID(mod.NumInstrs))
+		res.store = res.store.Restrict(ir.ID(p.mod.NumInstrs))
 		return runOut{res: res}
 	})
 	for _, q := range qs {
@@ -580,10 +587,6 @@ func AnalyzeRunsContext(ctx context.Context, src string, opts Options, seeds ...
 	return merged, nil
 }
 
-// runsCache backs AnalyzeRuns' compiles: content-addressed, so repeated
-// sweeps over the same source skip the front end entirely.
-var runsCache = progcache.New(0)
-
 // Program is a compiled analysis input: the parsed AST plus the lowered
 // module. Analyses only read it — each run lowers its eval code into a
 // private layer — so one Program may back any number of runs, including
@@ -594,10 +597,10 @@ type Program struct {
 }
 
 // Cache is a bounded, content-addressed front-end compile cache shared
-// across analyses — the compile-once layer behind AnalyzeRuns, exposed so
-// long-lived embedders (cmd/detserve serves every request through one)
-// can skip lex→parse→lower for repeated sources. Safe for concurrent use;
-// see internal/batch/progcache for the exact sharing contract.
+// across analyses, so long-lived embedders (cmd/detserve serves every
+// request through one) can skip lex→parse→lower for repeated sources.
+// Safe for concurrent use; see internal/batch/progcache for the exact
+// sharing contract.
 type Cache struct{ c *progcache.Cache }
 
 // NewCache creates a compile cache bounded to maxEntries programs

@@ -310,7 +310,11 @@ func TestAnalyzeRunsMergesSoundly(t *testing.T) {
 		var stable = 1 + 2;
 		var r = eval("stable + 39");
 	`
-	res, err := determinacy.AnalyzeRuns(src, determinacy.Options{Out: io.Discard}, 1, 2, 3, 4, 5)
+	prog, err := determinacy.Compile("program.js", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := determinacy.AnalyzeRuns(prog, determinacy.Options{Out: io.Discard}, 1, 2, 3, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,8 +140,12 @@ func TestDifferentialAnalyzeRuns(t *testing.T) {
 			parOpts := p.opts
 			parOpts.Workers = workers
 
-			ser, serErr := determinacy.AnalyzeRuns(p.src, serOpts, seeds...)
-			par, parErr := determinacy.AnalyzeRuns(p.src, parOpts, seeds...)
+			prog, err := determinacy.Compile(p.name, p.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ser, serErr := determinacy.AnalyzeRuns(prog, serOpts, seeds...)
+			par, parErr := determinacy.AnalyzeRuns(prog, parOpts, seeds...)
 			// Some corpus programs are deliberately non-runnable (missing
 			// libraries, unsupported DOM calls); the contract there is that
 			// both paths fail with the same error.
@@ -170,10 +174,14 @@ func TestSeedSweepOrderIndependence(t *testing.T) {
 		{5, 4, 3, 2, 1},
 		{3, 1, 5, 2, 4},
 	}
+	prog, err := determinacy.Compile("figure2.js", figure2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var baseFP []string
 	var baseStats any
 	for i, seeds := range orders {
-		res, err := determinacy.AnalyzeRuns(figure2, determinacy.Options{
+		res, err := determinacy.AnalyzeRuns(prog, determinacy.Options{
 			MuJSLocals: true,
 			Workers:    workers,
 		}, seeds...)

@@ -84,38 +84,6 @@ type Options struct {
 
 	// Deprecated: ignored; there is one engine.
 	Engine vm.Engine
-
-	// OnEnterFunc, when set, observes every user-function activation as its
-	// frame is created: the callee, the packed determinacy signature of its
-	// inputs (see EntrySig), and the heap-flush epoch at entry. The fact
-	// cache uses it to key per-function fact chunks by input determinacy and
-	// to anchor them at flush-epoch join points.
-	OnEnterFunc func(fn *ir.Function, sig uint64, epoch uint64)
-}
-
-// EntrySig packs the determinacy of a call's inputs into one word: bit 62
-// is the receiver, bit i (i < 62) is the i-th provided argument, and bit
-// 63 folds the determinacy of any arguments beyond the 62nd. Missing
-// arguments bind determinate undefined and contribute nothing.
-func EntrySig(this Value, args []Value) uint64 {
-	var sig uint64
-	if this.Det {
-		sig |= 1 << 62
-	}
-	overflow := true // vacuously "all determinate"
-	for i, av := range args {
-		if i < 62 {
-			if av.Det {
-				sig |= 1 << uint(i)
-			}
-		} else if !av.Det {
-			overflow = false
-		}
-	}
-	if overflow {
-		sig |= 1 << 63
-	}
-	return sig
 }
 
 // MaxTrackedCFDepth is the size of Stats.CFDepthHist; deeper nestings fold
@@ -304,11 +272,6 @@ func (a *Analysis) Stats() Stats { return a.stats }
 
 // Options returns the analysis configuration.
 func (a *Analysis) Options() Options { return a.opts }
-
-// HeapEpoch returns the current heap-flush epoch. Epochs advance on every
-// heap flush and are the sound join points for stitching memoized facts
-// back into a live run (internal/factcache).
-func (a *Analysis) HeapEpoch() uint64 { return a.heapEpoch }
 
 // ---------------------------------------------------------------------------
 // Allocation

@@ -945,9 +945,6 @@ func (a *Analysis) callValue(fnv Value, this Value, args []Value, site ir.ID) ou
 		}
 	}
 	nf := &DFrame{Fn: fn, Env: env, Regs: make([]Value, fn.NumRegs), CallSite: site, Ctx: ctx, ctxUnstable: ctxUnstable}
-	if a.opts.OnEnterFunc != nil {
-		a.opts.OnEnterFunc(fn, EntrySig(this, args), a.heapEpoch)
-	}
 	a.frames = append(a.frames, nf)
 	out := a.execBlock(nf, fn.Body)
 	a.frames = a.frames[:len(a.frames)-1]

@@ -35,11 +35,9 @@ const (
 
 // Record kinds.
 const (
-	// KindManifest is a per-(program, options) run manifest.
-	KindManifest byte = 1
-	// KindChunk is one function's fact chunk.
-	KindChunk byte = 2
-	// KindHead is a mutable pointer naming a manifest object.
+	// KindRun is one completed run's record.
+	KindRun byte = 1
+	// KindHead is a mutable pointer naming a run record.
 	KindHead byte = 3
 )
 

@@ -1,25 +1,19 @@
-// Package factcache memoizes determinacy analysis results at function
-// granularity in an on-disk, content-addressed fact database — the L2
-// layer under the front-end compile cache (internal/batch/progcache, L1).
+// Package factcache memoizes determinacy analysis results in an on-disk,
+// content-addressed fact database — the L2 layer under the front-end
+// compile cache (internal/batch/progcache, L1).
 //
-// A completed run is split into per-function fact chunks, each keyed by
-// the content hash of the function's body plus the folded determinacy
-// signature of its inputs at entry (core.EntrySig) and the heap-flush
-// epoch span it was observed over — heap flushes are the analysis' sound
-// join points (§4 of the paper), so they are the boundaries at which
-// cached facts can be stitched back into a live result. A manifest ties
-// the chunks of one (program, options) pair together with the global
-// recording-order interleaving, the console output, and the run
-// statistics; serving a warm hit replays the chunks through the ordinary
-// Store.Record path and is therefore byte-identical to re-running the
-// analysis — the property internal/diffcheck's memoization oracle checks.
+// A completed run is stored as one record, keyed by the program's file
+// name, its source hash and the canonical signature of every option that
+// shapes facts. The record holds the run's facts in recording order, the
+// console output, the run statistics and the handler count; serving a
+// warm hit replays the facts through Store.RecordWire and is therefore
+// byte-identical to re-running the analysis — the property
+// internal/diffcheck's memoization oracle checks.
 //
 // On a re-submission whose source changed, the full key misses but a
-// per-(program, options) head still names the previous manifest; Diff
+// per-(program, options) head still names the previous record; Diff
 // compares per-function body hashes against it so the incremental cost is
-// visible (factcache_fn_{unchanged,changed}_total), and unchanged
-// functions' chunks deduplicate in the object store when the new run is
-// recorded.
+// visible (factcache_fn_{unchanged,changed}_total).
 //
 // Eligibility is decided by callers (only they see partiality): partial,
 // degraded, errored, or eval-containing runs must NEVER populate the
@@ -42,7 +36,7 @@ import (
 	"determinacy/internal/obs"
 )
 
-// DefaultMemEntries bounds the in-memory LRU of decoded manifests; disk
+// DefaultMemEntries bounds the in-memory LRU of decoded records; disk
 // entries are unbounded (content-addressed objects dedup naturally).
 const DefaultMemEntries = 64
 
@@ -121,7 +115,7 @@ func (k Key) Zero() bool { return k.id == "" }
 
 // Hit is a warm result: everything a cold run would have produced.
 type Hit struct {
-	// Store is a freshly stitched fact store; the caller owns it.
+	// Store is a freshly rebuilt fact store; the caller owns it.
 	Store *facts.Store
 	// Output is the run's console bytes.
 	Output []byte
@@ -129,29 +123,28 @@ type Hit struct {
 	Stats core.Stats
 	// HandlersRan counts the DOM handlers the cold run drove.
 	HandlersRan int
-	// Chunks is the number of function chunks stitched into Store.
-	Chunks int
 }
 
 // DiffReport summarizes a per-function IR diff against the previous cached
-// manifest for the same (program, options) anchor.
+// record for the same (program, options) anchor.
 type DiffReport struct {
 	Total     int // functions in the current lowering
-	Unchanged int // body hash present in the previous manifest
-	Changed   int // new or modified bodies that need re-analysis
+	Unchanged int // body hash present in the previous record
+	Changed   int // new or modified bodies, or bodies that recorded no fact
 }
 
 // CacheStats is a point-in-time snapshot of cache activity, for tests and
 // diagnostics; the live series go to the attached metrics registry.
+// Written counts records Store actually wrote (a store of a record already
+// valid on disk writes nothing) and has no series.
 type CacheStats struct {
-	Hits, Misses, Stores, Joins  int64
-	Invalidations, Skips         int64
-	ChunksWritten, ChunksDeduped int64
-	FnUnchanged, FnChanged       int64
+	Hits, Misses, Stores, Joins   int64
+	Invalidations, Skips, Written int64
+	FnUnchanged, FnChanged        int64
 }
 
 // Cache is the fact cache: an on-disk DB plus a small in-memory LRU of
-// decoded entries. Safe for concurrent use.
+// decoded records. Safe for concurrent use.
 type Cache struct {
 	db *DB
 
@@ -165,10 +158,9 @@ type Cache struct {
 }
 
 type memEntry struct {
-	key    string
-	elem   *list.Element
-	man    *manifest
-	chunks []*chunkPayload
+	key  string
+	elem *list.Element
+	rec  *record
 }
 
 // Open creates or opens a fact cache rooted at dir.
@@ -213,9 +205,8 @@ func (c *Cache) countLocked(stat *int64, name string) {
 }
 
 // Skip records that a run was deliberately not cached and why ("partial",
-// "error", "eval", "output-cap", "unmapped"). The eligibility decision
-// lives with callers; the taxonomy lives here so every layer shares one
-// series.
+// "error", "eval", "output-cap"). The eligibility decision lives with
+// callers; the taxonomy lives here so every layer shares one series.
 func (c *Cache) Skip(reason string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -247,109 +238,78 @@ func reasonFor(err error) string {
 	}
 }
 
-// Lookup serves a warm result for key, stitching a fresh fact store from
-// the cached chunks. ok is false on a miss; any invalid on-disk state
-// (truncation, bit flips, version skew, structural inconsistency) is
+// Lookup serves a warm result for key, rebuilding a fresh fact store from
+// the cached run record. ok is false on a miss; any invalid on-disk state
+// (truncation, bit flips, version skew, an undecodable record) is
 // invalidated and reported as a miss — never an error, never a wrong
 // result.
 func (c *Cache) Lookup(key Key) (*Hit, bool) {
 	if key.Zero() {
 		return nil, false
 	}
-	man, chunks, ok := c.load(key)
-	if !ok {
-		c.mu.Lock()
-		c.countLocked(&c.stats.Misses, "factcache_misses_total")
-		c.mu.Unlock()
-		return nil, false
-	}
-	store, err := stitch(man, chunks)
-	if err != nil {
-		c.invalidate(key, "stitch", "")
-		c.mu.Lock()
-		c.countLocked(&c.stats.Misses, "factcache_misses_total")
-		c.mu.Unlock()
-		return nil, false
-	}
+	rec, ok := c.load(key)
 	c.mu.Lock()
+	if !ok {
+		c.countLocked(&c.stats.Misses, "factcache_misses_total")
+		c.mu.Unlock()
+		return nil, false
+	}
 	c.countLocked(&c.stats.Hits, "factcache_hits_total")
-	c.stats.Joins += int64(len(chunks))
+	c.stats.Joins += int64(len(rec.Bodies))
 	if c.metrics != nil {
-		c.metrics.Counter("factcache_joins_total").Add(int64(len(chunks)))
+		c.metrics.Counter("factcache_joins_total").Add(int64(len(rec.Bodies)))
 	}
 	c.mu.Unlock()
-	out := make([]byte, len(man.Output))
-	copy(out, man.Output)
 	return &Hit{
-		Store:       store,
-		Output:      out,
-		Stats:       man.Stats,
-		HandlersRan: man.HandlersRan,
-		Chunks:      len(chunks),
+		Store:       rec.replay(),
+		Output:      append([]byte(nil), rec.Output...),
+		Stats:       rec.Stats,
+		HandlersRan: rec.HandlersRan,
 	}, true
 }
 
-// load fetches the decoded manifest + chunks for key, from the memory LRU
-// or disk. Absence is a quiet miss; invalid state invalidates first.
-func (c *Cache) load(key Key) (*manifest, []*chunkPayload, bool) {
+// load fetches the decoded run record for key, from the memory LRU or
+// disk. Absence is a quiet miss; invalid state invalidates first.
+func (c *Cache) load(key Key) (*record, bool) {
 	c.mu.Lock()
 	if e, ok := c.mem[key.id]; ok {
 		c.lru.MoveToFront(e.elem)
-		man, chunks := e.man, e.chunks
 		c.mu.Unlock()
-		return man, chunks, true
+		return e.rec, true
 	}
 	c.mu.Unlock()
 
-	mid, err := c.db.Head(key.id)
+	id, err := c.db.Head(key.id)
 	if err != nil {
 		if !IsNotExist(err) {
 			c.invalidate(key, reasonFor(err), "")
 		}
-		return nil, nil, false
+		return nil, false
 	}
-	mb, err := c.db.GetObject(mid, KindManifest)
+	b, err := c.db.GetObject(id, KindRun)
 	if err != nil {
-		c.invalidate(key, reasonFor(err), mid)
-		return nil, nil, false
+		c.invalidate(key, reasonFor(err), id)
+		return nil, false
 	}
-	man := &manifest{}
-	if err := json.Unmarshal(mb, man); err != nil || man.Schema != Schema {
-		c.invalidate(key, "schema", mid)
-		return nil, nil, false
+	rec := &record{}
+	if err := json.Unmarshal(b, rec); err != nil || rec.Schema != Schema {
+		c.invalidate(key, "schema", id)
+		return nil, false
 	}
-	if len(man.ChunkFns) != len(man.Chunks) || len(man.ChunkBodies) != len(man.Chunks) {
-		c.invalidate(key, "schema", mid)
-		return nil, nil, false
-	}
-	chunks := make([]*chunkPayload, len(man.Chunks))
-	for i, cid := range man.Chunks {
-		cb, err := c.db.GetObject(cid, KindChunk)
-		if err != nil {
-			c.invalidate(key, reasonFor(err), cid)
-			return nil, nil, false
-		}
-		ch := &chunkPayload{}
-		if err := json.Unmarshal(cb, ch); err != nil || ch.Schema != Schema {
-			c.invalidate(key, "schema", cid)
-			return nil, nil, false
-		}
-		chunks[i] = ch
-	}
-	c.remember(key, man, chunks)
-	return man, chunks, true
+	c.remember(key, rec)
+	return rec, true
 }
 
-// remember inserts a decoded entry into the memory LRU.
-func (c *Cache) remember(key Key, man *manifest, chunks []*chunkPayload) {
+// remember inserts a decoded record into the memory LRU.
+func (c *Cache) remember(key Key, rec *record) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.mem[key.id]; ok {
-		e.man, e.chunks = man, chunks
+		e.rec = rec
 		c.lru.MoveToFront(e.elem)
 		return
 	}
-	e := &memEntry{key: key.id, man: man, chunks: chunks}
+	e := &memEntry{key: key.id, rec: rec}
 	e.elem = c.lru.PushFront(e)
 	c.mem[key.id] = e
 	for len(c.mem) > c.maxMem {
@@ -363,10 +323,11 @@ func (c *Cache) remember(key Key, man *manifest, chunks []*chunkPayload) {
 	}
 }
 
-// Store persists a COMPLETED run — the caller vouches that it ran to the
-// end (not partial, not degraded, no runtime eval) and that store/output/
-// stats are exactly what any fresh run with the same key produces.
-func (c *Cache) Store(key Key, mod *ir.Module, store *facts.Store, rec *Recorder, output []byte, stats core.Stats, handlersRan int) error {
+// Store persists a COMPLETED run as one record — the caller vouches that
+// it ran to the end (not partial, not degraded, no runtime eval) and that
+// store/output/stats are exactly what any fresh run with the same key
+// produces.
+func (c *Cache) Store(key Key, mod *ir.Module, store *facts.Store, output []byte, stats core.Stats, handlersRan int) error {
 	if key.Zero() {
 		return nil
 	}
@@ -374,102 +335,71 @@ func (c *Cache) Store(key Key, mod *ir.Module, store *facts.Store, rec *Recorder
 		c.Skip("output-cap")
 		return nil
 	}
-	chunks, order, err := splitChunks(mod, store, rec)
+	rec := newRecord(mod, store, output, stats, handlersRan)
+	b, err := json.Marshal(rec)
 	if err != nil {
-		c.Skip("unmapped")
-		return nil
+		return fmt.Errorf("factcache: encode record: %w", err)
 	}
-	man := &manifest{
-		Schema:      Schema,
-		File:        mod.File,
-		SourceHash:  hashString(mod.Source),
-		Order:       order,
-		Output:      output,
-		Stats:       stats,
-		HandlersRan: handlersRan,
-		MaxSeq:      store.MaxSeq,
-	}
-	var written, deduped int64
-	for _, ch := range chunks {
-		cb, err := json.Marshal(ch)
-		if err != nil {
-			return fmt.Errorf("factcache: encode chunk: %w", err)
-		}
-		cid, created, err := c.db.PutObject(KindChunk, cb)
-		if err != nil {
-			return err
-		}
-		if created {
-			written++
-		} else {
-			deduped++
-		}
-		man.Chunks = append(man.Chunks, cid)
-		man.ChunkFns = append(man.ChunkFns, ch.Fn)
-		man.ChunkBodies = append(man.ChunkBodies, ch.BodyHash)
-	}
-	mb, err := json.Marshal(man)
-	if err != nil {
-		return fmt.Errorf("factcache: encode manifest: %w", err)
-	}
-	mid, _, err := c.db.PutObject(KindManifest, mb)
+	id, created, err := c.db.PutObject(KindRun, b)
 	if err != nil {
 		return err
 	}
-	if err := c.db.SetHead(key.id, mid); err != nil {
+	if err := c.db.SetHead(key.id, id); err != nil {
 		return err
 	}
-	if err := c.db.SetHead(key.head, mid); err != nil {
+	if err := c.db.SetHead(key.head, id); err != nil {
 		return err
 	}
-	c.remember(key, man, chunks)
+	c.remember(key, rec)
 	c.mu.Lock()
 	c.countLocked(&c.stats.Stores, "factcache_stores_total")
-	c.stats.ChunksWritten += written
-	c.stats.ChunksDeduped += deduped
-	if c.metrics != nil {
-		c.metrics.Counter("factcache_chunks_written_total").Add(written)
-		c.metrics.Counter("factcache_chunks_deduped_total").Add(deduped)
+	if created {
+		c.stats.Written++
 	}
 	c.mu.Unlock()
 	return nil
 }
 
 // Diff compares the current lowering's per-function body hashes against
-// the most recent cached manifest for the same (program, options) anchor —
+// the most recent cached record for the same (program, options) anchor —
 // the incremental-resubmission report: after an edit the full key misses,
-// but the anchor still says which functions actually changed and thus how
-// much of the re-analysis the chunk store will absorb. ok is false when no
-// previous manifest exists (first sight of this program).
+// but the anchor still says which functions changed. A function that
+// recorded no fact in the previous run has no body there and counts as
+// changed. ok is false when no previous record exists (first sight of
+// this program).
 func (c *Cache) Diff(key Key, mod *ir.Module) (DiffReport, bool) {
 	if key.Zero() {
 		return DiffReport{}, false
 	}
-	mid, err := c.db.Head(key.head)
+	id, err := c.db.Head(key.head)
 	if err != nil {
 		if !IsNotExist(err) {
 			c.db.RemoveHead(key.head)
 		}
 		return DiffReport{}, false
 	}
-	mb, err := c.db.GetObject(mid, KindManifest)
+	b, err := c.db.GetObject(id, KindRun)
 	if err != nil {
 		c.db.RemoveHead(key.head)
 		return DiffReport{}, false
 	}
-	man := &manifest{}
-	if err := json.Unmarshal(mb, man); err != nil || man.Schema != Schema {
+	// Decode the body list alone: a miss need not allocate the previous
+	// run's facts.
+	var prev struct {
+		Bodies []string `json:"bodies"`
+	}
+	if err := json.Unmarshal(b, &prev); err != nil {
 		c.db.RemoveHead(key.head)
 		return DiffReport{}, false
 	}
-	prev := make(map[string]bool, len(man.ChunkBodies))
-	for _, h := range man.ChunkBodies {
-		prev[h] = true
+	seen := make(map[string]bool, len(prev.Bodies))
+	for _, h := range prev.Bodies {
+		seen[h] = true
 	}
 	var rep DiffReport
 	for _, fn := range mod.Funcs() {
 		rep.Total++
-		if prev[BodyHash(mod, fn)] {
+		if seen[BodyHash(mod, fn)] {
 			rep.Unchanged++
 		} else {
 			rep.Changed++

@@ -14,7 +14,7 @@ import (
 	"determinacy/internal/ir"
 )
 
-// testSrc exercises functions (chunk granularity), a loop (occurrence
+// testSrc exercises functions (one body hash each), a loop (occurrence
 // sequences), indeterminacy (Math.random) and a NaN value (the NumS wire
 // path).
 const testSrc = `
@@ -32,13 +32,12 @@ console.log(nan);
 type coldRun struct {
 	mod    *ir.Module
 	store  *facts.Store
-	rec    *Recorder
 	output []byte
 	stats  core.Stats
 }
 
-// runCold executes testSrc-style source under the instrumented semantics
-// with the entry recorder attached, as a caching layer would.
+// runCold executes testSrc-style source under the instrumented semantics,
+// as a caching layer would.
 func runCold(t *testing.T, src string, seed uint64) *coldRun {
 	t.Helper()
 	mod, err := ir.Compile("cache.js", src)
@@ -47,12 +46,20 @@ func runCold(t *testing.T, src string, seed uint64) *coldRun {
 	}
 	var out bytes.Buffer
 	store := facts.NewStore()
-	rec := NewRecorder()
-	a := core.New(mod, store, core.Options{Seed: seed, Out: &out, OnEnterFunc: rec.OnEnter})
+	a := core.New(mod, store, core.Options{Seed: seed, Out: &out})
 	if _, err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return &coldRun{mod: mod, store: store, rec: rec, output: out.Bytes(), stats: a.Stats()}
+	return &coldRun{mod: mod, store: store, output: out.Bytes(), stats: a.Stats()}
+}
+
+// factFuncs counts the functions that recorded at least one fact.
+func factFuncs(r *coldRun) int {
+	seen := map[int]bool{}
+	for _, f := range r.store.All() {
+		seen[r.mod.FuncOf(f.Instr).Index] = true
+	}
+	return len(seen)
 }
 
 // renderStore flattens a store — recording order AND sorted order — so two
@@ -80,7 +87,7 @@ func mustOpen(t *testing.T, dir string) *Cache {
 
 func storeRun(t *testing.T, c *Cache, key Key, r *coldRun) {
 	t.Helper()
-	if err := c.Store(key, r.mod, r.store, r.rec, r.output, r.stats, 0); err != nil {
+	if err := c.Store(key, r.mod, r.store, r.output, r.stats, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,7 +111,7 @@ func TestRoundTripByteIdentity(t *testing.T) {
 		t.Fatal("warm lookup missed")
 	}
 	if got, want := renderStore(hit.Store), renderStore(cold.store); got != want {
-		t.Fatalf("stitched store differs from cold store:\n--- warm\n%s\n--- cold\n%s", got, want)
+		t.Fatalf("warm store differs from cold store:\n--- warm\n%s\n--- cold\n%s", got, want)
 	}
 	if !bytes.Equal(hit.Output, cold.output) {
 		t.Fatalf("output differs: %q vs %q", hit.Output, cold.output)
@@ -112,12 +119,61 @@ func TestRoundTripByteIdentity(t *testing.T) {
 	if got, want := fmt.Sprintf("%+v", hit.Stats), fmt.Sprintf("%+v", cold.stats); got != want {
 		t.Fatalf("stats differ:\n%s\nvs\n%s", got, want)
 	}
-	if hit.Chunks == 0 {
-		t.Fatal("hit stitched zero chunks")
-	}
 	st := warm.Stats()
-	if st.Hits != 1 || st.Joins != int64(hit.Chunks) {
-		t.Fatalf("stats = %+v, want 1 hit and %d joins", st, hit.Chunks)
+	if want := int64(factFuncs(cold)); st.Hits != 1 || st.Joins != want {
+		t.Fatalf("stats = %+v, want 1 hit and %d joins", st, want)
+	}
+}
+
+// TestOneRecordPerRun pins the on-disk layout: a stored run is one record
+// plus the two heads that name it (full key and diff anchor), and a hit
+// joins one body per function that recorded a fact — a function whose
+// body another function shares still counts once for itself.
+func TestOneRecordPerRun(t *testing.T) {
+	twins := `
+var f = function (a) { return a + 1; };
+var g = function (a) { return a + 1; };
+console.log(f(1) + g(2));
+`
+	for name, src := range map[string]string{"testSrc": testSrc, "twins": twins} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			cold := runCold(t, src, 7)
+			key := KeyFor("cache.js", src, Sig{Seed: 7})
+			c := mustOpen(t, dir)
+			storeRun(t, c, key, cold)
+			if files := dbFiles(t, dir); len(files) != 3 {
+				t.Fatalf("stored run left %d files, want 3 (one record, two heads): %v", len(files), files)
+			}
+			if st := c.Stats(); st.Written != 1 {
+				t.Fatalf("stats = %+v, want exactly one record written", st)
+			}
+
+			warm := mustOpen(t, dir)
+			hit, ok := warm.Lookup(key)
+			if !ok {
+				t.Fatal("fresh-handle lookup missed")
+			}
+			if got, want := renderStore(hit.Store), renderStore(cold.store); got != want {
+				t.Fatalf("warm store differs from cold store:\n--- warm\n%s\n--- cold\n%s", got, want)
+			}
+			if got, want := warm.Stats().Joins, int64(factFuncs(cold)); got != want {
+				t.Fatalf("joins = %d, want %d (functions that recorded facts)", got, want)
+			}
+		})
+	}
+
+	// The twins' record keeps both copies of the shared body hash.
+	cold := runCold(t, twins, 7)
+	key := KeyFor("cache.js", twins, Sig{Seed: 7})
+	c := mustOpen(t, t.TempDir())
+	storeRun(t, c, key, cold)
+	rec, ok := c.load(key)
+	if !ok {
+		t.Fatal("record not loadable after store")
+	}
+	if len(rec.Bodies) != 3 || rec.Bodies[1] != rec.Bodies[2] || rec.Bodies[0] == rec.Bodies[1] {
+		t.Fatalf("bodies = %v, want [top, h, h] with f and g sharing h", rec.Bodies)
 	}
 }
 
@@ -274,12 +330,10 @@ func TestPartialObjectDamage(t *testing.T) {
 	}
 }
 
-func TestDiffAndChunkDedup(t *testing.T) {
-	// Editing the tail of the program must leave the functions' chunks
-	// reusable: Diff reports them unchanged and the second Store dedups
-	// their chunks. (Chunks carry absolute instruction IDs, so only code at
-	// or after the edit point re-encodes — an edit inside mul would shift
-	// the loop's call-site IDs and with them add's fact contexts.)
+func TestDiff(t *testing.T) {
+	// Editing the tail of the program leaves add and mul unchanged: Diff
+	// finds the previous record through the head anchor and reports them
+	// unchanged, and the edited top level changed.
 	edited := strings.Replace(testSrc, "console.log(nan);", "console.log(nan + 0);", 1)
 	if edited == testSrc {
 		t.Fatal("edit did not apply")
@@ -295,13 +349,13 @@ func TestDiffAndChunkDedup(t *testing.T) {
 	dir := t.TempDir()
 	c := mustOpen(t, dir)
 	if _, ok := c.Diff(keyA, coldA.mod); ok {
-		t.Fatal("diff found a manifest in an empty cache")
+		t.Fatal("diff found a record in an empty cache")
 	}
 	storeRun(t, c, keyA, coldA)
 
 	rep, ok := c.Diff(keyB, coldB.mod)
 	if !ok {
-		t.Fatal("diff found no previous manifest via the head anchor")
+		t.Fatal("diff found no previous record via the head anchor")
 	}
 	// add and mul are untouched; the top level changed.
 	if rep.Unchanged == 0 || rep.Changed == 0 {
@@ -312,55 +366,11 @@ func TestDiffAndChunkDedup(t *testing.T) {
 	}
 
 	storeRun(t, c, keyB, coldB)
-	st := c.Stats()
-	if st.ChunksDeduped == 0 {
-		t.Fatalf("stats = %+v: unchanged function produced no chunk dedup", st)
-	}
 	// Both versions stay independently servable.
 	for _, k := range []Key{keyA, keyB} {
 		if _, ok := mustOpen(t, dir).Lookup(k); !ok {
 			t.Fatalf("lookup missed for key %s", k.ID()[:8])
 		}
-	}
-}
-
-func TestEntrySignatureShapesChunkIdentity(t *testing.T) {
-	// Same body, different entry determinacy (argument fed by Math.random
-	// vs a constant) must produce different chunk objects.
-	detSrc := `function f(a) { return a + 1; } console.log(f(2));`
-	indetSrc := `function f(a) { return a + 1; } console.log(f(Math.random()));`
-	a := runCold(t, detSrc, 1)
-	b := runCold(t, indetSrc, 1)
-	chunksA, _, err := splitChunks(a.mod, a.store, a.rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunksB, _, err := splitChunks(b.mod, b.store, b.rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigOf := func(chunks []*chunkPayload, body string) (uint64, bool) {
-		for _, c := range chunks {
-			if strings.Contains(body, "f") && c.Fn != 0 {
-				return c.SigAnd, true
-			}
-		}
-		return 0, false
-	}
-	sa, oka := sigOf(chunksA, detSrc)
-	sb, okb := sigOf(chunksB, indetSrc)
-	if !oka || !okb {
-		t.Fatal("function chunk not found")
-	}
-	if sa == sb {
-		t.Fatalf("entry signatures identical (%#x) despite determinacy difference", sa)
-	}
-	// The determinate call must mark argument 0 determinate.
-	if sa&1 == 0 {
-		t.Fatalf("determinate argument not reflected in signature %#x", sa)
-	}
-	if sb&1 != 0 {
-		t.Fatalf("indeterminate argument marked determinate in signature %#x", sb)
 	}
 }
 
@@ -371,30 +381,30 @@ func TestDBFrameValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte(`{"hello":"world"}`)
-	id, created, err := db.PutObject(KindChunk, payload)
+	id, created, err := db.PutObject(KindRun, payload)
 	if err != nil || !created {
 		t.Fatalf("put: created=%v err=%v", created, err)
 	}
-	if _, _, err := db.PutObject(KindChunk, payload); err != nil {
+	if _, _, err := db.PutObject(KindRun, payload); err != nil {
 		t.Fatal(err)
-	} else if _, created, _ := db.PutObject(KindChunk, payload); created {
+	} else if _, created, _ := db.PutObject(KindRun, payload); created {
 		t.Fatal("identical payload not deduplicated")
 	}
-	got, err := db.GetObject(id, KindChunk)
+	got, err := db.GetObject(id, KindRun)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("get: %q, %v", got, err)
 	}
 	// Wrong kind reads as corrupt.
-	if _, err := db.GetObject(id, KindManifest); err == nil {
+	if _, err := db.GetObject(id, KindHead); err == nil {
 		t.Fatal("kind mismatch not detected")
 	}
 	// A record stored under the wrong address reads as corrupt even though
 	// its frame validates.
 	other := ObjectID([]byte("elsewhere"))
-	if err := atomicWrite(filepath.Join(dir, "objects", other[:2], other), frame(KindChunk, payload)); err != nil {
+	if err := atomicWrite(filepath.Join(dir, "objects", other[:2], other), frame(KindRun, payload)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.GetObject(other, KindChunk); err == nil {
+	if _, err := db.GetObject(other, KindRun); err == nil {
 		t.Fatal("address mismatch not detected")
 	}
 	// Heads.
@@ -414,7 +424,7 @@ func TestStoreSkipsOversizedOutput(t *testing.T) {
 	key := KeyFor("cache.js", testSrc, Sig{Seed: 7})
 	c := mustOpen(t, t.TempDir())
 	big := make([]byte, MaxOutputBytes+1)
-	if err := c.Store(key, cold.mod, cold.store, cold.rec, big, cold.stats, 0); err != nil {
+	if err := c.Store(key, cold.mod, cold.store, big, cold.stats, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Lookup(key); ok {

@@ -7,9 +7,9 @@ import (
 )
 
 // TestConcurrentSelfRepair pins the repair contract under contention: two
-// goroutines hit the same bit-flipped chunk at once, both degrade to a
-// clean miss, both re-store the run concurrently — and the damaged object
-// is rewritten exactly ONCE (the second store dedups against the repaired
+// goroutines hit the same bit-flipped run record at once, both degrade to
+// a clean miss, both re-store the run concurrently — and the record is
+// rewritten exactly ONCE (the second store dedups against the repaired
 // file), after which both observers read warm results byte-identical to
 // the cold run. Run under -race, this also pins the Cache/DB locking.
 func TestConcurrentSelfRepair(t *testing.T) {
@@ -19,28 +19,28 @@ func TestConcurrentSelfRepair(t *testing.T) {
 	storeRun(t, mustOpen(t, dir), key, cold)
 	wantRender := renderStore(cold.store)
 
-	// Flip one payload bit in the first chunk object on disk (the frame
-	// kind byte identifies chunks among manifests and heads).
-	var chunkFiles int
+	// Flip one payload bit in the run record on disk (the frame kind byte
+	// tells it from the heads).
+	var records int
 	for _, path := range dbFiles(t, dir) {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b) <= headerSize || b[6] != KindChunk {
+		if len(b) <= headerSize || b[6] != KindRun {
 			continue
 		}
-		if chunkFiles == 0 {
+		if records == 0 {
 			bad := append([]byte(nil), b...)
 			bad[headerSize] ^= 0x01
 			if err := os.WriteFile(path, bad, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
-		chunkFiles++
+		records++
 	}
-	if chunkFiles == 0 {
-		t.Fatal("no chunk object found on disk")
+	if records != 1 {
+		t.Fatalf("found %d run records on disk, want 1", records)
 	}
 
 	// One shared fresh handle: the empty memory LRU forces both goroutines
@@ -48,7 +48,7 @@ func TestConcurrentSelfRepair(t *testing.T) {
 	c := mustOpen(t, dir)
 
 	// Phase 1: both goroutines look up concurrently. Each must see a
-	// clean miss — one invalidates the damaged chunk, the other races it
+	// clean miss — one invalidates the damaged record, the other races it
 	// into either a second invalidation or a missing-head miss.
 	var phase sync.WaitGroup
 	gate := make(chan struct{})
@@ -64,17 +64,17 @@ func TestConcurrentSelfRepair(t *testing.T) {
 	close(gate)
 	phase.Wait()
 	if hits[0] || hits[1] {
-		t.Fatalf("lookup hit on a corrupted chunk (hits=%v)", hits)
+		t.Fatalf("lookup hit on a corrupted record (hits=%v)", hits)
 	}
 	if st := c.Stats(); st.Invalidations == 0 {
-		t.Fatalf("stats = %+v: no invalidation recorded for the damaged chunk", st)
+		t.Fatalf("stats = %+v: no invalidation recorded for the damaged record", st)
 	}
 
 	// Phase 2: both re-analyze (precomputed — the runs are deterministic)
 	// and store concurrently, as two request handlers would after the
 	// shared miss.
 	reruns := [2]*coldRun{runCold(t, testSrc, 7), runCold(t, testSrc, 7)}
-	written0 := c.Stats().ChunksWritten
+	written0 := c.Stats().Written
 	gate = make(chan struct{})
 	for g := 0; g < 2; g++ {
 		phase.Add(1)
@@ -82,18 +82,18 @@ func TestConcurrentSelfRepair(t *testing.T) {
 			defer phase.Done()
 			<-gate
 			r := reruns[g]
-			if err := c.Store(key, r.mod, r.store, r.rec, r.output, r.stats, 0); err != nil {
+			if err := c.Store(key, r.mod, r.store, r.output, r.stats, 0); err != nil {
 				t.Errorf("goroutine %d: store: %v", g, err)
 			}
 		}(g)
 	}
 	close(gate)
 	phase.Wait()
-	// Exactly one repair: only the invalidated chunk is rewritten; every
-	// other object — and the second store's copy of the repaired one —
-	// dedups against the valid file already at its content address.
-	if got := c.Stats().ChunksWritten - written0; got != 1 {
-		t.Fatalf("chunks written during concurrent repair = %d, want exactly 1", got)
+	// Exactly one repair: the first store rewrites the invalidated record;
+	// the second store's copy dedups against the valid file already at its
+	// content address.
+	if got := c.Stats().Written - written0; got != 1 {
+		t.Fatalf("records written during concurrent repair = %d, want exactly 1", got)
 	}
 
 	// Phase 3: both observers (and a fresh process) read warm results

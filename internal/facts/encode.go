@@ -12,7 +12,7 @@ import (
 
 // Wire is the JSON wire form of a fact: its point, context, occurrence,
 // join state, value and hit count. Encode writes one per line, and the
-// fact cache stores them per function chunk.
+// fact cache stores a run's facts as a list of them.
 type Wire struct {
 	Instr int      `json:"instr"`
 	Ctx   [][2]int `json:"ctx,omitempty"`

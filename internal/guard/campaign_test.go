@@ -69,6 +69,10 @@ func TestFaultCampaign(t *testing.T) {
 	runs := campaignRuns(t, 1000)
 	outcomes := map[string]int{}
 	count := func(k string) { outcomes[k]++ }
+	prog, err := determinacy.Compile("campaign.js", campaignSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for seed := uint64(0); seed < uint64(runs); seed++ {
 		h := mix(seed, 0xfa017)
@@ -98,7 +102,7 @@ func TestFaultCampaign(t *testing.T) {
 				checkRunOutcome(t, seed, plan, err, count)
 			case 2: // batch fan-out over 4 seeds
 				opts.Workers = 4
-				res, err := determinacy.AnalyzeRunsContext(ctx, campaignSrc, opts, seed, seed+1, seed+2, seed+3)
+				res, err := determinacy.AnalyzeRunsContext(ctx, prog, opts, seed, seed+1, seed+2, seed+3)
 				checkAnalyzeOutcome(t, seed, plan, res, err, count)
 			default: // instrumented analysis
 				res, err := determinacy.AnalyzeContext(ctx, campaignSrc, opts)

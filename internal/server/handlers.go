@@ -489,23 +489,7 @@ func (s *Server) runAnalyze(reqCtx context.Context, req *AnalyzeRequest, rt *req
 	opts := s.analyzeOptions(req.Seed, req.MaxFlushes, req.MaxSteps, req.Handlers, req.DOM, req.DetDOM)
 	opts.Tracer = tracer
 
-	if req.Runs > 1 {
-		// Serial within the request: the server's concurrency comes from
-		// concurrent requests, so one merge sweep never hoards workers.
-		// Compiles go through the package-global runs cache, which reports
-		// no per-call hit information — CacheHit stays false here.
-		opts.Workers = 1
-		seeds := make([]uint64, req.Runs)
-		for i := range seeds {
-			seeds[i] = req.Seed + uint64(i)
-		}
-		res, err := determinacy.AnalyzeRunsContext(ctx, req.Source, opts, seeds...)
-		if err != nil {
-			return nil, err
-		}
-		return buildResponse(name, req.DetOnly, res), nil
-	}
-	resp, hit, err := s.analyzeOne(ctx, name, req.Source, req.DetOnly, opts)
+	resp, hit, err := s.analyzeOne(ctx, name, req.Source, req.DetOnly, req.Runs, opts)
 	if rt != nil {
 		rt.entry.CacheHit = hit
 	}
@@ -514,8 +498,9 @@ func (s *Server) runAnalyze(reqCtx context.Context, req *AnalyzeRequest, rt *req
 
 // analyzeOne compiles src through the server's compile cache, reports the
 // cache outcome to opts.Tracer, runs the analysis and builds its response.
-// hit reports whether the front-end work was served from the cache.
-func (s *Server) analyzeOne(ctx context.Context, name, src string, detOnly bool, opts determinacy.Options) (resp *AnalyzeResponse, hit bool, err error) {
+// runs > 1 merges that many consecutive seeds from opts.Seed (§7). hit
+// reports whether the front-end work was served from the cache.
+func (s *Server) analyzeOne(ctx context.Context, name, src string, detOnly bool, runs int, opts determinacy.Options) (resp *AnalyzeResponse, hit bool, err error) {
 	p, hit, err := s.cache.CompileHit(name, src)
 	if opts.Tracer != nil {
 		detail := "miss"
@@ -527,7 +512,19 @@ func (s *Server) analyzeOne(ctx context.Context, name, src string, detOnly bool,
 	if err != nil {
 		return nil, hit, err
 	}
-	res, err := determinacy.AnalyzeProgramContext(ctx, p, opts)
+	var res *determinacy.Result
+	if runs > 1 {
+		// Serial within the request: the server's concurrency comes from
+		// concurrent requests, so one merge sweep never hoards workers.
+		opts.Workers = 1
+		seeds := make([]uint64, runs)
+		for i := range seeds {
+			seeds[i] = opts.Seed + uint64(i)
+		}
+		res, err = determinacy.AnalyzeRunsContext(ctx, p, opts, seeds...)
+	} else {
+		res, err = determinacy.AnalyzeProgramContext(ctx, p, opts)
+	}
 	if err != nil {
 		return nil, hit, err
 	}
@@ -625,7 +622,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, rt *reqTrac
 		}
 		opts := s.analyzeOptions(p.Seed, req.MaxFlushes, req.MaxSteps, req.Handlers, req.DOM, req.DetDOM)
 		opts.Tracer = tracer
-		resp, hit, err := s.analyzeOne(ctx, name, p.Source, req.DetOnly, opts)
+		resp, hit, err := s.analyzeOne(ctx, name, p.Source, req.DetOnly, 1, opts)
 		if hit {
 			cacheHits.Add(1)
 		}

@@ -156,6 +156,44 @@ func TestStatuszRecordsOutcomes(t *testing.T) {
 	}
 }
 
+// TestMultiRunRequestRecordsCacheHit pins that a runs > 1 request compiles
+// through the server's compile cache like a single run: a repeated
+// `runs: 2` request records cache_hit in its flight entry, and its trace
+// carries the progcache hit event.
+func TestMultiRunRequestRecordsCacheHit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, id := range []string{"runs-first", "runs-again"} {
+		raw, _ := json.Marshal(AnalyzeRequest{Source: quickSrc, Runs: 2})
+		req, _ := http.NewRequest("POST", ts.URL+"/v1/analyze", strings.NewReader(string(raw)))
+		req.Header.Set("X-Request-ID", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", id, resp.StatusCode)
+		}
+	}
+	page := getStatusz(t, ts.URL)
+	if first := findEntry(t, page, "runs-first"); first.CacheHit {
+		t.Fatalf("first runs:2 request (first compile) marked cache-hit: %+v", first)
+	}
+	if again := findEntry(t, page, "runs-again"); !again.CacheHit {
+		t.Fatalf("repeated runs:2 request not marked cache-hit: %+v", again)
+	}
+	resp, err := http.Get(ts.URL + "/debug/tracez?id=runs-again")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if !strings.Contains(string(body), `"phase":"progcache","detail":"hit"`) {
+		t.Fatalf("repeated runs:2 trace has no progcache hit event:\n%s", body)
+	}
+}
+
 func TestStatuszTextFormat(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Source: quickSrc})

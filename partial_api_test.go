@@ -108,7 +108,11 @@ func TestAnalyzeRunsMergedPartial(t *testing.T) {
 	// All seeds hit the step budget, so every per-seed result is partial
 	// and the merge must say so rather than presenting the union as
 	// complete.
-	res, err := determinacy.AnalyzeRuns(longSrc, determinacy.Options{
+	prog, err := determinacy.Compile("long.js", longSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := determinacy.AnalyzeRuns(prog, determinacy.Options{
 		Out:      io.Discard,
 		MaxSteps: 5000,
 		Workers:  2,
@@ -130,7 +134,11 @@ func TestAnalyzeRunsExpiredContext(t *testing.T) {
 	// the sweep reports an error wrapping the deadline.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	res, err := determinacy.AnalyzeRunsContext(ctx, longSrc, determinacy.Options{
+	prog, err := determinacy.Compile("long.js", longSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := determinacy.AnalyzeRunsContext(ctx, prog, determinacy.Options{
 		Out:     io.Discard,
 		Workers: 2,
 	}, 1, 2, 3)
