@@ -7,8 +7,8 @@
 //	                     with and without the determinate-DOM assumption.
 //	detbench -all        Both.
 //
-// The -budget flag sets the points-to work budget standing in for the
-// paper's 10-minute timeout; -v prints per-benchmark details.
+// A fixed points-to work budget of 60,000 propagations stands in for the
+// paper's 10-minute timeout, and the dynamic runs use seed 0.
 package main
 
 import (
@@ -29,8 +29,6 @@ func main() {
 		table1      = flag.Bool("table1", false, "reproduce Table 1")
 		evalst      = flag.Bool("eval", false, "reproduce the §5.2 eval study")
 		all         = flag.Bool("all", false, "run everything")
-		budget      = flag.Int("budget", 0, "points-to work budget in propagations (0 = 60,000)")
-		seed        = flag.Uint64("seed", 0, "PRNG seed for the dynamic runs")
 		workers     = flag.Int("workers", 0, "concurrent analysis jobs (0 = GOMAXPROCS, 1 = serial); output is byte-identical for every setting")
 		metricsJSON = flag.String("metrics-json", "", `also write experiment metrics as JSON to this file ("-" = stdout); EXPERIMENTS.md numbers regenerate from this dump`)
 		timeout     = flag.Duration("timeout", 0, "wall-clock budget for the whole run (0 = none); on expiry remaining cells are skipped and the exit code is 7")
@@ -60,9 +58,6 @@ func main() {
 	if flag.NArg() != 0 {
 		badFlag("unexpected arguments %v", flag.Args())
 	}
-	if *budget < 0 {
-		badFlag("-budget must be non-negative, got %d", *budget)
-	}
 	if *workers < 0 {
 		badFlag("-workers must be non-negative, got %d", *workers)
 	}
@@ -73,12 +68,11 @@ func main() {
 	if *metricsJSON != "" {
 		m = obs.NewMetrics()
 	}
-	cfg := experiment.Config{Budget: *budget, Seed: *seed, Workers: *workers, Metrics: m}
+	cfg := experiment.Config{Workers: *workers, Metrics: m}
 	if *factDir != "" {
 		fc, err := determinacy.OpenFactCache(*factDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "detbench:", err)
-			os.Exit(cliexit.Error)
+			cliexit.Fatal("detbench", err)
 		}
 		cfg.FactCache = fc.WithMetrics(m)
 	}
@@ -119,19 +113,15 @@ func main() {
 	}
 
 	if m != nil {
-		w := os.Stdout
-		if *metricsJSON != "-" {
-			f, err := os.Create(*metricsJSON)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "detbench:", err)
-				os.Exit(cliexit.Error)
-			}
-			defer f.Close()
-			w = f
+		w, err := cliexit.OpenOut(*metricsJSON)
+		if err != nil {
+			cliexit.Fatal("detbench", err)
 		}
 		if err := m.WriteJSON(w); err != nil {
-			fmt.Fprintln(os.Stderr, "detbench:", err)
-			os.Exit(cliexit.Error)
+			cliexit.Fatal("detbench", err)
+		}
+		if err := w.Close(); err != nil {
+			cliexit.Fatal("detbench", err)
 		}
 	}
 

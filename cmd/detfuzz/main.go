@@ -7,11 +7,9 @@
 //
 // Usage:
 //
-//	detfuzz [-seeds N] [-resolutions N] [-base S] [-duration D]
-//	        [-workers N] [-json] [-no-reduce]
+//	detfuzz [-seeds N] [-resolutions N] [-duration D] [-json]
 //
-// Exit codes: 0 all programs clean, 2 usage error, 3 at least one oracle
-// violation found.
+// Generator seeds start at 1. Exit codes distinguish outcomes (see -help).
 package main
 
 import (
@@ -31,11 +29,8 @@ func main() {
 	var (
 		seeds       = flag.Int("seeds", 200, "generated programs per round")
 		resolutions = flag.Int("resolutions", 8, "concrete replays per program")
-		base        = flag.Uint64("base", 1, "first generator seed")
 		duration    = flag.Duration("duration", 0, "repeat rounds (advancing seeds) until this much time has passed; 0 = a single round")
-		workers     = flag.Int("workers", 0, "concurrent programs (0 = GOMAXPROCS)")
 		jsonOut     = flag.Bool("json", false, "write the report as JSON to stdout")
-		noReduce    = flag.Bool("no-reduce", false, "skip delta-debugging failing programs")
 		timeout     = flag.Duration("timeout", 0, "hard wall-clock cap for the campaign (0 = none); unchecked seeds are reported as skipped")
 		factDir     = flag.String("factcache", "", "also run the memoization oracle against the fact DB in this directory: every program runs cold and warm and must be byte-identical")
 		showVer     = flag.Bool("version", false, "print version and exit")
@@ -57,8 +52,8 @@ func main() {
 		flag.Usage()
 		os.Exit(cliexit.Usage)
 	}
-	if *seeds <= 0 || *resolutions <= 0 || *workers < 0 {
-		fmt.Fprintln(os.Stderr, "detfuzz: -seeds and -resolutions must be positive and -workers non-negative")
+	if *seeds <= 0 || *resolutions <= 0 {
+		fmt.Fprintln(os.Stderr, "detfuzz: -seeds and -resolutions must be positive")
 		os.Exit(cliexit.Usage)
 	}
 	if *timeout < 0 {
@@ -68,9 +63,6 @@ func main() {
 	cfg := diffcheck.Config{
 		Seeds:        *seeds,
 		Resolutions:  *resolutions,
-		BaseSeed:     *base,
-		Workers:      *workers,
-		Reduce:       !*noReduce,
 		FactCacheDir: *factDir,
 	}
 	if *timeout > 0 {
@@ -89,8 +81,7 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "detfuzz:", err)
-			os.Exit(cliexit.Error)
+			cliexit.Fatal("detfuzz", err)
 		}
 	} else {
 		fmt.Printf("detfuzz: %d programs x %d resolutions, %d determinate fact checks, %d failures (%.1fs)\n",

@@ -3,15 +3,14 @@
 //
 // Usage:
 //
-//	detrun [-dom] [-detdom] [-seed N] [-det-only] [-stats] [-dump-ir]
-//	       [-trace out.jsonl] [-trace-format jsonl|chrome] [-metrics -] file.js
+//	detrun [-dom] [-detdom] [-seed N] [-stats] [-trace out.jsonl]
+//	       [-trace-format jsonl|chrome] [-metrics -] file.js
 //
 // Exit codes distinguish analysis outcomes (see -help).
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -20,7 +19,6 @@ import (
 
 	"determinacy"
 	"determinacy/internal/cliexit"
-	"determinacy/internal/ir"
 	"determinacy/internal/obs"
 	"determinacy/internal/version"
 )
@@ -30,16 +28,13 @@ func main() {
 		withDOM  = flag.Bool("dom", false, "install the synthetic DOM emulation")
 		detDOM   = flag.Bool("detdom", false, "assume a determinate DOM (implies -dom; unsound, §5.1)")
 		seed     = flag.Uint64("seed", 0, "PRNG seed for Math.random")
-		handlers = flag.Int("handlers", 8, "max DOM event handlers to drive")
-		detOnly  = flag.Bool("det-only", false, "print only determinate facts")
 		stats    = flag.Bool("stats", false, "print run statistics")
-		dumpIR   = flag.Bool("dump-ir", false, "print the lowered IR instead of running")
 		flushes  = flag.Int("max-flushes", 1000, "stop after this many heap flushes (0 = unlimited)")
 		jsonOut  = flag.Bool("json", false, "emit facts as JSON lines instead of rendered text")
 		runs     = flag.Int("runs", 1, "instrumented runs with distinct seeds, merged per the paper's §7")
 		traceOut = flag.String("trace", "", `write a pipeline trace to this file ("-" = stdout)`)
 		traceFmt = flag.String("trace-format", "jsonl", "trace format: jsonl or chrome (trace_event JSON for Perfetto)")
-		metrics  = flag.String("metrics", "", `write Prometheus-style metrics to this file ("-" = stdout)`)
+		metrics  = flag.String("metrics", "", `write Prometheus-style metrics to this file ("-" appends them to stdout after the facts)`)
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget for the analysis (0 = none); a timed-out run still prints its sound partial facts")
 		factDir  = flag.String("factcache", "", "directory for the on-disk fact DB; warm re-runs of an unchanged program serve byte-identical memoized facts")
 		showVer  = flag.Bool("version", false, "print version and exit")
@@ -71,31 +66,19 @@ func main() {
 	if *flushes < 0 {
 		badFlag("-max-flushes must be non-negative, got %d", *flushes)
 	}
-	if *handlers < 0 {
-		badFlag("-handlers must be non-negative, got %d", *handlers)
-	}
 	if *timeout < 0 {
 		badFlag("-timeout must be non-negative, got %v", *timeout)
 	}
 	src, rerr := os.ReadFile(flag.Arg(0))
 	if rerr != nil {
-		fatal(rerr)
-	}
-
-	if *dumpIR {
-		mod, err := ir.Compile(flag.Arg(0), string(src))
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(mod.String())
-		return
+		cliexit.Fatal("detrun", rerr)
 	}
 
 	opts := determinacy.Options{
 		Seed:             *seed,
 		WithDOM:          *withDOM || *detDOM,
 		DeterministicDOM: *detDOM,
-		RunHandlers:      *handlers,
+		RunHandlers:      8,
 		MaxFlushes:       *flushes,
 		Out:              os.Stdout,
 	}
@@ -106,7 +89,7 @@ func main() {
 	if *factDir != "" {
 		fc, err := determinacy.OpenFactCache(*factDir)
 		if err != nil {
-			fatal(err)
+			cliexit.Fatal("detrun", err)
 		}
 		opts.FactCache = fc
 	}
@@ -114,18 +97,18 @@ func main() {
 	// Tracing: jsonl streams events as they happen; chrome buffers in memory
 	// and is written out after the run.
 	var (
-		chrome     *obs.ChromeTrace
-		jsonl      *obs.JSONLWriter
-		closeJSONL func()
+		chrome   *obs.ChromeTrace
+		jsonl    *obs.JSONLWriter
+		jsonlOut io.Closer
 	)
 	if *traceOut != "" {
 		switch *traceFmt {
 		case "jsonl":
-			w, cl, err := openOut(*traceOut)
+			w, err := cliexit.OpenOut(*traceOut)
 			if err != nil {
-				fatal(err)
+				cliexit.Fatal("detrun", err)
 			}
-			jsonl, closeJSONL = obs.NewJSONLWriter(w), cl
+			jsonl, jsonlOut = obs.NewJSONLWriter(w), w
 			opts.Tracer = jsonl
 		case "chrome":
 			chrome = obs.NewChromeTrace()
@@ -137,23 +120,27 @@ func main() {
 	}
 	finishTrace := func() {
 		if chrome != nil {
-			w, cl, err := openOut(*traceOut)
+			w, err := cliexit.OpenOut(*traceOut)
 			if err != nil {
-				fatal(err)
+				cliexit.Fatal("detrun", err)
 			}
 			_, werr := chrome.WriteTo(w)
-			cl()
+			if cerr := w.Close(); werr == nil {
+				werr = cerr
+			}
 			chrome = nil
 			if werr != nil {
-				fatal(werr)
+				cliexit.Fatal("detrun", werr)
 			}
 		}
 		if jsonl != nil {
 			werr := jsonl.Err()
-			closeJSONL()
+			if cerr := jsonlOut.Close(); werr == nil {
+				werr = cerr
+			}
 			jsonl = nil
 			if werr != nil {
-				fatal(werr)
+				cliexit.Fatal("detrun", werr)
 			}
 		}
 	}
@@ -183,7 +170,7 @@ func main() {
 	}
 	if err != nil {
 		finishTrace()
-		fatal(err)
+		cliexit.Fatal("detrun", err)
 	}
 	finishTrace()
 	if res.Partial {
@@ -192,16 +179,10 @@ func main() {
 
 	if *jsonOut {
 		if err := res.Store().Encode(os.Stdout); err != nil {
-			fatal(err)
+			cliexit.Fatal("detrun", err)
 		}
 	} else {
-		var fs []determinacy.Fact
-		if *detOnly {
-			fs = res.DeterminateFacts()
-		} else {
-			fs = res.Facts()
-		}
-		for _, f := range fs {
+		for _, f := range res.Facts() {
 			fmt.Println(f)
 		}
 	}
@@ -224,14 +205,16 @@ func main() {
 	if *metrics != "" {
 		m := determinacy.NewMetrics()
 		res.ExportMetrics(m)
-		w, cl, err := openOut(*metrics)
+		w, err := cliexit.OpenOut(*metrics)
 		if err != nil {
-			fatal(err)
+			cliexit.Fatal("detrun", err)
 		}
 		if err := m.WriteProm(w); err != nil {
-			fatal(err)
+			cliexit.Fatal("detrun", err)
 		}
-		cl()
+		if err := w.Close(); err != nil {
+			cliexit.Fatal("detrun", err)
+		}
 	}
 
 	if res.Partial {
@@ -250,39 +233,5 @@ func partialExit(r determinacy.DegradeReason) int {
 		return cliexit.Budget
 	default:
 		return cliexit.Partial
-	}
-}
-
-// openOut opens path for writing, with "-" meaning stdout (whose returned
-// close func is a no-op).
-func openOut(path string) (io.Writer, func(), error) {
-	if path == "-" {
-		return os.Stdout, func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { f.Close() }, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "detrun:", err)
-	os.Exit(exitCode(err))
-}
-
-// exitCode maps analysis outcome errors to the documented exit codes.
-func exitCode(err error) int {
-	switch {
-	case errors.Is(err, determinacy.ErrFlushLimit):
-		return cliexit.FlushCap
-	case errors.Is(err, determinacy.ErrBudget):
-		return cliexit.Budget
-	case errors.Is(err, determinacy.ErrStack):
-		return cliexit.Stack
-	case errors.Is(err, determinacy.ErrUncaughtException):
-		return cliexit.Exception
-	default:
-		return cliexit.Error
 	}
 }

@@ -29,13 +29,10 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "PRNG seed for Math.random")
 		elimEval   = flag.Bool("eval", false, "also eliminate determinate eval calls")
 		stats      = flag.Bool("stats", false, "print specialization statistics to stderr")
-		maxUnroll  = flag.Int("max-unroll", 32, "loop unrolling bound")
-		depth      = flag.Int("clone-depth", 4, "context clone nesting bound")
 		factsFile  = flag.String("facts", "", "load facts from a detrun -json dump instead of running the dynamic analysis")
 		generalize = flag.Bool("generalize", false, "also apply context-insensitive fact projections (§7)")
-		metrics    = flag.String("metrics", "", `write Prometheus-style metrics to this file ("-" = stdout)`)
+		metrics    = flag.String("metrics", "", `write Prometheus-style metrics to this file ("-" appends them to stdout after the specialized program)`)
 		runs       = flag.Int("runs", 1, "merge facts from this many dynamic runs with consecutive seeds (§7) before specializing")
-		workers    = flag.Int("workers", 0, "concurrent dynamic runs when -runs > 1 (0 = GOMAXPROCS, 1 = serial); the merged facts are identical for every setting")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget for the dynamic analysis (0 = none); a timed-out run still specializes with its sound partial facts and exits 7")
 		factDir    = flag.String("factcache", "", "directory for the on-disk fact DB; re-specializing an unchanged program reuses memoized dynamic-analysis facts")
 		showVer    = flag.Bool("version", false, "print version and exit")
@@ -64,26 +61,15 @@ func main() {
 	if *runs < 1 {
 		badFlag("-runs must be at least 1, got %d", *runs)
 	}
-	if *workers < 0 {
-		badFlag("-workers must be non-negative, got %d", *workers)
-	}
-	if *maxUnroll < 0 {
-		badFlag("-max-unroll must be non-negative, got %d", *maxUnroll)
-	}
-	if *depth < 0 {
-		badFlag("-clone-depth must be non-negative, got %d", *depth)
-	}
 	if *timeout < 0 {
 		badFlag("-timeout must be non-negative, got %v", *timeout)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
-		fatal(err)
+		cliexit.Fatal("detspec", err)
 	}
 
 	specOpts := determinacy.SpecializeOptions{
-		MaxUnroll:     *maxUnroll,
-		MaxCloneDepth: *depth,
 		EliminateEval: *elimEval,
 		Generalize:    *generalize,
 	}
@@ -92,12 +78,12 @@ func main() {
 	if *factsFile != "" {
 		f, err := os.Open(*factsFile)
 		if err != nil {
-			fatal(err)
+			cliexit.Fatal("detspec", err)
 		}
 		spec, err = determinacy.SpecializeWithFacts(flag.Arg(0), string(src), f, specOpts)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			cliexit.Fatal("detspec", err)
 		}
 	} else {
 		opts := determinacy.Options{
@@ -107,12 +93,11 @@ func main() {
 			RunHandlers:      8,
 			MaxFlushes:       1000,
 			Out:              io.Discard,
-			Workers:          *workers,
 		}
 		if *factDir != "" {
 			fc, err := determinacy.OpenFactCache(*factDir)
 			if err != nil {
-				fatal(err)
+				cliexit.Fatal("detspec", err)
 			}
 			opts.FactCache = fc
 		}
@@ -137,7 +122,7 @@ func main() {
 			res, err = determinacy.AnalyzeFileContext(ctx, flag.Arg(0), string(src), opts)
 		}
 		if err != nil {
-			fatal(err)
+			cliexit.Fatal("detspec", err)
 		}
 		if res.Partial {
 			// Partial facts are sound, so specializing with them is safe —
@@ -146,7 +131,7 @@ func main() {
 		}
 		spec, err = res.Specialize(specOpts)
 		if err != nil {
-			fatal(err)
+			cliexit.Fatal("detspec", err)
 		}
 	}
 	fmt.Print(spec.Source)
@@ -179,18 +164,15 @@ func main() {
 		m.Counter("spec_clones_created_total").Add(int64(s.ClonesCreated))
 		m.Counter("spec_consts_folded_total").Add(int64(s.ConstsFolded))
 		m.Counter("spec_evals_eliminated_total").Add(int64(s.EvalsEliminated))
-		// "-" appends the dump to stdout after the specialized program.
-		w := os.Stdout
-		if *metrics != "-" {
-			f, err := os.Create(*metrics)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
+		w, err := cliexit.OpenOut(*metrics)
+		if err != nil {
+			cliexit.Fatal("detspec", err)
 		}
 		if err := m.WriteProm(w); err != nil {
-			fatal(err)
+			cliexit.Fatal("detspec", err)
+		}
+		if err := w.Close(); err != nil {
+			cliexit.Fatal("detspec", err)
 		}
 	}
 
@@ -199,9 +181,4 @@ func main() {
 	if res != nil && (res.Degraded == determinacy.DegradeDeadline || res.Degraded == determinacy.DegradeCancel) {
 		os.Exit(cliexit.Partial)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "detspec:", err)
-	os.Exit(cliexit.Error)
 }

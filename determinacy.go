@@ -756,11 +756,9 @@ func (r *Result) Program() *ast.Program { return r.prog }
 // Clients
 
 // SpecializeOptions configures fact-driven specialization (§2.2/§5.1).
+// Loop unrolling and context-clone nesting use specialize's default bounds
+// (32 iterations, depth 4).
 type SpecializeOptions struct {
-	// MaxUnroll bounds loop unrolling (0 = default 32).
-	MaxUnroll int
-	// MaxCloneDepth bounds context-clone nesting (0 = default 4).
-	MaxCloneDepth int
 	// EliminateEval also replaces determinate eval calls with parsed code
 	// (§2.3/§5.2).
 	EliminateEval bool
@@ -802,8 +800,6 @@ func (r *Result) ExportMetrics(m *Metrics) {
 func (r *Result) Specialize(opts SpecializeOptions) (*Specialized, error) {
 	defer obs.PhaseScope(r.tracer, "specialize")()
 	res, err := specialize.Specialize(r.prog, r.mod, r.store, specialize.Options{
-		MaxUnroll:     opts.MaxUnroll,
-		MaxCloneDepth: opts.MaxCloneDepth,
 		EliminateEval: opts.EliminateEval,
 		Generalize:    opts.Generalize,
 	})

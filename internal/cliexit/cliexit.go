@@ -1,14 +1,20 @@
 // Package cliexit is the canonical exit-code table for the command-line
-// tools. Every CLI maps its outcomes through these constants, the README's
+// tools and the one place a fatal error becomes an exit code (Code, Fatal).
+// Every CLI maps its outcomes through these constants, the README's
 // "Exit codes" section embeds MarkdownTable() verbatim, and a test in
 // internal/clitest asserts the two never drift apart: per-command codes
 // stay distinct and the docs match this source of truth.
 package cliexit
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"strings"
+
+	"determinacy"
 )
 
 // Shared outcome codes. 0-2 mean the same thing in every command; 3-7 are
@@ -55,6 +61,8 @@ var Tables = map[string][]Row{
 		{OK, "specialized program emitted"},
 		{Error, "generic error (I/O, parse, internal)"},
 		{Usage, "usage error"},
+		{Stack, "instrumented call-stack overflow"},
+		{Exception, "analyzed program threw an uncaught exception"},
 		{Partial, "dynamic analysis stopped by -timeout or cancellation; specialized with sound partial facts"},
 	},
 	"detbench": {
@@ -75,6 +83,46 @@ var Tables = map[string][]Row{
 		{Usage, "usage error"},
 	},
 }
+
+// Code maps a fatal error to its exit code. Flush-cap, budget, deadline
+// and cancellation stops are not errors: the library returns them as sealed
+// partial results, and each command maps those by its own table.
+func Code(err error) int {
+	switch {
+	case errors.Is(err, determinacy.ErrStack):
+		return Stack
+	case errors.Is(err, determinacy.ErrUncaughtException):
+		return Exception
+	default:
+		return Error
+	}
+}
+
+// Fatal reports err on stderr under the command's name and exits with
+// Code(err).
+func Fatal(cmd string, err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", cmd, err)
+	os.Exit(Code(err))
+}
+
+// OpenOut opens path for writing, with "-" meaning stdout, which Close
+// leaves open.
+func OpenOut(path string) (io.WriteCloser, error) {
+	if path == "-" {
+		return stdout{}, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// stdout writes to os.Stdout; its Close is a no-op.
+type stdout struct{}
+
+func (stdout) Write(p []byte) (int, error) { return os.Stdout.Write(p) }
+func (stdout) Close() error                { return nil }
 
 // UsageText renders a command's table for its -help output.
 func UsageText(cmd string) string {

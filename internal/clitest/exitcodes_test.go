@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -100,6 +101,69 @@ func TestUsageListsExitCodes(t *testing.T) {
 		_ = cmd.Run() // flag's -help exits 0 or 2 depending on Go version; text is what matters
 		if !strings.Contains(combined.String(), cliexit.UsageText(name)) {
 			t.Errorf("%s -help does not include its exit-code table; got:\n%s", name, combined.String())
+		}
+	}
+}
+
+// TestAnalysisExitCodes runs each documented analysis outcome end to end
+// and checks the exit code both analysis CLIs give it: a fatal error maps
+// through cliexit.Code in either command, and detrun's flush-cap stop
+// reports its own code.
+func TestAnalysisExitCodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	write := func(name, src string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	throw := write("throw.js", "throw 1;\n")
+	recurse := write("recurse.js", "function f(){return f();} f();\n")
+	// An indeterminate callee flushes the heap: 3 indet-call flushes and 2
+	// indet-store-base ones, so a cap of 1 stops the run.
+	flushy := write("flushy.js", `var g = {};
+function a(){ g.x = 1; }
+function b(){ g.y = 2; }
+var f = Math.random() < 0.5 ? a : b;
+f(); f(); f();
+`)
+	cases := []struct {
+		cmd  string
+		args []string
+		want int
+	}{
+		{"detrun", []string{throw}, cliexit.Exception},
+		{"detspec", []string{throw}, cliexit.Exception},
+		{"detrun", []string{recurse}, cliexit.Stack},
+		{"detspec", []string{recurse}, cliexit.Stack},
+		{"detrun", []string{"-max-flushes", "1", flushy}, cliexit.FlushCap},
+	}
+	bins := map[string]string{}
+	for _, c := range cases {
+		if _, ok := bins[c.cmd]; !ok {
+			bins[c.cmd] = build(t, dir, c.cmd)
+		}
+	}
+	for _, c := range cases {
+		cmd := exec.Command(bins[c.cmd], c.args...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		code := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%s %v: %v", c.cmd, c.args, err)
+		}
+		if code != c.want {
+			t.Errorf("%s %v: exit code %d, want %d\nstderr: %s", c.cmd, c.args, code, c.want, stderr.String())
+		}
+		if bytes.Contains(stderr.Bytes(), []byte("goroutine")) {
+			t.Errorf("%s %v: stderr looks like a panic dump: %s", c.cmd, c.args, stderr.String())
 		}
 	}
 }

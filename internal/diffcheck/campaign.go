@@ -16,13 +16,6 @@ type Config struct {
 	// Resolutions is the number of concrete replays per program, each under
 	// a different resolution of the indeterminate inputs (default 8).
 	Resolutions int
-	// BaseSeed is the first generator seed; program i uses BaseSeed+i.
-	BaseSeed uint64
-	// Workers bounds campaign concurrency (0 = GOMAXPROCS).
-	Workers int
-	// Reduce minimizes every failing program with the delta-debugging
-	// reducer before reporting it.
-	Reduce bool
 	// Ctx stops the campaign cooperatively: in-flight seeds finish, the
 	// rest are skipped (counted in Report.Skipped). nil means no
 	// cancellation.
@@ -62,30 +55,33 @@ type Report struct {
 	ElapsedMS  int64 `json:"elapsed_ms"`
 }
 
-// Run fans the campaign's programs out across the batch worker pool and
-// collects every oracle violation.
+// firstSeed is the first generator seed; program i of a round starting at
+// seed b uses b+i.
+const firstSeed = 1
+
+// Run fans the campaign's programs out across the batch worker pool
+// (GOMAXPROCS wide) and collects every oracle violation, each minimized
+// by the delta-debugging reducer.
 func Run(cfg Config) Report {
 	cfg = cfg.withDefaults()
-	pool := batch.New(cfg.Workers)
-	return runOn(pool, cfg)
+	return runOn(batch.New(0), cfg, firstSeed)
 }
 
 // RunFor repeats campaign rounds, advancing the seed range each time,
 // until the deadline passes (at least one round always runs).
 func RunFor(cfg Config, d time.Duration) Report {
 	cfg = cfg.withDefaults()
-	pool := batch.New(cfg.Workers)
+	pool := batch.New(0)
 	deadline := time.Now().Add(d)
 	total := Report{Resolutions: cfg.Resolutions}
 	start := time.Now()
-	for {
-		rep := runOn(pool, cfg)
+	for base := uint64(firstSeed); ; base += uint64(cfg.Seeds) {
+		rep := runOn(pool, cfg, base)
 		total.Programs += rep.Programs
 		total.FactsChecked += rep.FactsChecked
 		total.MemoChecks += rep.MemoChecks
 		total.Failures = append(total.Failures, rep.Failures...)
 		total.Skipped += rep.Skipped
-		cfg.BaseSeed += uint64(cfg.Seeds)
 		if !time.Now().Before(deadline) {
 			break
 		}
@@ -97,7 +93,7 @@ func RunFor(cfg Config, d time.Duration) Report {
 	return total
 }
 
-func runOn(pool *batch.Pool, cfg Config) Report {
+func runOn(pool *batch.Pool, cfg Config, base uint64) Report {
 	start := time.Now()
 	type outcome struct {
 		checked    int
@@ -105,7 +101,7 @@ func runOn(pool *batch.Pool, cfg Config) Report {
 		fail       *Failure
 	}
 	outs, qs := batch.MapCtx(cfg.Ctx, pool, cfg.Seeds, func(i int) outcome {
-		seed := cfg.BaseSeed + uint64(i)
+		seed := base + uint64(i)
 		checked, f := CheckSeed(seed, cfg.Resolutions)
 		o := outcome{checked: checked, fail: f}
 		if cfg.FactCacheDir != "" && o.fail == nil {
@@ -120,7 +116,7 @@ func runOn(pool *batch.Pool, cfg Config) Report {
 		if errors.As(q.Err, &re) {
 			// A panicking seed is itself an oracle violation: the analysis
 			// must never crash on a generated program.
-			outs[q.Index].fail = &Failure{Kind: KindCrash, GenSeed: cfg.BaseSeed + uint64(q.Index),
+			outs[q.Index].fail = &Failure{Kind: KindCrash, GenSeed: base + uint64(q.Index),
 				Resolution: -1, Detail: "panic: " + q.Err.Error()}
 		} else {
 			rep.Skipped++
@@ -132,7 +128,7 @@ func runOn(pool *batch.Pool, cfg Config) Report {
 		if o.fail != nil {
 			// Memo-oracle failures depend on fact-DB state, which the
 			// stateless reduction predicate cannot reproduce.
-			if cfg.Reduce && o.fail.Kind != KindMemoDiverge {
+			if o.fail.Kind != KindMemoDiverge {
 				o.fail.Minimized = Reduce(o.fail.Program,
 					SameFailure(o.fail.Kind, cfg.Resolutions, o.fail.GenSeed))
 			}

@@ -128,7 +128,7 @@ func TestCheckSeedDeterministic(t *testing.T) {
 }
 
 func TestCampaignSmoke(t *testing.T) {
-	rep := Run(Config{Seeds: 25, Resolutions: 3, BaseSeed: 1, Reduce: true})
+	rep := Run(Config{Seeds: 25, Resolutions: 3})
 	if rep.Programs != 25 || rep.Resolutions != 3 {
 		t.Errorf("report shape: %+v", rep)
 	}

@@ -35,7 +35,6 @@ func TestMemoCampaign(t *testing.T) {
 	rep := Run(Config{
 		Seeds:        seeds,
 		Resolutions:  1,
-		BaseSeed:     1,
 		FactCacheDir: dir,
 	})
 	if want := 2 * seeds; rep.MemoChecks != want {

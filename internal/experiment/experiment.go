@@ -23,11 +23,6 @@ import (
 
 // Config tunes the experiments.
 type Config struct {
-	// Budget is the points-to work budget standing in for the paper's
-	// 10-minute timeout. 0 means the default of 60,000 propagations.
-	Budget int
-	// Seed drives the runs' PRNG.
-	Seed uint64
 	// Tracer observes every dynamic run and solver invocation performed by
 	// the experiments. nil disables tracing.
 	Tracer obs.Tracer
@@ -59,12 +54,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Budget == 0 {
-		// Sits well above the cost of analyzing the specialized programs
-		// (~9k propagation events) and well below the reflective blowup of
-		// the unspecialized ones (~300k); see EXPERIMENTS.md.
-		c.Budget = 60_000
-	}
 	if c.Ctx == nil {
 		c.Ctx = context.Background()
 	}
@@ -83,13 +72,22 @@ func (c Config) pool() *batch.Pool {
 // context.
 func (c Config) solve(p *determinacy.Program) (*pointsto.Result, error) {
 	return pointsto.AnalyzeGuarded(p.Module(), pointsto.Options{
-		Budget: c.Budget, Tracer: c.Tracer, Ctx: c.Ctx,
+		Budget: experimentBudget, Tracer: c.Tracer, Ctx: c.Ctx,
 	})
 }
 
-// experimentNow is the fixed Date.now the experiments run under: the
-// PLDI'13 week; any fixed instant works.
-const experimentNow = 1371161337000
+// The fixed settings the experiments run under. experimentBudget is the
+// points-to work budget standing in for the paper's 10-minute timeout: it
+// sits well above the cost of analyzing the specialized programs (~9k
+// propagation events) and well below the reflective blowup of the
+// unspecialized ones (~300k); see EXPERIMENTS.md. experimentSeed drives
+// the dynamic runs' PRNG, and experimentNow is their Date.now: the PLDI'13
+// week; any fixed instant works.
+const (
+	experimentBudget = 60_000
+	experimentSeed   = 0
+	experimentNow    = 1371161337000
+)
 
 // errDynamicRun marks a RunDynamic failure of the program itself, as
 // opposed to a front-end error.
@@ -111,7 +109,7 @@ func RunDynamic(src string, detDOM bool, cfg Config) (*determinacy.Result, error
 		return nil, fmt.Errorf("compile: %w", err)
 	}
 	res, err := determinacy.AnalyzeProgramContext(cfg.Ctx, p, determinacy.Options{
-		Seed:             cfg.Seed,
+		Seed:             experimentSeed,
 		Now:              experimentNow,
 		WithDOM:          true,
 		DeterministicDOM: detDOM,

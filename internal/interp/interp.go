@@ -211,18 +211,6 @@ func (it *Interp) Now() float64 { return it.opts.Now }
 // Out returns the console output writer.
 func (it *Interp) Out() io.Writer { return it.opts.Out }
 
-// CallStack returns the call-site instruction IDs from outermost to the
-// current frame (the top-level frame contributes nothing).
-func (it *Interp) CallStack() []ir.ID {
-	var out []ir.ID
-	for _, f := range it.frames {
-		if f.CallSite >= 0 {
-			out = append(out, f.CallSite)
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Outcomes
 

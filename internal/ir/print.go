@@ -5,8 +5,7 @@ import (
 	"strings"
 )
 
-// String renders a module as readable IR, primarily for tests and the
-// detrun -dump-ir flag.
+// String renders a module as readable IR, for tests and debugging.
 func (m *Module) String() string {
 	var b strings.Builder
 	for _, f := range m.Funcs() {

@@ -48,9 +48,6 @@ type Pos struct {
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// IsValid reports whether p refers to an actual source location.
-func (p Pos) IsValid() bool { return p.Line > 0 }
-
 // Token is a single lexical token. For Number tokens Num holds the parsed
 // value; for String tokens Str holds the decoded value; Lit always holds the
 // literal text (for strings, the text without quotes, undecoded).

@@ -56,15 +56,6 @@ func Parse(file, src string) (*ast.Program, error) {
 	return prog, nil
 }
 
-// MustParse is Parse but panics on error; for tests and embedded programs.
-func MustParse(file, src string) *ast.Program {
-	prog, err := Parse(file, src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 // ParseExpr parses a single expression (used by the eval eliminator when
 // splicing evaluated strings).
 func ParseExpr(src string) (ast.Expr, error) {

@@ -147,9 +147,6 @@ func (r *Result) PointsToGlobal(name string) []*Object {
 	return r.an.fieldObjects(r.an.globalObj, name)
 }
 
-// CalleesAt returns the possible callees of a call site.
-func (r *Result) CalleesAt(site ir.ID) []*Object { return r.Callees[site] }
-
 // ---------------------------------------------------------------------------
 
 // bitset is a growable set of small non-negative integers: the objects of
@@ -723,12 +720,6 @@ func (r *Result) Export(m *obs.Metrics) {
 	}
 	m.Gauge("pointsto_interrupted").Set(interrupted)
 	m.Gauge("pointsto_duration_seconds").Set(r.Duration.Seconds())
-}
-
-// FunctionReached reports whether the function with the given index became
-// reachable during solving.
-func (r *Result) FunctionReached(idx int) bool {
-	return idx >= 0 && idx < len(r.an.processed) && r.an.processed[idx]
 }
 
 // FieldObjects returns the points-to set of a named field of an abstract

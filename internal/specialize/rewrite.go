@@ -213,6 +213,10 @@ func hasLoopEscape(body ast.Stmt) bool {
 	return found
 }
 
+// maxUnroll bounds loop unrolling (the paper needed 21 iterations for
+// jQuery 1.0).
+const maxUnroll = 32
+
 // tryUnrollWhile attempts to unroll a loop whose condition facts show a
 // determinate trip count. Each unrolled copy is specialized with its
 // iteration index as the occurrence sequence, which is what turns
@@ -227,7 +231,7 @@ func (sp *specializer) tryUnrollWhile(pos lexer.Pos, init ast.Stmt, test ast.Exp
 	// Probe the condition facts for a determinate trip structure:
 	// true^trips followed by false.
 	trips := -1
-	for k := 0; k <= sp.opts.MaxUnroll; k++ {
+	for k := 0; k <= maxUnroll; k++ {
 		probe := &env{ctx: e.ctx, iter: k, depth: e.depth, fn: e.fn}
 		f := sp.factFor(probe, test)
 		if f == nil || !f.Det {
@@ -284,7 +288,7 @@ func (sp *specializer) tryUnrollForIn(s *ast.ForIn, e *env) ([]ast.Stmt, bool) {
 			return nil, false
 		}
 		keys = append(keys, f.Val.Str)
-		if seq > sp.opts.MaxUnroll {
+		if seq > maxUnroll {
 			return nil, false
 		}
 	}

@@ -26,9 +26,6 @@ import (
 
 // Options configures the specializer.
 type Options struct {
-	// MaxUnroll bounds loop unrolling (the paper needed 21 iterations for
-	// jQuery 1.0). 0 means the default of 32.
-	MaxUnroll int
 	// MaxCloneDepth bounds context-clone nesting (the paper reports at most
 	// four levels of context were needed). 0 means the default of 4; a
 	// negative value disables cloning entirely.
@@ -127,9 +124,6 @@ type Result struct {
 // Specialize rewrites prog using facts gathered by running mod (the lowered
 // form of prog) under the determinacy analysis.
 func Specialize(prog *ast.Program, mod *ir.Module, store *facts.Store, opts Options) (*Result, error) {
-	if opts.MaxUnroll == 0 {
-		opts.MaxUnroll = 32
-	}
 	if opts.MaxCloneDepth == 0 {
 		opts.MaxCloneDepth = 4
 	}
