@@ -86,12 +86,18 @@ func main() {
 		// Keep stdout clean for the fact dump.
 		opts.Out = os.Stderr
 	}
+	// The registry exists before the run so the fact cache can publish
+	// its factcache_* series into it.
+	var m *determinacy.Metrics
+	if *metrics != "" {
+		m = determinacy.NewMetrics()
+	}
 	if *factDir != "" {
 		fc, err := determinacy.OpenFactCache(*factDir)
 		if err != nil {
 			cliexit.Fatal("detrun", err)
 		}
-		opts.FactCache = fc
+		opts.FactCache = fc.WithMetrics(m)
 	}
 
 	// Tracing: jsonl streams events as they happen; chrome buffers in memory
@@ -202,8 +208,7 @@ func main() {
 		}
 	}
 
-	if *metrics != "" {
-		m := determinacy.NewMetrics()
+	if m != nil {
 		res.ExportMetrics(m)
 		w, err := cliexit.OpenOut(*metrics)
 		if err != nil {

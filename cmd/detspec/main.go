@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"determinacy"
 	"determinacy/internal/cliexit"
@@ -29,7 +30,7 @@ func main() {
 		seed       = flag.Uint64("seed", 0, "PRNG seed for Math.random")
 		elimEval   = flag.Bool("eval", false, "also eliminate determinate eval calls")
 		stats      = flag.Bool("stats", false, "print specialization statistics to stderr")
-		factsFile  = flag.String("facts", "", "load facts from a detrun -json dump instead of running the dynamic analysis")
+		factsFile  = flag.String("facts", "", "load facts from a detrun -json dump instead of running the dynamic analysis (excludes -seed, -dom, -detdom, -runs, -timeout and -factcache)")
 		generalize = flag.Bool("generalize", false, "also apply context-insensitive fact projections (§7)")
 		metrics    = flag.String("metrics", "", `write Prometheus-style metrics to this file ("-" appends them to stdout after the specialized program)`)
 		runs       = flag.Int("runs", 1, "merge facts from this many dynamic runs with consecutive seeds (§7) before specializing")
@@ -64,6 +65,18 @@ func main() {
 	if *timeout < 0 {
 		badFlag("-timeout must be non-negative, got %v", *timeout)
 	}
+	if *factsFile != "" {
+		var ignored []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "seed", "dom", "detdom", "runs", "timeout", "factcache":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			badFlag("-facts skips the dynamic analysis, so it cannot take %s", strings.Join(ignored, " "))
+		}
+	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		cliexit.Fatal("detspec", err)
@@ -72,6 +85,12 @@ func main() {
 	specOpts := determinacy.SpecializeOptions{
 		EliminateEval: *elimEval,
 		Generalize:    *generalize,
+	}
+	// The registry exists before the run so the fact cache can publish
+	// its factcache_* series into it.
+	var m *determinacy.Metrics
+	if *metrics != "" {
+		m = determinacy.NewMetrics()
 	}
 	var spec *determinacy.Specialized
 	var res *determinacy.Result
@@ -99,7 +118,7 @@ func main() {
 			if err != nil {
 				cliexit.Fatal("detspec", err)
 			}
-			opts.FactCache = fc
+			opts.FactCache = fc.WithMetrics(m)
 		}
 		ctx := context.Background()
 		if *timeout > 0 {
@@ -151,8 +170,7 @@ func main() {
 		}
 	}
 
-	if *metrics != "" {
-		m := determinacy.NewMetrics()
+	if m != nil {
 		if res != nil {
 			res.ExportMetrics(m)
 		}

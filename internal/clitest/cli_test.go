@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -32,6 +33,7 @@ func TestRejectNonsensicalFlags(t *testing.T) {
 	if err := os.WriteFile(js, []byte("var x = 1 + 2;\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	facts := filepath.Join(dir, "prog.facts")
 
 	cases := []struct {
 		cmd  string
@@ -72,6 +74,16 @@ func TestRejectNonsensicalFlags(t *testing.T) {
 		{"detfuzz", []string{"-workers", "2"}},
 		{"detfuzz", []string{"-no-reduce"}},
 		{"detfuzz", []string{"-base", "1"}},
+		// -facts skips the dynamic analysis, so the flags that only shape
+		// that analysis are usage errors naming each of them, not silently
+		// ignored.
+		{"detspec", []string{"-facts", facts, "-seed", "9", js}},
+		{"detspec", []string{"-facts", facts, "-dom", js}},
+		{"detspec", []string{"-facts", facts, "-detdom", js}},
+		{"detspec", []string{"-facts", facts, "-runs", "5", js}},
+		{"detspec", []string{"-facts", facts, "-timeout", "1ns", js}},
+		{"detspec", []string{"-facts", facts, "-factcache", filepath.Join(dir, "factdb"), js}},
+		{"detspec", []string{"-facts", facts, "-timeout", "1ns", "-runs", "5", "-detdom", "-seed", "9", js}},
 	}
 
 	bins := map[string]string{}
@@ -79,6 +91,13 @@ func TestRejectNonsensicalFlags(t *testing.T) {
 		if _, ok := bins[c.cmd]; !ok {
 			bins[c.cmd] = build(t, dir, c.cmd)
 		}
+	}
+	dump, err := exec.Command(bins["detrun"], "-json", js).Output()
+	if err != nil {
+		t.Fatalf("detrun -json: %v", err)
+	}
+	if err := os.WriteFile(facts, dump, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	for _, c := range cases {
@@ -97,12 +116,22 @@ func TestRejectNonsensicalFlags(t *testing.T) {
 		if stderr.Len() == 0 {
 			t.Errorf("%s %v: no diagnostic on stderr", c.cmd, c.args)
 		}
+		if c.args[0] == "-facts" {
+			for _, a := range c.args[2:] {
+				if strings.HasPrefix(a, "-") && !strings.Contains(stderr.String(), a) {
+					t.Errorf("%s %v: diagnostic does not name %s: %s", c.cmd, c.args, a, stderr.String())
+				}
+			}
+		}
 	}
 
 	// Sane flags must still work end to end.
 	good := exec.Command(bins["detrun"], "-runs", "2", js)
 	if out, err := good.CombinedOutput(); err != nil {
 		t.Errorf("detrun with valid flags failed: %v\n%s", err, out)
+	}
+	if out, err := exec.Command(bins["detspec"], "-facts", facts, "-eval", js).CombinedOutput(); err != nil {
+		t.Errorf("detspec -facts with flags it honours failed: %v\n%s", err, out)
 	}
 
 	// A timeout expiring mid-analysis degrades gracefully: exit code 7,
@@ -115,7 +144,7 @@ func TestRejectNonsensicalFlags(t *testing.T) {
 	slow := exec.Command(bins["detrun"], "-timeout", "30ms", long)
 	var stderr bytes.Buffer
 	slow.Stderr = &stderr
-	err := slow.Run()
+	err = slow.Run()
 	ee, ok := err.(*exec.ExitError)
 	if !ok {
 		t.Fatalf("detrun -timeout on a long program: expected exit 7, got %v\nstderr: %s", err, stderr.String())

@@ -54,3 +54,35 @@ func TestDetrunRunsSharesFactCache(t *testing.T) {
 		t.Fatalf("-runs 2 after a single run: %d fact-cache hits and %d misses, want 1 and 1", hits, misses)
 	}
 }
+
+// TestDetrunMetricsPublishFactCache pins that `detrun -metrics` carries the
+// fact cache's series: a cold run reports one miss and a warm rerun one hit.
+func TestDetrunMetricsPublishFactCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	detrun := build(t, dir, "detrun")
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := filepath.Join(dir, "factdb")
+	for _, want := range []string{"factcache_misses_total 1", "factcache_hits_total 1"} {
+		cmd := exec.Command(detrun, "-factcache", db, "-metrics", "-", "examples/js/figure2.js")
+		cmd.Dir = root
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("detrun -factcache -metrics: %v", err)
+		}
+		var got []string
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "factcache_hits_total") || strings.HasPrefix(line, "factcache_misses_total") {
+				got = append(got, line)
+			}
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("fact-cache lookup series = %q, want [%q]", got, want)
+		}
+	}
+}

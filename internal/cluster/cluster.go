@@ -10,7 +10,7 @@
 // every failure mode degrades to local analysis, so a cluster node is
 // never worse than a single node:
 //
-//   - per-peer circuit breaker: closed → open after BreakerThreshold
+//   - per-peer circuit breaker: closed → open after breakerThreshold
 //     consecutive failures → half-open after BreakerCooldown, where a
 //     single trial (health probe or real request) decides re-close vs
 //     re-open;
@@ -179,18 +179,22 @@ type Config struct {
 	// ProbeInterval paces the /readyz health prober started by Start
 	// (0 = 1s, negative = no background prober; ProbeOnce still works).
 	ProbeInterval time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// peer's circuit (0 = 3); BreakerCooldown is how long an open circuit
-	// waits before half-opening (0 = 2s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// MaxPeerInFlight bounds concurrent forwards per peer (0 = 32); the
-	// excess falls back to local analysis rather than queueing.
-	MaxPeerInFlight int
-	// MaxRelayBytes caps a buffered peer response (0 = 32 MiB); larger
-	// bodies fall back to local analysis.
-	MaxRelayBytes int64
+	// BreakerCooldown is how long an open circuit waits before
+	// half-opening (0 = 2s).
+	BreakerCooldown time.Duration
 }
+
+const (
+	// breakerThreshold is the consecutive-failure count that opens a
+	// peer's circuit.
+	breakerThreshold = 3
+	// maxPeerInFlight bounds concurrent forwards per peer; the excess
+	// falls back to local analysis rather than queueing.
+	maxPeerInFlight = 32
+	// maxRelayBytes caps a buffered peer response; larger bodies fall
+	// back to local analysis.
+	maxRelayBytes = 32 << 20
+)
 
 func (c Config) withDefaults() Config {
 	if c.Transport == nil {
@@ -202,17 +206,8 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = time.Second
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.MaxPeerInFlight <= 0 {
-		c.MaxPeerInFlight = 32
-	}
-	if c.MaxRelayBytes <= 0 {
-		c.MaxRelayBytes = 32 << 20
 	}
 	return c
 }
@@ -335,8 +330,8 @@ func New(cfg Config) (*Router, error) {
 		p := &peer{
 			name:     name,
 			url:      strings.TrimSuffix(u, "/"),
-			br:       newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-			inflight: make(chan struct{}, cfg.MaxPeerInFlight),
+			br:       newBreaker(breakerThreshold, cfg.BreakerCooldown),
+			inflight: make(chan struct{}, maxPeerInFlight),
 		}
 		if r.metrics != nil {
 			p.state = r.metrics.Gauge(fmt.Sprintf("cluster_peer_state{peer=%q}", name))

@@ -216,7 +216,7 @@ func TestForwardAndFallbackClassification(t *testing.T) {
 	}
 
 	// Dead peer: connection-level failures retry once, then open after
-	// BreakerThreshold forwards.
+	// breakerThreshold forwards.
 	peerSrv.Close()
 	for i := 0; i < 3; i++ {
 		if _, perr = r.Forward(context.Background(), "b", "/ok", nil, nil); perr == nil || perr.Reason != ReasonRefused {

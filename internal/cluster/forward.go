@@ -24,7 +24,7 @@ const (
 	ReasonTimeout      = "timeout"       // forward round trip exceeded ForwardTimeout
 	ReasonRefused      = "refused"       // connection-level failure (refused, reset, drop)
 	ReasonDisconnect   = "disconnect"    // peer hung up mid-body
-	ReasonOversize     = "oversize"      // peer response exceeded MaxRelayBytes
+	ReasonOversize     = "oversize"      // peer response exceeded maxRelayBytes
 	ReasonGarbage      = "garbage"       // peer answered bytes that do not decode
 	ReasonPeerShed     = "peer-shed"     // owner answered a 429; serve locally instead
 	ReasonPeerDraining = "peer-draining" // owner answered 503 (draining or tripped)
@@ -175,7 +175,7 @@ func (r *Router) forwardOnce(ctx context.Context, p *peer, path string, body []b
 	}
 	defer resp.Body.Close()
 
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxRelayBytes+1))
+	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes+1))
 	if err != nil {
 		reason := ReasonDisconnect
 		if ctx.Err() != nil {
@@ -183,9 +183,9 @@ func (r *Router) forwardOnce(ctx context.Context, p *peer, path string, body []b
 		}
 		return nil, &PeerError{Peer: p.name, Reason: reason, Err: err}
 	}
-	if int64(len(buf)) > r.cfg.MaxRelayBytes {
+	if int64(len(buf)) > maxRelayBytes {
 		return nil, &PeerError{Peer: p.name, Reason: ReasonOversize,
-			Err: fmt.Errorf("peer response exceeds %d bytes", r.cfg.MaxRelayBytes)}
+			Err: fmt.Errorf("peer response exceeds %d bytes", maxRelayBytes)}
 	}
 
 	switch {

@@ -1,21 +1,17 @@
 package factcache
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
-// On-disk record framing. Every file in the DB — content-addressed objects
-// and mutable head pointers alike — carries the same header so a reader can
-// always tell a valid record from a truncated or bit-flipped one:
+// On-disk record framing. Every file in the DB — run records and head
+// pointers alike — carries the same header so a reader can always tell a
+// valid record from a truncated or bit-flipped one:
 //
 //	magic "DFC1" (4) | version (2, LE) | kind (1) | crc32 (4, LE) | len (4, LE) | payload
 //
@@ -35,55 +31,19 @@ const (
 
 // Record kinds.
 const (
-	// KindRun is one completed run's record.
+	// KindRun is one completed run's record, stored at runs/<key id>.
 	KindRun byte = 1
-	// KindHead is a mutable pointer naming a run record.
+	// KindHead is a diff anchor's pointer, stored at heads/<anchor id>,
+	// naming the key id of the latest run under that anchor.
 	KindHead byte = 3
 )
 
 // ErrCorrupt reports a structurally invalid record: bad magic, impossible
-// lengths, truncation, CRC mismatch, or a content address that does not
-// match the payload.
+// lengths, truncation or a CRC mismatch.
 var ErrCorrupt = errors.New("factcache: corrupt record")
 
 // ErrVersion reports a record written by a different format version.
 var ErrVersion = errors.New("factcache: format version mismatch")
-
-// DB is the fact database's storage layer: immutable content-addressed
-// objects under objects/, mutable head pointers under heads/. Writes are
-// atomic (temp file + rename), so readers never observe a half-written
-// record through the normal API — torn files can only come from external
-// corruption, which reads detect and report.
-type DB struct {
-	dir string
-	// putMu serializes PutObject's validate-or-rewrite check so that when
-	// several goroutines repair the same damaged object, exactly one write
-	// happens: the first put rewrites, the rest observe the now-valid file
-	// and dedup. Object writes are rare (stores only), so one mutex for
-	// the whole DB costs nothing on the read path.
-	putMu sync.Mutex
-}
-
-// OpenDB creates or opens the database rooted at dir.
-func OpenDB(dir string) (*DB, error) {
-	for _, sub := range []string{"objects", "heads"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, fmt.Errorf("factcache: open db: %w", err)
-		}
-	}
-	return &DB{dir: dir}, nil
-}
-
-// Dir reports the database root.
-func (db *DB) Dir() string { return db.dir }
-
-func (db *DB) objectPath(id string) string {
-	return filepath.Join(db.dir, "objects", id[:2], id)
-}
-
-func (db *DB) headPath(key string) string {
-	return filepath.Join(db.dir, "heads", key)
-}
 
 // frame wraps payload in the record header.
 func frame(kind byte, payload []byte) []byte {
@@ -119,15 +79,30 @@ func unframe(b []byte, wantKind byte) ([]byte, error) {
 	return payload, nil
 }
 
-// atomicWrite replaces path with data via a same-directory temp file and
-// rename, so concurrent readers see either the old record or the new one,
-// never a prefix.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+// readRecord reads the record at path and returns its validated payload.
+// A missing file returns an fs.ErrNotExist error; an invalid one
+// ErrCorrupt/ErrVersion.
+func readRecord(path string, kind byte) ([]byte, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	return unframe(b, kind)
+}
+
+// writeRecord atomically replaces path with a framed record.
+func writeRecord(path string, kind byte, payload []byte) error {
+	if err := atomicWrite(path, frame(kind, payload)); err != nil {
+		return fmt.Errorf("factcache: write record: %w", err)
+	}
+	return nil
+}
+
+// atomicWrite replaces path with data via a same-directory temp file and
+// rename, so concurrent readers and writers see either the old record or
+// a whole new one, never a prefix.
+func atomicWrite(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
@@ -146,94 +121,3 @@ func atomicWrite(path string, data []byte) error {
 	}
 	return nil
 }
-
-// ObjectID is the content address of a payload.
-func ObjectID(payload []byte) string {
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:])
-}
-
-// PutObject stores payload under its content address. created reports
-// whether a new object was written (false = identical object already
-// present, the dedup path). An existing file only counts as present if it
-// validates — a corrupt or truncated object is rewritten, so one Store
-// always repairs whatever external damage reads have detected.
-func (db *DB) PutObject(kind byte, payload []byte) (id string, created bool, err error) {
-	db.putMu.Lock()
-	defer db.putMu.Unlock()
-	id = ObjectID(payload)
-	path := db.objectPath(id)
-	if b, rerr := os.ReadFile(path); rerr == nil {
-		if got, uerr := unframe(b, kind); uerr == nil && ObjectID(got) == id {
-			return id, false, nil
-		}
-	}
-	if err := atomicWrite(path, frame(kind, payload)); err != nil {
-		return "", false, fmt.Errorf("factcache: put object: %w", err)
-	}
-	return id, true, nil
-}
-
-// GetObject reads and validates an object. A missing object returns an
-// fs.ErrNotExist error; an invalid one returns ErrCorrupt/ErrVersion. The
-// payload is additionally checked against its content address, so a record
-// that passes the CRC but sits under the wrong name still reads as corrupt.
-func (db *DB) GetObject(id string, wantKind byte) ([]byte, error) {
-	if len(id) < 2 {
-		return nil, fmt.Errorf("%w: malformed object id %q", ErrCorrupt, id)
-	}
-	b, err := os.ReadFile(db.objectPath(id))
-	if err != nil {
-		return nil, err
-	}
-	payload, err := unframe(b, wantKind)
-	if err != nil {
-		return nil, err
-	}
-	if ObjectID(payload) != id {
-		return nil, fmt.Errorf("%w: content does not match address", ErrCorrupt)
-	}
-	return payload, nil
-}
-
-// RemoveObject deletes an object (no-op if absent); used to clear records
-// that failed validation so a later store can rewrite them.
-func (db *DB) RemoveObject(id string) {
-	if len(id) >= 2 {
-		os.Remove(db.objectPath(id))
-	}
-}
-
-// SetHead atomically points the named head at an object id.
-func (db *DB) SetHead(key, id string) error {
-	if err := atomicWrite(db.headPath(key), frame(KindHead, []byte(id))); err != nil {
-		return fmt.Errorf("factcache: set head: %w", err)
-	}
-	return nil
-}
-
-// Head reads a head pointer. A missing head returns fs.ErrNotExist; an
-// invalid one ErrCorrupt/ErrVersion.
-func (db *DB) Head(key string) (string, error) {
-	b, err := os.ReadFile(db.headPath(key))
-	if err != nil {
-		return "", err
-	}
-	payload, err := unframe(b, KindHead)
-	if err != nil {
-		return "", err
-	}
-	if len(payload) != 2*sha256.Size {
-		return "", fmt.Errorf("%w: head names a malformed object id", ErrCorrupt)
-	}
-	return string(payload), nil
-}
-
-// RemoveHead deletes a head pointer (no-op if absent).
-func (db *DB) RemoveHead(key string) {
-	os.Remove(db.headPath(key))
-}
-
-// IsNotExist reports whether err is a plain absence (as opposed to
-// corruption): the caller treats it as a quiet miss.
-func IsNotExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }

@@ -1,19 +1,22 @@
-// Package factcache memoizes determinacy analysis results in an on-disk,
-// content-addressed fact database — the L2 layer under the front-end
-// compile cache (internal/batch/progcache, L1).
+// Package factcache memoizes determinacy analysis results in an on-disk
+// fact database — the L2 layer under the front-end compile cache
+// (internal/batch/progcache, L1).
 //
-// A completed run is stored as one record, keyed by the program's file
-// name, its source hash and the canonical signature of every option that
-// shapes facts. The record holds the run's facts in recording order, the
-// console output, the run statistics and the handler count; serving a
-// warm hit replays the facts through Store.RecordWire and is therefore
-// byte-identical to re-running the analysis — the property
-// internal/diffcheck's memoization oracle checks.
+// A completed run is stored as one file, runs/<key id>, named by a hash of
+// the program's file name, its source hash and the canonical signature of
+// every option that shapes facts. The record holds its own key id, the
+// run's facts in recording order, the console output, the run statistics
+// and the handler count; serving a warm hit replays the facts through
+// Store.RecordWire and is therefore byte-identical to re-running the
+// analysis — the property internal/diffcheck's memoization oracle checks.
+// A record that fails its frame check, or whose key id differs from the
+// name it was read under, is deleted and read as a miss; the next store
+// of that key rewrites it.
 //
-// On a re-submission whose source changed, the full key misses but a
-// per-(program, options) head still names the previous record; Diff
-// compares per-function body hashes against it so the incremental cost is
-// visible (factcache_fn_{unchanged,changed}_total).
+// On a re-submission whose source changed, the full key misses but
+// heads/<anchor id>, one per (program, options), still names the previous
+// run; Diff compares per-function body hashes against it so the
+// incremental cost is visible (factcache_fn_{unchanged,changed}_total).
 //
 // Eligibility is decided by callers (only they see partiality): partial,
 // degraded, errored, or eval-containing runs must NEVER populate the
@@ -26,7 +29,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -37,7 +43,7 @@ import (
 )
 
 // DefaultMemEntries bounds the in-memory LRU of decoded records; disk
-// entries are unbounded (content-addressed objects dedup naturally).
+// entries are unbounded (one file per key).
 const DefaultMemEntries = 64
 
 // MaxOutputBytes caps the console output a cached run may carry; runs
@@ -110,9 +116,6 @@ func KeyFor(file, source string, sig Sig) Key {
 // ID reports the full cache address (diagnostics, tests).
 func (k Key) ID() string { return k.id }
 
-// Zero reports whether the key is the zero value (no cache in play).
-func (k Key) Zero() bool { return k.id == "" }
-
 // Hit is a warm result: everything a cold run would have produced.
 type Hit struct {
 	// Store is a freshly rebuilt fact store; the caller owns it.
@@ -135,18 +138,16 @@ type DiffReport struct {
 
 // CacheStats is a point-in-time snapshot of cache activity, for tests and
 // diagnostics; the live series go to the attached metrics registry.
-// Written counts records Store actually wrote (a store of a record already
-// valid on disk writes nothing) and has no series.
 type CacheStats struct {
-	Hits, Misses, Stores, Joins   int64
-	Invalidations, Skips, Written int64
-	FnUnchanged, FnChanged        int64
+	Hits, Misses, Stores, Joins int64
+	Invalidations, Skips        int64
+	FnUnchanged, FnChanged      int64
 }
 
 // Cache is the fact cache: an on-disk DB plus a small in-memory LRU of
 // decoded records. Safe for concurrent use.
 type Cache struct {
-	db *DB
+	dir string
 
 	mu     sync.Mutex
 	mem    map[string]*memEntry
@@ -165,12 +166,13 @@ type memEntry struct {
 
 // Open creates or opens a fact cache rooted at dir.
 func Open(dir string) (*Cache, error) {
-	db, err := OpenDB(dir)
-	if err != nil {
-		return nil, err
+	for _, sub := range []string{"runs", "heads"} {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			return nil, fmt.Errorf("factcache: open: %w", err)
+		}
 	}
 	return &Cache{
-		db:     db,
+		dir:    dir,
 		mem:    map[string]*memEntry{},
 		lru:    list.New(),
 		maxMem: DefaultMemEntries,
@@ -186,8 +188,8 @@ func (c *Cache) WithMetrics(m *obs.Metrics) *Cache {
 	return c
 }
 
-// Dir reports the cache's database root.
-func (c *Cache) Dir() string { return c.db.Dir() }
+func (c *Cache) runPath(id string) string  { return filepath.Join(c.dir, "runs", id) }
+func (c *Cache) headPath(id string) string { return filepath.Join(c.dir, "heads", id) }
 
 // Stats snapshots cumulative cache activity.
 func (c *Cache) Stats() CacheStats {
@@ -213,13 +215,10 @@ func (c *Cache) Skip(reason string) {
 	c.countLocked(&c.stats.Skips, fmt.Sprintf("factcache_skips_total{reason=%q}", reason))
 }
 
-// invalidate drops a broken entry: the head pointer is removed so the next
-// lookup is a clean miss, and the reason is published.
-func (c *Cache) invalidate(key Key, reason string, objectID string) {
-	c.db.RemoveHead(key.id)
-	if objectID != "" {
-		c.db.RemoveObject(objectID)
-	}
+// invalidate drops a broken run record so the next lookup is a clean
+// miss, and publishes the reason.
+func (c *Cache) invalidate(key Key, reason string) {
+	os.Remove(c.runPath(key.id))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.mem, key.id)
@@ -228,25 +227,18 @@ func (c *Cache) invalidate(key Key, reason string, objectID string) {
 
 // reasonFor classifies a read error for the invalidation series.
 func reasonFor(err error) string {
-	switch {
-	case IsNotExist(err):
-		return "missing"
-	case errors.Is(err, ErrVersion):
+	if errors.Is(err, ErrVersion) {
 		return "version"
-	default:
-		return "corrupt"
 	}
+	return "corrupt"
 }
 
 // Lookup serves a warm result for key, rebuilding a fresh fact store from
 // the cached run record. ok is false on a miss; any invalid on-disk state
-// (truncation, bit flips, version skew, an undecodable record) is
-// invalidated and reported as a miss — never an error, never a wrong
+// (truncation, bit flips, version skew, an undecodable or misnamed record)
+// is invalidated and reported as a miss — never an error, never a wrong
 // result.
 func (c *Cache) Lookup(key Key) (*Hit, bool) {
-	if key.Zero() {
-		return nil, false
-	}
 	rec, ok := c.load(key)
 	c.mu.Lock()
 	if !ok {
@@ -279,21 +271,22 @@ func (c *Cache) load(key Key) (*record, bool) {
 	}
 	c.mu.Unlock()
 
-	id, err := c.db.Head(key.id)
+	b, err := readRecord(c.runPath(key.id), KindRun)
 	if err != nil {
-		if !IsNotExist(err) {
-			c.invalidate(key, reasonFor(err), "")
+		if !errors.Is(err, fs.ErrNotExist) {
+			c.invalidate(key, reasonFor(err))
 		}
-		return nil, false
-	}
-	b, err := c.db.GetObject(id, KindRun)
-	if err != nil {
-		c.invalidate(key, reasonFor(err), id)
 		return nil, false
 	}
 	rec := &record{}
 	if err := json.Unmarshal(b, rec); err != nil || rec.Schema != Schema {
-		c.invalidate(key, "schema", id)
+		c.invalidate(key, "schema")
+		return nil, false
+	}
+	// The CRC vouches for the bytes, not for the name: a valid record
+	// copied under another key's name must not serve.
+	if rec.Key != key.id {
+		c.invalidate(key, "corrupt")
 		return nil, false
 	}
 	c.remember(key, rec)
@@ -326,36 +319,27 @@ func (c *Cache) remember(key Key, rec *record) {
 // Store persists a COMPLETED run as one record — the caller vouches that
 // it ran to the end (not partial, not degraded, no runtime eval) and that
 // store/output/stats are exactly what any fresh run with the same key
-// produces.
+// produces. It rewrites the run record and its diff anchor whatever is on
+// disk, so a store also repairs any damage a read has detected.
 func (c *Cache) Store(key Key, mod *ir.Module, store *facts.Store, output []byte, stats core.Stats, handlersRan int) error {
-	if key.Zero() {
-		return nil
-	}
 	if len(output) > MaxOutputBytes {
 		c.Skip("output-cap")
 		return nil
 	}
-	rec := newRecord(mod, store, output, stats, handlersRan)
+	rec := newRecord(key, mod, store, output, stats, handlersRan)
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("factcache: encode record: %w", err)
 	}
-	id, created, err := c.db.PutObject(KindRun, b)
-	if err != nil {
+	if err := writeRecord(c.runPath(key.id), KindRun, b); err != nil {
 		return err
 	}
-	if err := c.db.SetHead(key.id, id); err != nil {
-		return err
-	}
-	if err := c.db.SetHead(key.head, id); err != nil {
+	if err := writeRecord(c.headPath(key.head), KindHead, []byte(key.id)); err != nil {
 		return err
 	}
 	c.remember(key, rec)
 	c.mu.Lock()
 	c.countLocked(&c.stats.Stores, "factcache_stores_total")
-	if created {
-		c.stats.Written++
-	}
 	c.mu.Unlock()
 	return nil
 }
@@ -368,28 +352,26 @@ func (c *Cache) Store(key Key, mod *ir.Module, store *facts.Store, output []byte
 // changed. ok is false when no previous record exists (first sight of
 // this program).
 func (c *Cache) Diff(key Key, mod *ir.Module) (DiffReport, bool) {
-	if key.Zero() {
-		return DiffReport{}, false
-	}
-	id, err := c.db.Head(key.head)
+	head := c.headPath(key.head)
+	id, err := readRecord(head, KindHead)
 	if err != nil {
-		if !IsNotExist(err) {
-			c.db.RemoveHead(key.head)
+		if !errors.Is(err, fs.ErrNotExist) {
+			os.Remove(head)
 		}
 		return DiffReport{}, false
 	}
-	b, err := c.db.GetObject(id, KindRun)
-	if err != nil {
-		c.db.RemoveHead(key.head)
-		return DiffReport{}, false
-	}
-	// Decode the body list alone: a miss need not allocate the previous
-	// run's facts.
+	b, err := readRecord(c.runPath(string(id)), KindRun)
+	// Decode the key and body list alone: a miss need not allocate the
+	// previous run's facts.
 	var prev struct {
+		Key    string   `json:"key"`
 		Bodies []string `json:"bodies"`
 	}
-	if err := json.Unmarshal(b, &prev); err != nil {
-		c.db.RemoveHead(key.head)
+	if err == nil {
+		err = json.Unmarshal(b, &prev)
+	}
+	if err != nil || prev.Key != string(id) {
+		os.Remove(head)
 		return DiffReport{}, false
 	}
 	seen := make(map[string]bool, len(prev.Bodies))

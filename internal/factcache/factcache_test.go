@@ -3,7 +3,9 @@ package factcache
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,10 +127,10 @@ func TestRoundTripByteIdentity(t *testing.T) {
 	}
 }
 
-// TestOneRecordPerRun pins the on-disk layout: a stored run is one record
-// plus the two heads that name it (full key and diff anchor), and a hit
-// joins one body per function that recorded a fact — a function whose
-// body another function shares still counts once for itself.
+// TestOneRecordPerRun pins the on-disk layout: a stored run is its record
+// at runs/<key id> plus the diff anchor's head naming it, and a hit joins
+// one body per function that recorded a fact — a function whose body
+// another function shares still counts once for itself.
 func TestOneRecordPerRun(t *testing.T) {
 	twins := `
 var f = function (a) { return a + 1; };
@@ -142,11 +144,12 @@ console.log(f(1) + g(2));
 			key := KeyFor("cache.js", src, Sig{Seed: 7})
 			c := mustOpen(t, dir)
 			storeRun(t, c, key, cold)
-			if files := dbFiles(t, dir); len(files) != 3 {
-				t.Fatalf("stored run left %d files, want 3 (one record, two heads): %v", len(files), files)
+			want := []string{
+				filepath.Join(dir, "heads", key.head),
+				filepath.Join(dir, "runs", key.ID()),
 			}
-			if st := c.Stats(); st.Written != 1 {
-				t.Fatalf("stats = %+v, want exactly one record written", st)
+			if files := dbFiles(t, dir); fmt.Sprint(files) != fmt.Sprint(want) {
+				t.Fatalf("stored run left %v, want %v (the run record and its anchor head)", files, want)
 			}
 
 			warm := mustOpen(t, dir)
@@ -202,7 +205,7 @@ func TestKeySeparatesOptionsAndSource(t *testing.T) {
 	}
 }
 
-// dbFiles lists every record file under the cache dir (objects and heads).
+// dbFiles lists every record file under the cache dir (runs and heads).
 func dbFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	var files []string
@@ -278,8 +281,8 @@ func TestCorruptionRecovery(t *testing.T) {
 			if fresh.Stats().Invalidations == 0 {
 				t.Fatal("no invalidation recorded for damaged db")
 			}
-			// One re-store repairs everything, even with damaged object
-			// files still sitting at their content addresses.
+			// One re-store repairs everything, even with a damaged head
+			// still sitting at its anchor.
 			storeRun(t, fresh, key, cold)
 			again := mustOpen(t, dir)
 			hit, ok := again.Lookup(key)
@@ -374,48 +377,82 @@ func TestDiff(t *testing.T) {
 	}
 }
 
+// TestDBFrameValidation pins the record read/write helpers — a kind
+// mismatch, a checksum mismatch and a foreign format version are each
+// rejected — and the key check that replaces content addressing: a valid
+// run record copied under another key's name reads as a miss, and Diff
+// does not compare against it.
 func TestDBFrameValidation(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenDB(dir)
+	path := filepath.Join(dir, "rec")
+	payload := []byte(`{"hello":"world"}`)
+	if err := writeRecord(path, KindRun, payload); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readRecord(path, KindRun)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("read: %q, %v", got, err)
+	}
+	if _, err := readRecord(path, KindHead); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("kind mismatch: %v, want ErrCorrupt", err)
+	}
+	if _, err := readRecord(filepath.Join(dir, "absent"), KindRun); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("missing record: %v", err)
+	}
+	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := []byte(`{"hello":"world"}`)
-	id, created, err := db.PutObject(KindRun, payload)
-	if err != nil || !created {
-		t.Fatalf("put: created=%v err=%v", created, err)
+	for name, c := range map[string]struct {
+		damage func([]byte)
+		want   error
+	}{
+		"crc":     {func(b []byte) { b[len(b)-2] ^= 0x01 }, ErrCorrupt},
+		"version": {func(b []byte) { binary.LittleEndian.PutUint16(b[4:], Version+1) }, ErrVersion},
+	} {
+		bad := append([]byte(nil), b...)
+		c.damage(bad)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readRecord(path, KindRun); !errors.Is(err, c.want) {
+			t.Errorf("%s damage: %v, want %v", name, err, c.want)
+		}
 	}
-	if _, _, err := db.PutObject(KindRun, payload); err != nil {
-		t.Fatal(err)
-	} else if _, created, _ := db.PutObject(KindRun, payload); created {
-		t.Fatal("identical payload not deduplicated")
-	}
-	got, err := db.GetObject(id, KindRun)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("get: %q, %v", got, err)
-	}
-	// Wrong kind reads as corrupt.
-	if _, err := db.GetObject(id, KindHead); err == nil {
-		t.Fatal("kind mismatch not detected")
-	}
-	// A record stored under the wrong address reads as corrupt even though
-	// its frame validates.
-	other := ObjectID([]byte("elsewhere"))
-	if err := atomicWrite(filepath.Join(dir, "objects", other[:2], other), frame(KindRun, payload)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.GetObject(other, KindRun); err == nil {
-		t.Fatal("address mismatch not detected")
-	}
-	// Heads.
-	if err := db.SetHead("k", id); err != nil {
+
+	// A record under the wrong name: its frame and schema validate, but it
+	// carries the other key's id.
+	cold := runCold(t, testSrc, 7)
+	key := KeyFor("cache.js", testSrc, Sig{Seed: 7})
+	other := KeyFor("cache.js", testSrc, Sig{Seed: 8})
+	cdir := t.TempDir()
+	storeRun(t, mustOpen(t, cdir), key, cold)
+	rec, err := os.ReadFile(filepath.Join(cdir, "runs", key.ID()))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if h, err := db.Head("k"); err != nil || h != id {
-		t.Fatalf("head: %q, %v", h, err)
+	if err := os.WriteFile(filepath.Join(cdir, "runs", other.ID()), rec, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := db.Head("absent"); !IsNotExist(err) {
-		t.Fatalf("missing head: %v", err)
+	c := mustOpen(t, cdir)
+	if _, ok := c.Lookup(other); ok {
+		t.Fatal("a record copied under another key's name served")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Invalidations != 1 {
+		t.Fatalf("stats = %+v, want 1 miss and 1 invalidation", st)
+	}
+	if _, ok := c.Lookup(key); !ok {
+		t.Fatal("the record under its own name stopped serving")
+	}
+	// Diff applies the same check to the run its anchor's head names.
+	if err := os.WriteFile(filepath.Join(cdir, "runs", other.ID()), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRecord(filepath.Join(cdir, "heads", key.head), KindHead, []byte(other.ID())); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Diff(key, cold.mod); ok {
+		t.Fatal("Diff compared against a record under another key's name")
 	}
 }
 

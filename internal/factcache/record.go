@@ -13,7 +13,7 @@ import (
 // Schema versions the logical cache content (key derivation and record
 // shape) independently of the storage framing: a Schema bump changes
 // every key, so old entries become unreachable rather than misread.
-const Schema = 2
+const Schema = 3
 
 // BodyHash content-addresses a function's source text. Nested functions
 // hash their printed declaration — the printer emits no positions, so the
@@ -33,11 +33,13 @@ func hashString(s string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// record is one completed run: its facts in recording order, the body
-// hash of every function that recorded a fact, and the run outputs that
-// must replay byte-identically (console bytes, statistics, handler count).
+// record is one completed run: the key id it is stored under, its facts in
+// recording order, the body hash of every function that recorded a fact,
+// and the run outputs that must replay byte-identically (console bytes,
+// statistics, handler count).
 type record struct {
 	Schema     int          `json:"schema"`
+	Key        string       `json:"key"`
 	File       string       `json:"file"`
 	SourceHash string       `json:"src"`
 	Facts      []facts.Wire `json:"facts"`
@@ -52,9 +54,10 @@ type record struct {
 
 // newRecord captures a completed run. A fact outside every function (there
 // is none in an eval-free run, the only kind stored) names no body.
-func newRecord(mod *ir.Module, store *facts.Store, output []byte, stats core.Stats, handlersRan int) *record {
+func newRecord(key Key, mod *ir.Module, store *facts.Store, output []byte, stats core.Stats, handlersRan int) *record {
 	r := &record{
 		Schema:      Schema,
+		Key:         key.id,
 		File:        mod.File,
 		SourceHash:  hashString(mod.Source),
 		Output:      output,
