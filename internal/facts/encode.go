@@ -103,11 +103,8 @@ func (s *Store) RecordWire(w Wire) {
 // recordHits is Record followed by restoring a copied fact's hit count
 // (when above the single observation Record counts).
 func (s *Store) recordHits(instr ir.ID, ctx Context, seq int, det bool, val Snapshot, hits int) {
-	s.Record(instr, ctx, seq, det, val)
-	if hits > 1 {
-		if f, ok := s.Lookup(instr, ctx, seq); ok {
-			f.Hits = hits
-		}
+	if f, _ := s.record(instr, ctx, seq, det, val); hits > 1 {
+		f.Hits = hits
 	}
 }
 

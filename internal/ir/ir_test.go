@@ -1,6 +1,7 @@
 package ir_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -254,5 +255,49 @@ func TestLogicalLowering(t *testing.T) {
 	s := mod.String()
 	if !strings.Contains(s, "if r") {
 		t.Errorf("logical not lowered to a conditional:\n%s", s)
+	}
+}
+
+// TestInstrStringForms pins InstrString on the forms the corpus golden
+// reaches rarely or never: non-finite, negative-zero and exponent
+// literals, quoted strings, empty operand lists, a receiverless call,
+// do-while, a global for-in target and a bare return.
+func TestInstrStringForms(t *testing.T) {
+	lit := func(l ir.Literal) ir.Instr { return &ir.Const{Dst: 3, Val: l} }
+	num := func(n float64) ir.Instr { return lit(ir.Literal{Kind: ir.LitNumber, Num: n}) }
+	cases := []struct {
+		in   ir.Instr
+		want string
+	}{
+		{num(math.NaN()), "r3 = const NaN"},
+		{num(math.Inf(-1)), "r3 = const -Inf"},
+		{num(math.Copysign(0, -1)), "r3 = const -0"},
+		{num(1e21), "r3 = const 1e+21"},
+		{num(1e-7), "r3 = const 1e-07"},
+		{num(0.1), "r3 = const 0.1"},
+		{lit(ir.Literal{Kind: ir.LitString, Str: "a\"b\\\n\u2028é\xff"}), `r3 = const "a\"b\\\n\u2028é\xff"`},
+		{lit(ir.Literal{Kind: ir.LitBool, Bool: true}), "r3 = const true"},
+		{lit(ir.Literal{Kind: ir.LitNull}), "r3 = const null"},
+		{lit(ir.Literal{Kind: ir.LitUndefined}), "r3 = const undefined"},
+		{&ir.MakeObject{Dst: 1}, "r1 = object {}"},
+		{&ir.MakeObject{Dst: 1, Props: []ir.Prop{{Key: "a", Val: 2}, {Key: "b c", Val: 3}}}, "r1 = object {a: r2, b c: r3}"},
+		{&ir.MakeArray{Dst: 1}, "r1 = array []"},
+		{&ir.MakeArray{Dst: 1, Elems: []ir.Reg{2, 10}}, "r1 = array [r2, r10]"},
+		{&ir.Call{Dst: 4, Fn: 5, This: ir.NoReg}, "r4 = call r5 this=r-1 args=[]"},
+		{&ir.New{Dst: 4, Fn: 5, Args: []ir.Reg{6}}, "r4 = new r5 args=[r6]"},
+		{&ir.While{Cond: 7, PostTest: true}, "do-while r7"},
+		{&ir.While{Cond: 7}, "while r7"},
+		{&ir.ForIn{Global: true, TargetGlobal: "k", Obj: 8}, "for k in r8"},
+		{&ir.ForIn{Target: ir.VarRef{Name: "k", Hops: 1, Slot: 2}, Obj: 8}, "for k in r8"},
+		{&ir.StoreVar{Var: ir.VarRef{Name: "v", Hops: 0, Slot: 12}, Src: 9}, "var v@0.12 = r9"},
+		{&ir.DelProp{Dst: 1, Obj: 2, Prop: 3}, "r1 = delete r2[r3]"},
+		{&ir.SetProp{Obj: 1, Prop: 2, Src: 3}, "r1[r2] = r3"},
+		{&ir.Return{Src: ir.NoReg}, "return"},
+		{&ir.Return{Src: 0}, "return r0"},
+	}
+	for _, c := range cases {
+		if got := ir.InstrString(c.in); got != c.want {
+			t.Errorf("InstrString(%#v) = %q, want %q", c.in, got, c.want)
+		}
 	}
 }

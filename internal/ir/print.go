@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -61,106 +62,145 @@ func printBlock(b *strings.Builder, blk *Block, depth int) {
 	}
 }
 
-// InstrString renders one instruction without its nested blocks.
+// InstrString renders one instruction without its nested blocks. Fact
+// rendering labels every program point with it, so it appends with
+// strconv rather than formatting with fmt.
 func InstrString(in Instr) string {
+	var buf [64]byte
+	return string(appendInstr(buf[:0], in))
+}
+
+func appendReg(b []byte, r Reg) []byte {
+	return strconv.AppendInt(append(b, 'r'), int64(r), 10)
+}
+
+// appendDst appends "r<dst> = ".
+func appendDst(b []byte, r Reg) []byte {
+	return append(appendReg(b, r), " = "...)
+}
+
+// appendVar appends "name@hops.slot".
+func appendVar(b []byte, v VarRef) []byte {
+	b = strconv.AppendInt(append(append(b, v.Name...), '@'), int64(v.Hops), 10)
+	return strconv.AppendInt(append(b, '.'), int64(v.Slot), 10)
+}
+
+// appendRegs appends "[r1, r2]".
+func appendRegs(b []byte, rs []Reg) []byte {
+	b = append(b, '[')
+	for i, r := range rs {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendReg(b, r)
+	}
+	return append(b, ']')
+}
+
+func appendInstr(b []byte, in Instr) []byte {
 	switch in := in.(type) {
 	case *Const:
-		return fmt.Sprintf("r%d = const %s", in.Dst, litString(in.Val))
+		return appendLit(append(appendDst(b, in.Dst), "const "...), in.Val)
 	case *Move:
-		return fmt.Sprintf("r%d = r%d", in.Dst, in.Src)
+		return appendReg(appendDst(b, in.Dst), in.Src)
 	case *LoadVar:
-		return fmt.Sprintf("r%d = var %s@%d.%d", in.Dst, in.Var.Name, in.Var.Hops, in.Var.Slot)
+		return appendVar(append(appendDst(b, in.Dst), "var "...), in.Var)
 	case *StoreVar:
-		return fmt.Sprintf("var %s@%d.%d = r%d", in.Var.Name, in.Var.Hops, in.Var.Slot, in.Src)
+		return appendReg(append(appendVar(append(b, "var "...), in.Var), " = "...), in.Src)
 	case *LoadGlobal:
-		return fmt.Sprintf("r%d = global %s", in.Dst, in.Name)
+		return append(append(appendDst(b, in.Dst), "global "...), in.Name...)
 	case *StoreGlobal:
-		return fmt.Sprintf("global %s = r%d", in.Name, in.Src)
+		return appendReg(append(append(append(b, "global "...), in.Name...), " = "...), in.Src)
 	case *MakeClosure:
-		return fmt.Sprintf("r%d = closure %s#%d", in.Dst, name(in.Fn), in.Fn.Index)
+		b = append(append(appendDst(b, in.Dst), "closure "...), name(in.Fn)...)
+		return strconv.AppendInt(append(b, '#'), int64(in.Fn.Index), 10)
 	case *MakeObject:
-		var ps []string
-		for _, p := range in.Props {
-			ps = append(ps, fmt.Sprintf("%s: r%d", p.Key, p.Val))
+		b = append(appendDst(b, in.Dst), "object {"...)
+		for i, p := range in.Props {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = appendReg(append(append(b, p.Key...), ": "...), p.Val)
 		}
-		return fmt.Sprintf("r%d = object {%s}", in.Dst, strings.Join(ps, ", "))
+		return append(b, '}')
 	case *MakeArray:
-		var es []string
-		for _, e := range in.Elems {
-			es = append(es, fmt.Sprintf("r%d", e))
-		}
-		return fmt.Sprintf("r%d = array [%s]", in.Dst, strings.Join(es, ", "))
+		return appendRegs(append(appendDst(b, in.Dst), "array "...), in.Elems)
 	case *GetField:
-		return fmt.Sprintf("r%d = r%d.%s", in.Dst, in.Obj, in.Name)
+		return append(append(appendReg(appendDst(b, in.Dst), in.Obj), '.'), in.Name...)
 	case *GetProp:
-		return fmt.Sprintf("r%d = r%d[r%d]", in.Dst, in.Obj, in.Prop)
+		b = appendReg(append(appendReg(appendDst(b, in.Dst), in.Obj), '['), in.Prop)
+		return append(b, ']')
 	case *SetField:
-		return fmt.Sprintf("r%d.%s = r%d", in.Obj, in.Name, in.Src)
+		b = append(append(appendReg(b, in.Obj), '.'), in.Name...)
+		return appendReg(append(b, " = "...), in.Src)
 	case *SetProp:
-		return fmt.Sprintf("r%d[r%d] = r%d", in.Obj, in.Prop, in.Src)
+		b = appendReg(append(appendReg(b, in.Obj), '['), in.Prop)
+		return appendReg(append(b, "] = "...), in.Src)
 	case *DelField:
-		return fmt.Sprintf("r%d = delete r%d.%s", in.Dst, in.Obj, in.Name)
+		b = appendReg(append(appendDst(b, in.Dst), "delete "...), in.Obj)
+		return append(append(b, '.'), in.Name...)
 	case *DelProp:
-		return fmt.Sprintf("r%d = delete r%d[r%d]", in.Dst, in.Obj, in.Prop)
+		b = appendReg(append(appendDst(b, in.Dst), "delete "...), in.Obj)
+		return append(appendReg(append(b, '['), in.Prop), ']')
 	case *BinOp:
-		return fmt.Sprintf("r%d = r%d %s r%d", in.Dst, in.L, in.Op, in.R)
+		b = append(append(appendReg(appendDst(b, in.Dst), in.L), ' '), in.Op...)
+		return appendReg(append(b, ' '), in.R)
 	case *UnOp:
-		return fmt.Sprintf("r%d = %s r%d", in.Dst, in.Op, in.X)
+		return appendReg(append(append(appendDst(b, in.Dst), in.Op...), ' '), in.X)
 	case *Call:
-		return fmt.Sprintf("r%d = call r%d this=r%d args=%s", in.Dst, in.Fn, in.This, regList(in.Args))
+		b = appendReg(append(appendDst(b, in.Dst), "call "...), in.Fn)
+		b = appendReg(append(b, " this="...), in.This)
+		return appendRegs(append(b, " args="...), in.Args)
 	case *New:
-		return fmt.Sprintf("r%d = new r%d args=%s", in.Dst, in.Fn, regList(in.Args))
+		b = appendReg(append(appendDst(b, in.Dst), "new "...), in.Fn)
+		return appendRegs(append(b, " args="...), in.Args)
 	case *If:
-		return fmt.Sprintf("if r%d", in.Cond)
+		return appendReg(append(b, "if "...), in.Cond)
 	case *While:
-		kind := "while"
 		if in.PostTest {
-			kind = "do-while"
+			b = append(b, "do-"...)
 		}
-		return fmt.Sprintf("%s r%d", kind, in.Cond)
+		return appendReg(append(b, "while "...), in.Cond)
 	case *ForIn:
+		b = append(b, "for "...)
 		if in.Global {
-			return fmt.Sprintf("for %s in r%d", in.TargetGlobal, in.Obj)
+			b = append(b, in.TargetGlobal...)
+		} else {
+			b = append(b, in.Target.Name...)
 		}
-		return fmt.Sprintf("for %s in r%d", in.Target.Name, in.Obj)
+		return appendReg(append(b, " in "...), in.Obj)
 	case *Return:
 		if in.Src == NoReg {
-			return "return"
+			return append(b, "return"...)
 		}
-		return fmt.Sprintf("return r%d", in.Src)
+		return appendReg(append(b, "return "...), in.Src)
 	case *Throw:
-		return fmt.Sprintf("throw r%d", in.Src)
+		return appendReg(append(b, "throw "...), in.Src)
 	case *Break:
-		return "break"
+		return append(b, "break"...)
 	case *Continue:
-		return "continue"
+		return append(b, "continue"...)
 	case *Try:
-		return "try"
+		return append(b, "try"...)
 	default:
-		return fmt.Sprintf("%T", in)
+		return fmt.Appendf(b, "%T", in)
 	}
 }
 
-func litString(l Literal) string {
+// appendLit appends a literal as a Go value would print under %g, %q and
+// %t.
+func appendLit(b []byte, l Literal) []byte {
 	switch l.Kind {
 	case LitUndefined:
-		return "undefined"
+		return append(b, "undefined"...)
 	case LitNull:
-		return "null"
+		return append(b, "null"...)
 	case LitBool:
-		return fmt.Sprintf("%t", l.Bool)
+		return strconv.AppendBool(b, l.Bool)
 	case LitNumber:
-		return fmt.Sprintf("%g", l.Num)
+		return strconv.AppendFloat(b, l.Num, 'g', -1, 64)
 	case LitString:
-		return fmt.Sprintf("%q", l.Str)
+		return strconv.AppendQuote(b, l.Str)
 	}
-	return "?"
-}
-
-func regList(rs []Reg) string {
-	var ss []string
-	for _, r := range rs {
-		ss = append(ss, fmt.Sprintf("r%d", r))
-	}
-	return "[" + strings.Join(ss, ", ") + "]"
+	return append(b, '?')
 }

@@ -141,10 +141,18 @@ func (l *Lexer) Next() Token {
 	}
 }
 
+// maxPresizedTokens bounds All's initial token slice at 4.5 MiB, which
+// covers any source up to 128 KiB.
+const maxPresizedTokens = 1 << 16
+
 // All scans the entire input and returns every token up to and including the
 // final EOF. It is a convenience for tests and the parser.
 func (l *Lexer) All() []Token {
-	var toks []Token
+	// Source runs ~2.8 bytes per token, so half the remaining length
+	// holds every token of typical code without regrowing the slice. The
+	// cap keeps a large source that is mostly comments from reserving
+	// ~36 bytes of tokens per byte up front; past it the slice grows.
+	toks := make([]Token, 0, min((len(l.src)-l.off)/2+1, maxPresizedTokens))
 	for {
 		t := l.Next()
 		toks = append(toks, t)

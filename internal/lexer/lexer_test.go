@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"determinacy/internal/lexer"
+	"determinacy/internal/workload"
 )
 
 func lex(t *testing.T, src string) []lexer.Token {
@@ -173,4 +174,26 @@ func TestNumberRoundTrip(t *testing.T) {
 
 func trimFloat(v float64) string {
 	return strconv.FormatFloat(v, 'f', -1, 64)
+}
+
+// TestAllAllocs: All sizes its token slice from the source, so lexing a
+// program from perfbench serve's generator config allocates the slice
+// once and never regrows it. (Unsized, the slice doubled about ten times
+// per program.) The tokens' own allocations are counted by scanning the
+// same source with Next alone.
+func TestAllAllocs(t *testing.T) {
+	src := workload.RandomProgram(workload.GenConfig{
+		Seed: 700_000, MaxStmts: 40, WithProto: true, WithEval: true, WithForIn: true,
+	})
+	toks := lexer.New(src).All()
+	all := testing.AllocsPerRun(10, func() { lexer.New(src).All() })
+	scan := testing.AllocsPerRun(10, func() {
+		l := lexer.New(src)
+		for l.Next().Kind != lexer.EOF {
+		}
+	})
+	t.Logf("%d bytes, %d tokens: All %.0f allocations, Next alone %.0f", len(src), len(toks), all, scan)
+	if all-scan > 1 {
+		t.Errorf("All allocates its %d-token slice %.0f times, want once", len(toks), all-scan)
+	}
 }
