@@ -167,6 +167,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "detserve:", err)
 		os.Exit(cliexit.Error)
 	}
+	// Catch the drain signals before announcing the address: a supervisor
+	// may send SIGTERM as soon as it reads the line below.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	log.Printf("detserve %s listening on http://%s", version.String(), ln.Addr())
 
 	// The debug surface — flight recorder, trace dumps, metrics, pprof —
@@ -197,8 +201,6 @@ func main() {
 		}()
 	}
 
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
 

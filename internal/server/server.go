@@ -238,7 +238,7 @@ func New(cfg Config) *Server {
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	m.Gauge("server_max_inflight").Set(float64(cfg.MaxInFlight))
 	m.Gauge("server_max_queue_depth").Set(float64(cfg.QueueDepth))
-	m.Help("server_request_seconds", "End-to-end request wall time by route.")
+	m.Help("server_request_seconds", "Request wall time by route, from admission until the response is built, facts included; writing it to the client is not counted.")
 	m.Help("server_queue_wait_seconds", "Admission-queue wait by route.")
 	m.Help("server_phase_seconds", "Per-request pipeline-phase latency, derived from trace spans.")
 	m.Help("server_requests_total", "Requests received, before admission.")
